@@ -25,7 +25,8 @@ from .space import GridSpace
 
 @dataclass(eq=False)
 class ChainGraph:
-    """Immutable edge set; shortest-path results are cached lazily."""
+    """Immutable edge set; the min-reduced adjacency and shortest-path
+    results are cached lazily."""
 
     n: int
     T: float
@@ -37,42 +38,63 @@ class ChainGraph:
     edge_m: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
     _csr: sp.csr_matrix | None = field(default=None, repr=False)
+    _min_edges: tuple | None = field(default=None, repr=False)
     _apsp: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_edges(self) -> int:
         return self.edge_u.size
 
-    def csr(self) -> sp.csr_matrix:
-        """Min-reduced adjacency (parallel m-edges collapse to the cheapest).
+    def min_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, w) of each distinct (u, v) pair with its least weight,
+        sorted by (u, v): parallel m-edges collapse to the cheapest."""
+        if self._min_edges is None:
+            key = self.edge_u * self.n + self.edge_v
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            u, v = np.divmod(key[first], self.n)
+            self._min_edges = (u, v, np.minimum.reduceat(self.edge_w[order], first))
+        return self._min_edges
 
-        Exact zero weights are stored as 1e-300 so the sparse format does
-        not confuse them with absent edges; the offset is far below every
-        tolerance in use.
-        """
+    def csr(self) -> sp.csr_matrix:
+        """Min-reduced adjacency, its entries aligned with :meth:`min_edges`."""
         if self._csr is None:
-            order = np.lexsort((self.edge_w, self.edge_v, self.edge_u))
-            u, v, w = self.edge_u[order], self.edge_v[order], self.edge_w[order]
-            first = np.ones(u.size, dtype=bool)
-            first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-            u, v, w = u[first], v[first], w[first]
-            mat = sp.csr_matrix((np.maximum(w, 1e-300), (u, v)), shape=(self.n, self.n))
-            self._csr = mat
+            self._csr = _adjacency(self.n, *self.min_edges())
         return self._csr
 
     def all_pairs(self, limit: float | None = None) -> np.ndarray:
         """Forward all-pairs shortest path matrix D[s, v], optionally cost-limited.
 
         Entries above ``limit`` come back as +inf; any cached matrix whose
-        limit dominates the request is reused.
+        limit dominates the request is reused.  Edges heavier than the
+        limit lie on no path within it, so the search runs without them.
         """
         want = np.inf if limit is None else float(limit)
         for have, mat in self._apsp.items():
             if have >= want:
                 return mat
-        mat = dijkstra(self.csr(), directed=True, limit=want)
+        if np.isfinite(want):
+            u, v, w = self.min_edges()
+            keep = w <= want
+            graph = _adjacency(self.n, u[keep], v[keep], w[keep])
+        else:
+            graph = self.csr()
+        mat = dijkstra(graph, directed=True, limit=want)
         self._apsp[want] = mat
         return mat
+
+
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
+    """n x n CSR matrix of edges sorted by (u, v) without duplicates.
+
+    Exact zero weights are stored as 1e-300 so the sparse format does not
+    confuse them with absent edges; the offset is far below every
+    tolerance in use.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((np.maximum(w, 1e-300), v, indptr), shape=(n, n))
 
 
 @dataclass(eq=False)
@@ -98,6 +120,11 @@ class ScrResult:
         }
 
 
+# Rows of u per block: dist_coords_to_grid's own chunk, so _euclid sees the
+# same blocks as on a whole image array and the weights come out the same.
+_EDGE_BLOCK = 512
+
+
 def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
                       prune_radius: float) -> ChainGraph:
     """Assemble all jump edges with weight at most ``prune_radius``.
@@ -110,29 +137,28 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
             f"prune_radius {prune_radius} < 3 * resolution {3 * space.resolution}; "
             "near-zero-cost continuation edges would be lost")
     us, vs, ms, ws = [], [], [], []
-    base = np.arange(space.n, dtype=np.int64)
-    for m in range(1, tr.m_max + 1):
-        if tr.exact_images is not None:
-            dmat = space.dist_coords_to_grid(tr.exact_images[m - 1], cutoff=prune_radius)
-        else:
-            img_pts = space.points[tr.images[m - 1]]
-            dmat = space.dist_coords_to_grid(img_pts, cutoff=prune_radius)
-            dmat = dmat + space.resolution
-        uu, vv = np.nonzero(dmat <= prune_radius)
-        us.append(base[uu])
-        vs.append(vv.astype(np.int64))
-        ms.append(np.full(uu.size, m, dtype=np.int64))
-        ws.append(dmat[uu, vv])
-    edge_u = np.concatenate(us)
-    edge_v = np.concatenate(vs)
-    edge_m = np.concatenate(ms)
-    edge_w = np.concatenate(ws)
-    order = np.lexsort((edge_v, edge_m, edge_u))
+    for lo in range(0, space.n, _EDGE_BLOCK):
+        hi = min(lo + _EDGE_BLOCK, space.n)
+        block = np.empty((hi - lo, tr.m_max, space.n))
+        for m in range(tr.m_max):
+            if tr.exact_images is not None:
+                block[:, m] = space.dist_coords_to_grid(
+                    tr.exact_images[m, lo:hi], cutoff=prune_radius)
+            else:
+                img_pts = space.points[tr.images[m, lo:hi]]
+                block[:, m] = space.dist_coords_to_grid(img_pts, cutoff=prune_radius)
+                block[:, m] += space.resolution
+        keep = block <= prune_radius
+        uu, mm, vv = np.nonzero(keep)          # already in (u, m, v) order
+        us.append(uu + lo)
+        ms.append(mm + 1)
+        vs.append(vv)
+        ws.append(block[keep])
     return ChainGraph(
         n=space.n, T=tr.T, m_max=tr.m_max, prune_radius=prune_radius,
         resolution=space.resolution,
-        edge_u=edge_u[order], edge_v=edge_v[order],
-        edge_m=edge_m[order], edge_w=edge_w[order])
+        edge_u=np.concatenate(us), edge_v=np.concatenate(vs),
+        edge_m=np.concatenate(ms), edge_w=np.concatenate(ws))
 
 
 def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
@@ -153,19 +179,21 @@ def min_return_cost(g: ChainGraph, u: int) -> float:
     """Cheapest total weight of a cycle through u with at least one edge."""
     if not 0 <= u < g.n:
         raise IndexError(f"node {u} out of range")
-    back = dijkstra(g.csr().T, directed=True, indices=[u])[0]  # sp(v -> u)
-    sel = g.edge_u == u
-    if not np.any(sel):
+    csr = g.csr()
+    back = dijkstra(csr.T, directed=True, indices=[u])[0]  # sp(v -> u)
+    _, v, w = g.min_edges()
+    row = slice(csr.indptr[u], csr.indptr[u + 1])
+    if row.start == row.stop:
         return np.inf
-    return float(np.min(g.edge_w[sel] + back[g.edge_v[sel]]))
+    return float(np.min(w[row] + back[v[row]]))
 
 
 def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray:
     """Vector of min cycle costs; entries above ``limit`` come back +inf."""
     dist = g.all_pairs(limit)
+    u, v, w = g.min_edges()
     out = np.full(g.n, np.inf)
-    vals = g.edge_w + dist[g.edge_v, g.edge_u]
-    np.minimum.at(out, g.edge_u, vals)
+    np.minimum.at(out, u, w + dist[v, u])
     if limit is not None:
         out[out > limit] = np.inf
     return out
@@ -198,8 +226,9 @@ def compute_cr(g: ChainGraph, epsilon: float) -> np.ndarray:
     """Classical chain recurrence: per-edge budget, strongly connected parts."""
     if epsilon <= 0:
         raise ValueError(f"epsilon {epsilon} must be positive")
-    keep = g.edge_w < epsilon
-    u, v = g.edge_u[keep], g.edge_v[keep]
+    u, v, w = g.min_edges()
+    keep = w < epsilon
+    u, v = u[keep], v[keep]
     mat = sp.csr_matrix((np.ones(u.size), (u, v)), shape=(g.n, g.n))
     n_comp, labels = connected_components(mat, directed=True, connection="strong")
     counts = np.bincount(labels, minlength=n_comp)
@@ -219,13 +248,13 @@ def omega_budget(g: ChainGraph, Y, epsilon: float, closed: bool = False) -> np.n
     Y = np.asarray(sorted(set(int(y) for y in Y)), dtype=np.int64)
     if Y.size == 0:
         raise ValueError("seed set Y must be nonempty")
-    sel = np.isin(g.edge_u, Y)
-    if not np.any(sel):
+    indptr = g.csr().indptr
+    _, v, w = g.min_edges()
+    sel = np.concatenate([np.arange(indptr[y], indptr[y + 1]) for y in Y])
+    if sel.size == 0:
         return np.empty(0, dtype=np.int64)
-    first_v = g.edge_v[sel]
-    first_w = g.edge_w[sel]
     seed = np.full(g.n, np.inf)
-    np.minimum.at(seed, first_v, first_w)
+    np.minimum.at(seed, v[sel], w[sel])
     starts = np.nonzero(np.isfinite(seed))[0]
     cached = None
     for have, mat in g._apsp.items():

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -63,7 +62,6 @@ class RunConfig:
     output_dir: str = "scrl-out"
     rng_seed: int = 0
     flow_csv: str = ""
-    threads: int = 0
     epsilon_max: float = 0.0         # largest budget of a sweep; 0 = epsilon
 
     def validate(self) -> None:
@@ -195,6 +193,11 @@ def stage_verify(bundle: RunBundle, catalog: PairCatalog,
         t_probe=bundle.cfg.t_probe, margin=margin)
 
 
+def verify_passed(report: dict) -> bool:
+    """The pass gate: no monotonicity violation, strict decrease almost everywhere."""
+    return not report["monotonicity_violations"] and report["strict_pass_fraction"] >= 0.99
+
+
 def run_pipeline(cfg: RunConfig, out: Path | None = None, export_graph: bool = False):
     """Full pipeline; returns (exit_code, result dict). Writes artifacts if out given."""
     bundle = build_bundle(cfg)
@@ -204,7 +207,7 @@ def run_pipeline(cfg: RunConfig, out: Path | None = None, export_graph: bool = F
     catalog = stage_pairs(bundle, scr)
     fields, combined = stage_lyapunov(bundle, catalog)
     report = stage_verify(bundle, catalog, fields, scr)
-    ok = not report["monotonicity_violations"] and report["strict_pass_fraction"] >= 0.99
+    ok = verify_passed(report)
 
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +264,6 @@ def write_metadata(out: Path, bundle: RunBundle) -> None:
             "neighborhood_scale": bundle.scale,
             "radii": cfg.radii or default_radii(bundle.space.resolution),
             "seed_stride": cfg.seed_stride or default_seed_stride(bundle.space.n),
-            "threads": int(os.environ.get("SCRL_THREADS", "0") or 0),
         },
         "flow": bundle.flow.describe(),
     }
@@ -373,45 +375,41 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", default="circle",
-                   choices=("circle", "square", "roof", "identity", "custom"))
-    p.add_argument("--grid", type=int, default=0, dest="grid_n",
+    # Every config flag defaults to None (absent), so that a --config file
+    # keeps its values unless a flag is given explicitly.
+    p.add_argument("--system", choices=("circle", "square", "roof", "identity", "custom"),
+                   help="default: circle")
+    p.add_argument("--grid", type=int, dest="grid_n",
                    help="grid points (circle) or cells per side (planar); 0 = default")
-    p.add_argument("--grid-domain", default="", help="domain for custom flows")
-    p.add_argument("--epsilon", type=float, action="append", default=None,
+    p.add_argument("--grid-domain", help="domain for custom flows")
+    p.add_argument("--epsilon", type=float, action="append",
                    help="chain budget; repeatable where a sweep makes sense")
-    p.add_argument("--T", type=float, default=1.0, help="flow time step")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--prune-radius", type=float, default=0.0)
-    p.add_argument("--radius", type=float, action="append", default=None, dest="radii")
-    p.add_argument("--seed-stride", type=int, default=0)
-    p.add_argument("--scale", type=float, default=0.0, dest="neighborhood_scale")
-    p.add_argument("--eta-count", type=int, default=32)
-    p.add_argument("--s-max", type=float, default=20.0)
-    p.add_argument("--t-probe", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--flow-csv", default="")
+    p.add_argument("--T", type=float, help="flow time step")
+    p.add_argument("--m-max", type=int)
+    p.add_argument("--prune-radius", type=float)
+    p.add_argument("--radius", type=float, action="append", dest="radii")
+    p.add_argument("--seed-stride", type=int)
+    p.add_argument("--scale", type=float, dest="neighborhood_scale")
+    p.add_argument("--eta-count", type=int)
+    p.add_argument("--s-max", type=float)
+    p.add_argument("--t-probe", type=float)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--flow-csv")
     p.add_argument("--config", default="", help="JSON config file; flags override it")
     p.add_argument("--out", default="scrl-out")
 
 
 def config_from_args(args) -> tuple[RunConfig, list[float]]:
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text())
-    merged = dict(base)
-    epsilons = args.epsilon or ([merged.get("epsilon", 0.05)])
-    merged.update(
-        system=args.system, grid_n=args.grid_n, grid_domain=args.grid_domain,
-        epsilon=float(min(epsilons)), epsilon_max=float(max(epsilons)),
-        T=args.T, m_max=args.m_max,
-        prune_radius=args.prune_radius, radii=args.radii or merged.get("radii", []),
-        seed_stride=args.seed_stride, neighborhood_scale=args.neighborhood_scale,
-        eta_count=args.eta_count, s_max=args.s_max, t_probe=args.t_probe,
-        margin=args.margin, flow_csv=args.flow_csv, output_dir=args.out)
+    """The config file's values, overridden by the flags given explicitly."""
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
+    merged = json.loads(Path(args.config).read_text()) if args.config else {}
+    epsilons = [float(e) for e in args.epsilon or [merged.get("epsilon", RunConfig.epsilon)]]
+    # without --epsilon a sweep's file keeps its largest budget, and so its prune radius
+    eps_max = max(epsilons) if args.epsilon else max(epsilons + [merged.get("epsilon_max", 0.0)])
+    merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
+    merged.update(epsilon=min(epsilons), epsilon_max=float(eps_max), output_dir=args.out)
     cfg = RunConfig(**{k: v for k, v in merged.items() if k in known})
-    return cfg, sorted(float(e) for e in epsilons)
+    return cfg, sorted(epsilons)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -525,11 +523,9 @@ def _dispatch(args) -> int:
         fields, _ = stage_lyapunov(bundle, catalog)
         report = stage_verify(bundle, catalog, fields, scr)
         write_json(out / "verify_report.json", report)
-        clean = (not report["monotonicity_violations"]
-                 and report["strict_pass_fraction"] >= 0.99)
         print(f"monotonicity violations: {len(report['monotonicity_violations'])}  "
               f"strict pass fraction: {report['strict_pass_fraction']:.4f}")
-        return 0 if clean else 3
+        return 0 if verify_passed(report) else 3
 
     raise ConfigError(f"unhandled command {args.command}")
 

@@ -207,14 +207,23 @@ class GridSpace:
     def nearest(self, pts: np.ndarray) -> np.ndarray:
         """Grid ids of nearest points; ties break toward the lowest id.
 
+        On the circle the nearest id is floor(theta * n) or the next one
+        (mod n); the ids one further out on each side absorb rounding in
+        the floor, and the lowest of the equally near ids wins, so a tie
+        across the wrap between n - 1 and 0 goes to 0.
+
         For the roof, the best through-seam target factorizes exactly:
         min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
         equals min over i of entry(p, i) + to_grid_min[i].
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.domain == CIRCLE:
-            d = circle_gap(pts[:, :1], self.points[None, :, 0])
-            return d.argmin(axis=1)
+            theta = pts[:, :1]
+            cell = np.floor((theta % 1.0) * self.n).astype(np.int64)
+            ids = (cell + np.arange(-1, 3)) % self.n                  # (k, 4)
+            gap = circle_gap(theta, self.points[ids, 0])
+            tied = gap == gap.min(axis=1, keepdims=True)
+            return np.where(tied, ids, self.n).min(axis=1)
         out = np.empty(pts.shape[0], dtype=np.int64)
         for lo in range(0, pts.shape[0], 2048):
             block = pts[lo:lo + 2048]

@@ -206,7 +206,8 @@ def build_strongly_stable(g: ChainGraph, tr: GridTransition, space: GridSpace,
     reachability of C and the certificate records C and W disjoint.  The
     settled set is checked to lie inside the resolution thickening of W
     (grid projection can spill one cell per step; the containment is
-    exact in the continuum).
+    exact in the continuum); a seed whose settled set escapes it yields
+    no candidate, so this raises ValueError like the other rejections.
     """
     C = np.asarray(sorted(set(int(c) for c in C)), dtype=np.int64)
     if C.size == 0:
@@ -218,7 +219,7 @@ def build_strongly_stable(g: ChainGraph, tr: GridTransition, space: GridSpace,
     certificate = not np.any(np.isin(C, W))
     d = space.dist_coords_to_subset(space.points[B], W)
     if np.any(d > space.resolution + 1e-9):
-        raise AssertionError(
+        raise ValueError(
             "settled set escapes the resolution thickening of its reachable set")
     return B, certificate, W
 

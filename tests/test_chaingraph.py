@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr,
@@ -250,3 +251,90 @@ def test_custom_sampled_weights_carry_padding():
     for u in range(8):
         sel = (g_pad.edge_u == u) & (g_pad.edge_v == sampled.images[0, u])
         assert g_pad.edge_w[sel].min() == pytest.approx(s.resolution)
+
+
+# -- fast paths against the reductions they replace --------------------------
+
+
+def _lexsort_reduction(g):
+    """Min-reduced (u, v, w) by a three-key lexsort of all multi-edges."""
+    order = np.lexsort((g.edge_w, g.edge_v, g.edge_u))
+    u, v, w = g.edge_u[order], g.edge_v[order], g.edge_w[order]
+    first = np.ones(u.size, dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[first], v[first], w[first]
+
+
+def test_csr_matches_lexsort_reduction():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(0, 4 * n * n))
+        u = rng.integers(0, n, k)
+        v = rng.integers(0, n, k)
+        m = rng.integers(1, 5, k)
+        w = rng.integers(0, 8, k) / 8.0          # many zeros and duplicate weights
+        g = graph_from_edges(n, list(zip(u.tolist(), v.tolist(), m.tolist(), w.tolist())))
+        ru, rv, rw = _lexsort_reduction(g)
+        gu, gv, gw = g.min_edges()
+        assert np.array_equal(gu, ru) and np.array_equal(gv, rv) and np.array_equal(gw, rw)
+        ref = sp.csr_matrix((np.maximum(rw, 1e-300), (ru, rv)), shape=(n, n))
+        got = g.csr()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+
+def _per_m_reference(space, tr, prune):
+    """Edges of one dense distance matrix per multiplier, then a global lexsort."""
+    us, vs, ms, ws = [], [], [], []
+    for m in range(1, tr.m_max + 1):
+        if tr.exact_images is not None:
+            dmat = space.dist_coords_to_grid(tr.exact_images[m - 1], cutoff=prune)
+        else:
+            dmat = space.dist_coords_to_grid(space.points[tr.images[m - 1]], cutoff=prune)
+            dmat = dmat + space.resolution
+        uu, vv = np.nonzero(dmat <= prune)
+        us.append(uu)
+        vs.append(vv)
+        ms.append(np.full(uu.size, m))
+        ws.append(dmat[uu, vv])
+    u, v, m, w = (np.concatenate(a) for a in (us, vs, ms, ws))
+    order = np.lexsort((v, m, u))
+    return u[order], v[order], m[order], w[order]
+
+
+@pytest.mark.parametrize("domain,system,n,sampled", [
+    ("circle", "circle", 1100, False),        # three 512-row blocks
+    ("unit-square", "square", 24, False),     # 576 points, two blocks
+    ("roof", "roof", 14, False),
+    ("roof", "roof", 26, False),              # past one block
+    ("circle", "circle", 600, True),
+    ("unit-square", "square", 12, True),
+])
+def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled):
+    from scrl.flows import FlowModel, GridTransition
+    s = build_grid(domain, n)
+    f = make_flow(system)
+    tr = build_transition(f, s, 1.0, 3)
+    if sampled:
+        tr = GridTransition(T=1.0, m_max=3, images=tr.images.copy(), exact_images=None)
+        f = FlowModel("custom-sampled", domain)
+    prune = 10 * s.resolution
+    g = build_chain_graph(s, tr, f, prune)
+    ref = _per_m_reference(s, tr, prune)
+    for got, want in zip((g.edge_u, g.edge_v, g.edge_m, g.edge_w), ref):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_all_pairs_limit_matches_unpruned_search():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n, edges = random_digraph(rng, max_nodes=60)
+        full = graph_from_edges(n, edges).all_pairs()
+        limit = float(rng.uniform(0.05, 1.5))
+        got = graph_from_edges(n, edges).all_pairs(limit)
+        within = full <= limit
+        assert np.array_equal(got[within], full[within])
+        assert np.all(np.isinf(got[~within]))

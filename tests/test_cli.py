@@ -87,26 +87,52 @@ def test_rerun_bit_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_metadata_records_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("SCRL_THREADS", "3")
-    out = tmp_path / "th"
-    assert run(["scr", "--system", "circle", "--grid", "64", "--out", str(out)]) == 0
-    meta = json.loads((out / "metadata.json").read_text())
-    assert meta["resolved"]["threads"] == 3
-    assert meta["flow"]["profile"]
-
-
 def test_metadata_reproduces_run(tmp_path):
     first = tmp_path / "first"
     assert run(["analyze", "--system", "circle", "--grid", "64",
                 "--out", str(first)]) == 0
     meta = json.loads((first / "metadata.json").read_text())
+    assert meta["flow"]["profile"]
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(meta["config"]))
     second = tmp_path / "second"
     assert run(["analyze", "--config", str(cfg_file), "--system", "circle",
                 "--grid", "64", "--out", str(second)]) == 0
     assert (first / "scr.json").read_bytes() == (second / "scr.json").read_bytes()
+
+
+def test_config_file_alone_reproduces_run(tmp_path):
+    # non-default values throughout, so a flag default cannot pass for them
+    first = tmp_path / "first"
+    assert run(["scr", "--system", "square", "--grid", "8", "--T", "0.5",
+                "--m-max", "2", "--epsilon", "0.2", "--s-max", "10",
+                "--out", str(first)]) == 0
+    meta = json.loads((first / "metadata.json").read_text())
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(meta["config"]))
+    second = tmp_path / "second"
+    assert run(["scr", "--config", str(cfg_file), "--out", str(second)]) == 0
+    for name in ("metadata.json", "scr.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_config_file_values_survive_flag_defaults(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"system": "square", "grid_n": 8, "T": 0.5, "m_max": 2}))
+    out = tmp_path / "run"
+    assert run(["scr", "--config", str(cfg_file), "--out", str(out)]) == 0
+    cfg = json.loads((out / "metadata.json").read_text())["config"]
+    assert (cfg["system"], cfg["grid_n"], cfg["T"], cfg["m_max"]) == ("square", 8, 0.5, 2)
+    # an explicit flag still wins over the file
+    assert run(["scr", "--config", str(cfg_file), "--m-max", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["config"]["m_max"] == 3
+
+
+def test_roof_rejected_seed_is_not_a_crash(tmp_path):
+    # at roof grid 20 some settled sets escape the resolution thickening of
+    # their reachable set; those seeds are rejected, the run is not aborted
+    code = run(["analyze", "--system", "roof", "--grid", "20", "--out", str(tmp_path)])
+    assert code in (0, 3)
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

@@ -115,6 +115,27 @@ def test_nearest_tie_breaks_low():
     s = build_grid("circle", 8)
     # exactly between grid points 0 and 1
     assert s.nearest(np.array([[0.0625]]))[0] == 0
+    # exactly between n - 1 and 0, across the wrap: the lower id, 0
+    assert s.nearest(np.array([[0.9375]]))[0] == 0
+
+
+@pytest.mark.parametrize("n", [8, 13, 256, 1792])
+def test_circle_nearest_matches_brute_force(n):
+    s = build_grid("circle", n)
+    rng = np.random.default_rng(n)
+    half_cells = (np.arange(n) + 0.5) / n
+    theta = np.concatenate([
+        rng.uniform(0, 1, 3000),
+        rng.uniform(-3, 4, 1000),                 # unreduced angles
+        half_cells,                               # every half-cell tie
+        half_cells - 1.0, half_cells + 2.0,
+        s.points[:, 0],                           # grid points themselves
+        [0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, -np.nextafter(1.0, 0.0),
+         np.nextafter(0.0, -1.0), (n - 0.5) / n],
+    ])
+    pts = theta[:, None]
+    brute = circle_gap(pts, s.points[None, :, 0]).argmin(axis=1)
+    assert np.array_equal(s.nearest(pts), brute)
 
 
 def test_thicken_is_metric_ball():

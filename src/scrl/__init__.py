@@ -13,7 +13,7 @@ from .pairs import PairCatalog, enumerate_pairs, select_cover
 from .space import GridSpace, PointId, build_grid
 from .stablesets import (StablePair, build_strongly_stable, complementary,
                          find_eta0_and_bstar, nested_neighborhoods,
-                         omega_limit_of_point, omega_limit_of_set)
+                         omega_limit_of_set, omega_limits_all)
 
 __all__ = [
     "ChainGraph", "ScrResult", "build_chain_graph", "compute_cr", "compute_scr",
@@ -25,6 +25,6 @@ __all__ = [
     "PairCatalog", "enumerate_pairs", "select_cover",
     "GridSpace", "PointId", "build_grid",
     "StablePair", "build_strongly_stable", "complementary", "find_eta0_and_bstar",
-    "nested_neighborhoods", "omega_limit_of_point", "omega_limit_of_set",
+    "nested_neighborhoods", "omega_limit_of_set", "omega_limits_all",
     "__version__",
 ]

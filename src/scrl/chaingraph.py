@@ -6,7 +6,8 @@ A path through this graph whose weights sum below a budget is a strong
 chain at that budget with all flow times in {T, ..., m_max*T}; cycle
 costs therefore decide strong chain recurrence, per-edge thresholds plus
 strong connectivity decide classical chain recurrence, and multi-source
-shortest paths realize the budgeted reachability operator.
+shortest paths realize the budgeted reachability operator.  All of these
+read only the cheapest edge per (u, v), so the graph keeps just that one.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .space import GridSpace
 
 @dataclass(eq=False)
 class ChainGraph:
-    """Immutable edge set; the min-reduced adjacency and shortest-path
-    results are cached lazily."""
+    """Immutable edge set with one edge per (u, v), sorted by (u, v): its
+    least weight and the lowest multiplier m achieving it.  Adjacency,
+    shortest-path and return-cost results are cached lazily."""
 
     n: int
     T: float
@@ -37,50 +39,42 @@ class ChainGraph:
     edge_v: np.ndarray = field(repr=False)
     edge_m: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
-    _csr: sp.csr_matrix | None = field(default=None, repr=False)
-    _min_edges: tuple | None = field(default=None, repr=False)
-    _apsp: dict = field(default_factory=dict, repr=False)
+    _csr: tuple | None = field(default=None, repr=False)      # (limit, adjacency)
+    _apsp: dict = field(default_factory=dict, repr=False)     # limit -> D
+    _costs: dict = field(default_factory=dict, repr=False)    # limit -> return costs
 
     @property
     def n_edges(self) -> int:
         return self.edge_u.size
 
-    def min_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, w) of each distinct (u, v) pair with its least weight,
-        sorted by (u, v): parallel m-edges collapse to the cheapest."""
-        if self._min_edges is None:
-            key = self.edge_u * self.n + self.edge_v
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            u, v = np.divmod(key[first], self.n)
-            self._min_edges = (u, v, np.minimum.reduceat(self.edge_w[order], first))
-        return self._min_edges
+    def csr(self, limit: float = np.inf) -> sp.csr_matrix:
+        """Adjacency of the edges with weight at most ``limit``, entries in
+        edge order; the most recent one is cached."""
+        if self._csr is None or self._csr[0] != limit:
+            u, v, w = self.edge_u, self.edge_v, self.edge_w
+            if np.isfinite(limit):
+                keep = w <= limit
+                u, v, w = u[keep], v[keep], w[keep]
+            self._csr = (limit, _adjacency(self.n, u, v, w))
+        return self._csr[1]
 
-    def csr(self) -> sp.csr_matrix:
-        """Min-reduced adjacency, its entries aligned with :meth:`min_edges`."""
-        if self._csr is None:
-            self._csr = _adjacency(self.n, *self.min_edges())
-        return self._csr
+    def all_pairs(self, limit: float | None = None, sources=None) -> np.ndarray:
+        """Shortest path costs D[s, v] from each of ``sources`` (every node
+        by default), optionally cost-limited.
 
-    def all_pairs(self, limit: float | None = None) -> np.ndarray:
-        """Forward all-pairs shortest path matrix D[s, v], optionally cost-limited.
-
-        Entries above ``limit`` come back as +inf; any cached matrix whose
-        limit dominates the request is reused.  Edges heavier than the
+        Entries above ``limit`` come back as +inf.  Edges heavier than the
         limit lie on no path within it, so the search runs without them.
+        The full matrix is cached, and a cached full matrix whose limit
+        dominates the request is reused (its entries above the requested
+        limit may then be finite).
         """
         want = np.inf if limit is None else float(limit)
+        if sources is not None:
+            return dijkstra(self.csr(want), directed=True, indices=sources, limit=want)
         for have, mat in self._apsp.items():
             if have >= want:
                 return mat
-        if np.isfinite(want):
-            u, v, w = self.min_edges()
-            keep = w <= want
-            graph = _adjacency(self.n, u[keep], v[keep], w[keep])
-        else:
-            graph = self.csr()
-        mat = dijkstra(graph, directed=True, limit=want)
+        mat = dijkstra(self.csr(want), directed=True, limit=want)
         self._apsp[want] = mat
         return mat
 
@@ -127,7 +121,8 @@ _EDGE_BLOCK = 512
 
 def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
                       prune_radius: float) -> ChainGraph:
-    """Assemble all jump edges with weight at most ``prune_radius``.
+    """Assemble the cheapest jump edge per (u, v) with weight at most
+    ``prune_radius``, over all multipliers m = 1..m_max.
 
     Built-in systems use the exact continuous images; sampled flows only
     know grid images, so their weights carry a + resolution padding.
@@ -139,40 +134,58 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
     us, vs, ms, ws = [], [], [], []
     for lo in range(0, space.n, _EDGE_BLOCK):
         hi = min(lo + _EDGE_BLOCK, space.n)
-        block = np.empty((hi - lo, tr.m_max, space.n))
-        for m in range(tr.m_max):
+        wmin = best = None
+        for m in range(1, tr.m_max + 1):
             if tr.exact_images is not None:
-                block[:, m] = space.dist_coords_to_grid(
-                    tr.exact_images[m, lo:hi], cutoff=prune_radius)
+                d = space.dist_coords_to_grid(tr.exact_images[m - 1, lo:hi], cutoff=prune_radius)
             else:
-                img_pts = space.points[tr.images[m, lo:hi]]
-                block[:, m] = space.dist_coords_to_grid(img_pts, cutoff=prune_radius)
-                block[:, m] += space.resolution
-        keep = block <= prune_radius
-        uu, mm, vv = np.nonzero(keep)          # already in (u, m, v) order
+                img_pts = space.points[tr.images[m - 1, lo:hi]]
+                d = space.dist_coords_to_grid(img_pts, cutoff=prune_radius)
+                d += space.resolution
+            if wmin is None:
+                wmin, best = d, np.ones(d.shape, dtype=np.min_scalar_type(tr.m_max))
+                continue
+            better = d < wmin                  # strict, so the lowest m keeps a tie
+            best[better] = m
+            np.minimum(wmin, d, out=wmin)
+        uu, vv = np.nonzero(wmin <= prune_radius)      # distinct, in (u, v) order
         us.append(uu + lo)
-        ms.append(mm + 1)
         vs.append(vv)
-        ws.append(block[keep])
+        ms.append(best[uu, vv].astype(np.int64))
+        ws.append(wmin[uu, vv])
+    # concatenate one array at a time, so the pieces of only one are held twice
+    u, v, m, w = (_join(parts) for parts in (us, vs, ms, ws))
     return ChainGraph(
         n=space.n, T=tr.T, m_max=tr.m_max, prune_radius=prune_radius,
-        resolution=space.resolution,
-        edge_u=np.concatenate(us), edge_v=np.concatenate(vs),
-        edge_m=np.concatenate(ms), edge_w=np.concatenate(ws))
+        resolution=space.resolution, edge_u=u, edge_v=v, edge_m=m, edge_w=w)
+
+
+def _join(parts: list) -> np.ndarray:
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
 
 
 def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
                      prune_radius: float = np.inf) -> ChainGraph:
-    """Build a ChainGraph from explicit (u, v, w) or (u, v, m, w) tuples."""
+    """Build a ChainGraph from explicit (u, v, w) or (u, v, m, w) tuples.
+
+    Parallel edges collapse to one per (u, v): the least weight, and the
+    lowest m among the edges of that weight.
+    """
     rows = [(e[0], e[1], e[2] if len(e) == 4 else 1, e[-1]) for e in edges]
     arr = np.array(rows, dtype=float) if rows else np.empty((0, 4))
     if np.any(arr[:, 3] < 0):
         raise ValueError("edge weights must be nonnegative")
+    u, v, m = (arr[:, k].astype(np.int64) for k in range(3))
+    w = arr[:, 3]
+    key = u * n + v
+    order = np.lexsort((m, w, key))
+    first = order[np.flatnonzero(np.diff(key[order], prepend=-1))]
     return ChainGraph(
-        n=n, T=T, m_max=int(arr[:, 2].max()) if rows else 1,
+        n=n, T=T, m_max=int(m.max()) if rows else 1,
         prune_radius=prune_radius, resolution=resolution,
-        edge_u=arr[:, 0].astype(np.int64), edge_v=arr[:, 1].astype(np.int64),
-        edge_m=arr[:, 2].astype(np.int64), edge_w=arr[:, 3].copy())
+        edge_u=u[first], edge_v=v[first], edge_m=m[first], edge_w=w[first])
 
 
 def min_return_cost(g: ChainGraph, u: int) -> float:
@@ -181,22 +194,39 @@ def min_return_cost(g: ChainGraph, u: int) -> float:
         raise IndexError(f"node {u} out of range")
     csr = g.csr()
     back = dijkstra(csr.T, directed=True, indices=[u])[0]  # sp(v -> u)
-    _, v, w = g.min_edges()
     row = slice(csr.indptr[u], csr.indptr[u + 1])
     if row.start == row.stop:
         return np.inf
-    return float(np.min(w[row] + back[v[row]]))
+    return float(np.min(g.edge_w[row] + back[g.edge_v[row]]))
+
+
+# Dijkstra sources per all_pairs call of min_return_cost_all: it holds
+# (_SOURCE_CHUNK, n) distances at a time rather than an n x n matrix.
+_SOURCE_CHUNK = 256
 
 
 def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray:
-    """Vector of min cycle costs; entries above ``limit`` come back +inf."""
-    dist = g.all_pairs(limit)
-    u, v, w = g.min_edges()
-    out = np.full(g.n, np.inf)
-    np.minimum.at(out, u, w + dist[v, u])
-    if limit is not None:
-        out[out > limit] = np.inf
-    return out
+    """Vector of min cycle costs; entries above ``limit`` come back +inf.
+
+    A cycle through u leaves by an edge (u, v, w) and returns along a
+    shortest path v -> u, so its least cost is the least w + D[v, u].
+    The rows D[v, .] are computed _SOURCE_CHUNK sources at a time, each
+    read only by the edges into its sources.  Results are cached per limit.
+    """
+    want = np.inf if limit is None else float(limit)
+    if want not in g._costs:
+        out = np.full(g.n, np.inf)
+        into = np.argsort(g.edge_v, kind="stable")          # edges grouped by v
+        lows = range(0, g.n, _SOURCE_CHUNK)
+        cuts = np.searchsorted(g.edge_v, [*lows, g.n], sorter=into)
+        for k, lo in enumerate(lows):
+            dist = g.all_pairs(want, sources=np.arange(lo, min(lo + _SOURCE_CHUNK, g.n)))
+            e = into[cuts[k]:cuts[k + 1]]
+            u = g.edge_u[e]
+            np.minimum.at(out, u, g.edge_w[e] + dist[g.edge_v[e] - lo, u])
+        out[out > want] = np.inf
+        g._costs[want] = out
+    return g._costs[want].copy()
 
 
 def compute_scr(g: ChainGraph, epsilon: float, cost_limit: float | None = None) -> ScrResult:
@@ -226,10 +256,9 @@ def compute_cr(g: ChainGraph, epsilon: float) -> np.ndarray:
     """Classical chain recurrence: per-edge budget, strongly connected parts."""
     if epsilon <= 0:
         raise ValueError(f"epsilon {epsilon} must be positive")
-    u, v, w = g.min_edges()
-    keep = w < epsilon
-    u, v = u[keep], v[keep]
-    mat = sp.csr_matrix((np.ones(u.size), (u, v)), shape=(g.n, g.n))
+    keep = g.edge_w < epsilon
+    u, v = g.edge_u[keep], g.edge_v[keep]
+    mat = _adjacency(g.n, u, v, g.edge_w[keep])
     n_comp, labels = connected_components(mat, directed=True, connection="strong")
     counts = np.bincount(labels, minlength=n_comp)
     qualified = counts[labels] >= 2
@@ -248,23 +277,14 @@ def omega_budget(g: ChainGraph, Y, epsilon: float, closed: bool = False) -> np.n
     Y = np.asarray(sorted(set(int(y) for y in Y)), dtype=np.int64)
     if Y.size == 0:
         raise ValueError("seed set Y must be nonempty")
-    indptr = g.csr().indptr
-    _, v, w = g.min_edges()
-    sel = np.concatenate([np.arange(indptr[y], indptr[y + 1]) for y in Y])
+    rows = zip(np.searchsorted(g.edge_u, Y), np.searchsorted(g.edge_u, Y, side="right"))
+    sel = np.concatenate([np.arange(lo, hi) for lo, hi in rows])
     if sel.size == 0:
         return np.empty(0, dtype=np.int64)
     seed = np.full(g.n, np.inf)
-    np.minimum.at(seed, v[sel], w[sel])
+    np.minimum.at(seed, g.edge_v[sel], g.edge_w[sel])
     starts = np.nonzero(np.isfinite(seed))[0]
-    cached = None
-    for have, mat in g._apsp.items():
-        if have >= epsilon:
-            cached = mat
-            break
-    if cached is not None:
-        dist = cached[starts]
-    else:
-        dist = dijkstra(g.csr(), directed=True, indices=starts, limit=float(epsilon) * 1.0001)
+    dist = g.all_pairs(epsilon)[starts]
     total = (seed[starts][:, None] + dist).min(axis=0)
     hit = total <= epsilon if closed else total < epsilon
     return np.nonzero(hit)[0]

@@ -30,7 +30,7 @@ from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
                        sup_along_orbit, verify_lyapunov)
 from .orbits import OrbitData, build_orbit_data
 from .pairs import PairCatalog, default_radii, default_seed_stride, enumerate_pairs, select_cover
-from .space import GridSpace, build_grid
+from .space import DOMAINS, GridSpace, build_grid
 from .stablesets import default_eta_samples
 
 DEFAULT_GRID = {"circle": 256, "square": 32, "roof": 48, "identity": 64, "custom": 64}
@@ -73,8 +73,33 @@ class RunConfig:
         for name in ("m_max", "horizon_steps", "eta_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.grid_n and self.grid_n < 8:
+            raise ConfigError(f"grid {self.grid_n} too coarse; need at least 8 (0 = default)")
         if self.system == "custom" and not self.flow_csv:
             raise ConfigError("custom system needs --flow-csv")
+        if self.grid_domain and self.grid_domain not in DOMAINS:
+            raise ConfigError(f"unknown grid domain {self.grid_domain!r}")
+
+    def check_resolution(self, resolution: float) -> None:
+        """Radii the grid cannot resolve: too small to hold their edges or balls."""
+        if self.prune_radius and self.prune_radius < 3 * resolution:
+            raise ConfigError(
+                f"prune radius {self.prune_radius} < 3 * resolution {3 * resolution:.4g}; "
+                "near-zero-cost continuation edges would be lost")
+        if self.radii and min(self.radii) < 2 * resolution:
+            raise ConfigError(
+                f"radius {min(self.radii)} < 2 * resolution {2 * resolution:.4g}")
+
+    def check_orbit_times(self) -> None:
+        """Times the orbit must sample: its fine lattice has step T/8 and
+        reaches s_max + 4T."""
+        fine = self.T / 8
+        for name in ("s_max", "t_probe"):
+            value = getattr(self, name)
+            if abs(round(value / fine) * fine - value) > 1e-9:
+                raise ConfigError(f"{name} {value} is not a multiple of T/8 = {fine}")
+        if not self.T <= self.t_probe <= 4 * self.T:
+            raise ConfigError(f"t_probe {self.t_probe} outside [T, 4T] for T = {self.T}")
 
 
 class ConfigError(Exception):
@@ -98,15 +123,12 @@ class RunBundle:
     orbit: OrbitData | None = None
 
     @property
-    def prune_radius(self) -> float:
-        return self.cfg.prune_radius or default_prune_radius(self.cfg, self.space)
-
-    @property
     def scale(self) -> float:
         return self.cfg.neighborhood_scale or self.space.diameter
 
     def ensure_orbit(self) -> OrbitData:
         if self.orbit is None:
+            self.cfg.check_orbit_times()
             self.orbit = build_orbit_data(
                 self.flow, self.space, self.cfg.T,
                 fine_horizon=self.cfg.s_max + 4 * self.cfg.T,
@@ -124,12 +146,14 @@ def default_prune_radius(cfg: RunConfig, space: GridSpace) -> float:
 def build_bundle(cfg: RunConfig) -> RunBundle:
     cfg.validate()
     n = cfg.grid_n or DEFAULT_GRID[cfg.system]
+    space = build_grid(DOMAIN_OF[cfg.system] or cfg.grid_domain or "circle", n)
+    cfg.check_resolution(space.resolution)
     if cfg.system == "custom":
-        domain = cfg.grid_domain or "circle"
-        space = build_grid(domain, n)
-        flow, tr = load_sampled_transition(cfg.flow_csv, space, cfg.T, cfg.m_max)
+        try:
+            flow, tr = load_sampled_transition(cfg.flow_csv, space, cfg.T, cfg.m_max)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"flow CSV {cfg.flow_csv}: {exc}") from exc
     else:
-        space = build_grid(DOMAIN_OF[cfg.system], n)
         flow = make_flow(cfg.system)
         tr = build_transition(flow, space, cfg.T, cfg.m_max)
     prune = cfg.prune_radius or default_prune_radius(cfg, space)
@@ -260,7 +284,7 @@ def write_metadata(out: Path, bundle: RunBundle) -> None:
             "n_points": bundle.space.n,
             "resolution": bundle.space.resolution,
             "pitch": bundle.space.pitch,
-            "prune_radius": bundle.prune_radius,
+            "prune_radius": bundle.graph.prune_radius,
             "neighborhood_scale": bundle.scale,
             "radii": cfg.radii or default_radii(bundle.space.resolution),
             "seed_stride": cfg.seed_stride or default_seed_stride(bundle.space.n),
@@ -318,37 +342,19 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
     """Diff min_return_cost and omega_budget against the reference matrix.
 
     Random weights are dyadic (multiples of 2^-20) so both computations
-    are exact in floating point and must agree bit for bit.
+    are exact in floating point and must agree bit for bit.  Besides the
+    ``seeds`` small graphs, one sparse graph of 300 nodes spans more than
+    one chunk of Dijkstra sources in min_return_cost_all.
     """
     rng = np.random.default_rng(rng_seed)
     mismatches = 0
     for trial in range(seeds):
         n = int(rng.integers(4, 40))
         density = rng.uniform(0.05, 0.4)
-        n_edges = max(1, int(n * n * density))
-        u = rng.integers(0, n, n_edges)
-        v = rng.integers(0, n, n_edges)
-        w = rng.integers(1, 2 ** 20, n_edges) / 2.0 ** 20
-        edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
-        g = graph_from_edges(n, edges)
-        ref = floyd_warshall_reference(n, edges)
-        mrc_ref = np.full(n, np.inf)
-        for uu, vv, ww in edges:
-            mrc_ref[uu] = min(mrc_ref[uu], ww + ref[vv, uu])
-        if not np.array_equal(min_return_cost_all(g), mrc_ref):
-            mismatches += 1
-            continue
-        eps = float(rng.uniform(0.1, 2.0))
-        Y = sorted(set(rng.integers(0, n, 3).tolist()))
-        seed_cost = np.full(n, np.inf)
-        for uu, vv, ww in edges:
-            if uu in Y:
-                seed_cost[vv] = min(seed_cost[vv], ww)
-        reach_ref = (seed_cost[:, None] + ref).min(axis=0)
-        om_ref = np.nonzero(reach_ref < eps)[0]
-        if not np.array_equal(omega_budget(g, Y, eps), om_ref):
-            mismatches += 1
-    report = {"trials": seeds, "mismatches": mismatches}
+        mismatches += not _dyadic_trial(rng, n, max(1, int(n * n * density)))
+    wide = _dyadic_trial(rng, 300, 1200)
+    mismatches += not wide
+    report = {"trials": seeds, "mismatches": mismatches, "wide_graph_exact": wide}
     if grid_checks:
         for system in ("circle", "square"):
             cfg = RunConfig(system=system, grid_n=16, epsilon=0.1)
@@ -369,6 +375,29 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
                 mismatches += 1
     report["mismatches"] = mismatches
     return report
+
+
+def _dyadic_trial(rng, n: int, n_edges: int) -> bool:
+    """One random dyadic digraph: do both fast paths match the reference?"""
+    u = rng.integers(0, n, n_edges)
+    v = rng.integers(0, n, n_edges)
+    w = rng.integers(1, 2 ** 20, n_edges) / 2.0 ** 20
+    edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
+    g = graph_from_edges(n, edges)
+    ref = floyd_warshall_reference(n, edges)
+    mrc_ref = np.full(n, np.inf)
+    for uu, vv, ww in edges:
+        mrc_ref[uu] = min(mrc_ref[uu], ww + ref[vv, uu])
+    if not np.array_equal(min_return_cost_all(g), mrc_ref):
+        return False
+    eps = float(rng.uniform(0.1, 2.0))
+    Y = sorted(set(rng.integers(0, n, 3).tolist()))
+    seed_cost = np.full(n, np.inf)
+    for uu, vv, ww in edges:
+        if uu in Y:
+            seed_cost[vv] = min(seed_cost[vv], ww)
+    reach_ref = (seed_cost[:, None] + ref).min(axis=0)
+    return np.array_equal(omega_budget(g, Y, eps), np.nonzero(reach_ref < eps)[0])
 
 
 # -- argument parsing --------------------------------------------------------
@@ -402,7 +431,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def config_from_args(args) -> tuple[RunConfig, list[float]]:
     """The config file's values, overridden by the flags given explicitly."""
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    merged = json.loads(Path(args.config).read_text()) if args.config else {}
+    try:
+        merged = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config file {args.config}: {exc}") from exc
     epsilons = [float(e) for e in args.epsilon or [merged.get("epsilon", RunConfig.epsilon)]]
     # without --epsilon a sweep's file keeps its largest budget, and so its prune radius
     eps_max = max(epsilons) if args.epsilon else max(epsilons + [merged.get("epsilon_max", 0.0)])
@@ -430,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ConfigError, MissingCache, ValueError) as exc:
+    except (ConfigError, MissingCache) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:        # crash, distinct from property failure

@@ -297,10 +297,6 @@ class GridTransition:
         """Single-step nearest-image map (m = 1)."""
         return self.images[0]
 
-    @property
-    def multi_images(self) -> np.ndarray:
-        return self.images
-
 
 def build_transition(flow: FlowModel, space: GridSpace, T: float, m_max: int) -> GridTransition:
     """Evaluate phi_{mT} exactly on every grid point and project to the grid."""
@@ -329,7 +325,10 @@ def load_sampled_transition(path, space: GridSpace, T: float, m_max: int) -> tup
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"custom flow CSV must have header {sorted(required)}")
         for row in reader:
-            u, m, v = int(row["point_index"]), int(row["m"]), int(row["image_index"])
+            try:
+                u, m, v = int(row["point_index"]), int(row["m"]), int(row["image_index"])
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed row {reader.line_num}: {row}") from None
             if not (0 <= u < space.n and 0 <= v < space.n):
                 raise ValueError(f"point index out of range in row {row}")
             if not (1 <= m <= m_max):

@@ -146,27 +146,6 @@ def omega_limits_all(orbit: OrbitData, burn_frac: float = 0.5) -> tuple[list, np
     return tails, nonconv
 
 
-def omega_limit_of_point(orbit: OrbitData, p: int) -> tuple[np.ndarray, bool]:
-    """Recurring tail cells of one point's orbit, plus a non-convergence flag."""
-    tails, nonconv = _point_omega(orbit, p)
-    return tails, nonconv
-
-
-def _point_omega(orbit: OrbitData, p: int) -> tuple[np.ndarray, bool]:
-    cells = orbit.t_cells[:, p]
-    steps = cells.size - 1
-    burn = steps // 2
-    tail = cells[burn:]
-    uniq, counts = np.unique(tail, return_counts=True)
-    recur = uniq[counts >= 2]
-    first = {}
-    for i, c in enumerate(tail):
-        if c not in first:
-            first[c] = i
-    flag = max(first.values()) >= tail.size - max(1, steps // 8)
-    return recur, flag
-
-
 def check_forward_invariant(space: GridSpace, tr: GridTransition, B) -> None:
     """Require image(B) inside the resolution thickening of B."""
     B = np.asarray(sorted(B), dtype=np.int64)

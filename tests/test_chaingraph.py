@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 from hypothesis import given, settings, strategies as st
 
 from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr,
@@ -256,16 +257,7 @@ def test_custom_sampled_weights_carry_padding():
 # -- fast paths against the reductions they replace --------------------------
 
 
-def _lexsort_reduction(g):
-    """Min-reduced (u, v, w) by a three-key lexsort of all multi-edges."""
-    order = np.lexsort((g.edge_w, g.edge_v, g.edge_u))
-    u, v, w = g.edge_u[order], g.edge_v[order], g.edge_w[order]
-    first = np.ones(u.size, dtype=bool)
-    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    return u[first], v[first], w[first]
-
-
-def test_csr_matches_lexsort_reduction():
+def test_graph_from_edges_keeps_cheapest_edge_per_pair():
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(1, 30))
@@ -274,11 +266,19 @@ def test_csr_matches_lexsort_reduction():
         v = rng.integers(0, n, k)
         m = rng.integers(1, 5, k)
         w = rng.integers(0, 8, k) / 8.0          # many zeros and duplicate weights
-        g = graph_from_edges(n, list(zip(u.tolist(), v.tolist(), m.tolist(), w.tolist())))
-        ru, rv, rw = _lexsort_reduction(g)
-        gu, gv, gw = g.min_edges()
-        assert np.array_equal(gu, ru) and np.array_equal(gv, rv) and np.array_equal(gw, rw)
-        ref = sp.csr_matrix((np.maximum(rw, 1e-300), (ru, rv)), shape=(n, n))
+        rows = list(zip(u.tolist(), v.tolist(), m.tolist(), w.tolist()))
+        best = {}
+        for uu, vv, mm, ww in rows:            # least weight, then lowest m
+            if (uu, vv) not in best or (ww, mm) < best[uu, vv]:
+                best[uu, vv] = (ww, mm)
+        pairs = sorted(best)
+        g = graph_from_edges(n, rows)
+        assert g.edge_u.tolist() == [p[0] for p in pairs]
+        assert g.edge_v.tolist() == [p[1] for p in pairs]
+        assert g.edge_w.tolist() == [best[p][0] for p in pairs]
+        assert g.edge_m.tolist() == [best[p][1] for p in pairs]
+        ref = sp.csr_matrix((np.maximum(g.edge_w, 1e-300), (g.edge_u, g.edge_v)),
+                            shape=(n, n))
         got = g.csr()
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
@@ -286,7 +286,8 @@ def test_csr_matches_lexsort_reduction():
 
 
 def _per_m_reference(space, tr, prune):
-    """Edges of one dense distance matrix per multiplier, then a global lexsort."""
+    """One dense distance matrix per multiplier, then per (u, v) the least
+    weight and the lowest m achieving it, in (u, v) order."""
     us, vs, ms, ws = [], [], [], []
     for m in range(1, tr.m_max + 1):
         if tr.exact_images is not None:
@@ -300,8 +301,11 @@ def _per_m_reference(space, tr, prune):
         ms.append(np.full(uu.size, m))
         ws.append(dmat[uu, vv])
     u, v, m, w = (np.concatenate(a) for a in (us, vs, ms, ws))
-    order = np.lexsort((v, m, u))
-    return u[order], v[order], m[order], w[order]
+    order = np.lexsort((m, w, v, u))
+    u, v, m, w = u[order], v[order], m[order], w[order]
+    first = np.ones(u.size, dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[first], v[first], m[first], w[first]
 
 
 @pytest.mark.parametrize("domain,system,n,sampled", [
@@ -326,6 +330,64 @@ def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled):
     for got, want in zip((g.edge_u, g.edge_v, g.edge_m, g.edge_w), ref):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _dense_return_costs(g, limit):
+    """The n x n reduction: every edge reads w + D[v, u] from one matrix."""
+    want = np.inf if limit is None else limit
+    keep = g.edge_w <= want
+    adj = sp.csr_matrix((np.maximum(g.edge_w[keep], 1e-300),
+                         (g.edge_u[keep], g.edge_v[keep])), shape=(g.n, g.n))
+    dist = dijkstra(adj, directed=True, limit=want)
+    out = np.full(g.n, np.inf)
+    np.minimum.at(out, g.edge_u, g.edge_w + dist[g.edge_v, g.edge_u])
+    out[out > want] = np.inf
+    return out
+
+
+def _grid_graph(domain, system, n):
+    s = build_grid(domain, n)
+    f = make_flow(system)
+    tr = build_transition(f, s, 1.0, 3)
+    return build_chain_graph(s, tr, f, 10 * s.resolution)
+
+
+@pytest.mark.parametrize("limit", [None, 0.1])
+def test_chunked_return_costs_match_dense_reduction(limit):
+    rng = np.random.default_rng(17)
+    graphs = []
+    for n in (5, 256, 257, 300, 700):             # one and several source chunks
+        u = rng.integers(0, n, 4 * n)
+        v = rng.integers(0, n, 4 * n)
+        w = rng.integers(1, 2 ** 20, 4 * n) / 2.0 ** 24
+        graphs.append(graph_from_edges(n, list(zip(u.tolist(), v.tolist(), w.tolist()))))
+    graphs += [_grid_graph("circle", "circle", 300),
+               _grid_graph("unit-square", "square", 18),     # 324 points
+               _grid_graph("roof", "roof", 20)]              # 304 points
+    for g in graphs:
+        got = min_return_cost_all(g, limit)
+        assert np.array_equal(got, _dense_return_costs(g, limit))
+        if limit is not None and g.n > 5:
+            assert 0 < np.isfinite(got).mean() < 1      # the limit cuts some cycles
+
+
+def test_return_costs_never_hold_more_than_256_rows(monkeypatch):
+    from scrl.chaingraph import ChainGraph
+    rows = []
+    original = ChainGraph.all_pairs
+
+    def spy(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(ChainGraph, "all_pairs", spy)
+    g = _grid_graph("circle", "circle", 600)
+    first = min_return_cost_all(g, 0.2)
+    assert rows == [256, 256, 88]
+    # a second budget at the same limit reads the cached costs
+    assert np.array_equal(min_return_cost_all(g, 0.2), first)
+    assert len(rows) == 3
 
 
 def test_all_pairs_limit_matches_unpruned_search():

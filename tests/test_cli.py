@@ -142,6 +142,34 @@ def test_config_errors_exit_one(tmp_path, capsys):
     # epsilon beyond the explicit prune radius is a config error
     assert run(["analyze", "--system", "circle", "--grid", "64", "--epsilon", "0.2",
                 "--prune-radius", "0.1", "--out", str(tmp_path / "z")]) == 1
+    # values the grid cannot resolve, caught before any stage runs
+    capsys.readouterr()
+    for flags, message in ((["--grid", "6"], "too coarse"),
+                           (["--epsilon", "0.01", "--prune-radius", "0.02"], "prune radius"),
+                           (["--radius", "0.01"], "radius 0.01"),
+                           (["--t-probe", "4.125"], "t_probe"),
+                           (["--s-max", "20.3"], "s_max")):
+        argv = ["analyze", "--system", "circle", "--grid", "64", *flags]
+        assert run(argv + ["--out", str(tmp_path / "v")]) == 1
+        assert message in capsys.readouterr().err
+    bad = tmp_path / "bad.csv"
+    for body in ("point_index,m,image_index\n0,1,x\n", "point_index,m,image_index\n0,1\n",
+                 "point_index,m,image_index\n0,1,99\n", "u,m,v\n0,1,0\n"):
+        bad.write_text(body)
+        assert run(["scr", "--system", "custom", "--grid-domain", "circle", "--grid", "8",
+                    "--flow-csv", str(bad), "--m-max", "1", "--out", str(tmp_path / "c")]) == 1
+    assert "flow CSV" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_two(tmp_path, monkeypatch, capsys):
+    import scrl.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(scrl.cli, "compute_cr", broken)
+    assert run(["cr", "--system", "circle", "--grid", "64", "--out", str(tmp_path)]) == 2
+    assert "internal failure" in capsys.readouterr().err
 
 
 def test_oracle_check_clean(tmp_path, capsys):

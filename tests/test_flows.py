@@ -206,8 +206,7 @@ def test_transition_identity_is_identity():
     f = make_flow("identity")
     tr = build_transition(f, s, 1.0, 3)
     assert np.array_equal(tr.image, np.arange(16))
-    assert tr.multi_images.shape == (3, 16)
-    assert np.array_equal(tr.multi_images[0], tr.image)
+    assert tr.images.shape == (3, 16)
 
 
 def test_transition_projection_error_bounded():

@@ -7,8 +7,8 @@ from scrl.orbits import build_orbit_data
 from scrl.space import build_grid, roof_height
 from scrl.stablesets import (StablePair, avoidance_profile, build_strongly_stable,
                              complementary, default_eta_samples, find_eta0_and_bstar,
-                             nested_neighborhoods, omega_limit_of_point,
-                             omega_limit_of_set, omega_limits_all)
+                             nested_neighborhoods, omega_limit_of_set,
+                             omega_limits_all)
 
 
 def make_system(system, domain, n, m_max=2, prune=None):
@@ -66,18 +66,18 @@ def test_omega_set_fixed_arc_subset_stays(circle64):
 def test_omega_point_fixed_is_self(circle64, circle64_orbit):
     s, _, _, _ = circle64
     c_id = int(s.nearest(np.array([[0.375]]))[0])
-    cells, flag = omega_limit_of_point(circle64_orbit, c_id)
-    assert cells.tolist() == [c_id]
-    assert not flag
+    cells, flags = omega_limits_all(circle64_orbit)
+    assert cells[c_id].tolist() == [c_id]
+    assert not flags[c_id]
 
 
 def test_omega_point_square_interior(square16, square16_orbit):
     s, _, _, _ = square16
     p = int(s.nearest(np.array([[0.3, 0.7]]))[0])
-    cells, flag = omega_limit_of_point(square16_orbit, p)
+    cells, flags = omega_limits_all(square16_orbit)
     bottom = int(s.nearest(np.array([[0.3, 0.0]]))[0])
-    assert cells.tolist() == [bottom]
-    assert not flag
+    assert cells[p].tolist() == [bottom]
+    assert not flags[p]
 
 
 def test_omega_nonconvergence_flagged():
@@ -103,11 +103,11 @@ def test_omega_point_roof_periodic_column():
     f = make_flow("roof")
     orbit = build_orbit_data(f, s, 1.0, fine_horizon=24.0, horizon=100.0, t_steps=100)
     p = int(s.nearest(np.array([[0.5, 0.1]]))[0])
-    cells, flag = omega_limit_of_point(orbit, p)
-    assert not flag
+    cells, flags = omega_limits_all(orbit)
+    assert not flags[p]
     # the recurring cells live in the point's own periodic column
-    assert np.all(np.abs(s.points[cells, 0] - s.points[p, 0]) < 1e-9)
-    assert len(cells) >= 2
+    assert np.all(np.abs(s.points[cells[p], 0] - s.points[p, 0]) < 1e-9)
+    assert len(cells[p]) >= 2
 
 
 # -- complementary -----------------------------------------------------------

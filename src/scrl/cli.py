@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +192,8 @@ def stage_pairs(bundle: RunBundle, scr) -> PairCatalog:
 def stage_lyapunov(bundle: RunBundle, catalog: PairCatalog
                    ) -> tuple[list[LyapunovField], CombinedLyapunov]:
     orbit = bundle.ensure_orbit()
-    fields = []
-    for rank, idx in enumerate(catalog.selected):
-        fields.append(sup_along_orbit(catalog.pairs[idx], bundle.space, orbit,
-                                      s_max=bundle.cfg.s_max, pair_index=rank))
+    fields = sup_along_orbit([catalog.pairs[i] for i in catalog.selected], bundle.space,
+                             orbit, s_max=bundle.cfg.s_max)
     combined = combine_pairs(fields)
     if combined.n_pairs == 0:
         combined.H_values = np.zeros(bundle.space.n)
@@ -428,6 +426,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="scrl-out")
 
 
+def _number(value, integral: bool = False) -> bool:
+    return isinstance(value, int if integral else (int, float)) and not isinstance(value, bool)
+
+
+def check_config_types(values: dict) -> None:
+    """Each config value must have its field's type; ints are accepted as floats."""
+    for f in fields(RunConfig):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        kind = list if f.default is MISSING else type(f.default)
+        if kind is list:
+            ok = isinstance(value, list) and all(_number(v) for v in value)
+        elif kind in (int, float):
+            ok = _number(value, integral=kind is int)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            what = "a list of numbers" if kind is list else f"of type {kind.__name__}"
+            raise ConfigError(f"config value {f.name} = {value!r} is not {what}")
+
+
 def config_from_args(args) -> tuple[RunConfig, list[float]]:
     """The config file's values, overridden by the flags given explicitly."""
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
@@ -435,6 +455,9 @@ def config_from_args(args) -> tuple[RunConfig, list[float]]:
         merged = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config file {args.config}: {exc}") from exc
+    if not isinstance(merged, dict):
+        raise ConfigError(f"config file {args.config}: expected a JSON object")
+    check_config_types(merged)
     epsilons = [float(e) for e in args.epsilon or [merged.get("epsilon", RunConfig.epsilon)]]
     # without --epsilon a sweep's file keeps its largest budget, and so its prune radius
     eps_max = max(epsilons) if args.epsilon else max(epsilons + [merged.get("epsilon_max", 0.0)])

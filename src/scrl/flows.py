@@ -207,22 +207,29 @@ def _square_flow(pts: np.ndarray, t: float) -> np.ndarray:
 # -- roof --------------------------------------------------------------
 
 
-def _roof_x_at(x0: np.ndarray, t) -> np.ndarray:
+def _roof_drift(x0: np.ndarray) -> tuple:
+    """Time-independent terms of the horizontal drift of points x0."""
+    s = np.sign(x0 - 0.5)
+    r0 = np.maximum(np.abs(x0 - 0.5) - ROOF_STRIP_HALF_WIDTH, 0.0)
+    knee = ROOF_DRIFT_CAP / ROOF_DRIFT_RATE          # gap where regimes meet
+    t_lin = np.maximum(r0 - knee, 0.0) / ROOF_DRIFT_CAP
+    still = s * np.abs(x0 - 0.5) * (r0 == 0)
+    return s, r0, t_lin, np.minimum(r0, knee), r0 > 0, still
+
+
+def _roof_x_at(drift: tuple, t) -> np.ndarray:
     """Horizontal drift toward the periodic strip, in closed form.
 
     Gap to the strip decays linearly at speed 1/2 while above 0.1, then
-    exponentially at rate 5 (the two regimes match at gap 0.1).
+    exponentially at rate 5 (the two regimes match at gap 0.1).  ``drift``
+    holds the terms of :func:`_roof_drift`, so a bisection over t only
+    recomputes the t-dependent part.
     """
-    s = np.sign(x0 - 0.5)
-    r0 = np.maximum(np.abs(x0 - 0.5) - ROOF_STRIP_HALF_WIDTH, 0.0)
+    s, r0, t_lin, r_knee, moving, still = drift
     t = np.asarray(t, dtype=float)
-    knee = ROOF_DRIFT_CAP / ROOF_DRIFT_RATE          # gap where regimes meet
-    t_lin = np.maximum(r0 - knee, 0.0) / ROOF_DRIFT_CAP
     lin = r0 - ROOF_DRIFT_CAP * np.minimum(t, t_lin)
-    r = np.where(t <= t_lin, lin,
-                 np.minimum(r0, knee) * np.exp(-ROOF_DRIFT_RATE * (t - t_lin)))
-    return 0.5 + s * (ROOF_STRIP_HALF_WIDTH + r) * (r0 > 0) \
-        + s * np.abs(x0 - 0.5) * (r0 == 0)
+    r = np.where(t <= t_lin, lin, r_knee * np.exp(-ROOF_DRIFT_RATE * (t - t_lin)))
+    return 0.5 + s * (ROOF_STRIP_HALF_WIDTH + r) * moving + still
 
 
 def _roof_flow(pts: np.ndarray, t: float) -> np.ndarray:
@@ -234,7 +241,7 @@ def _roof_flow(pts: np.ndarray, t: float) -> np.ndarray:
     y0[on_roof] = 0.0                                  # identified points
 
     in_strip = np.abs(x0 - 0.5) <= ROOF_STRIP_HALF_WIDTH
-    out_x = np.where(in_strip, x0, _roof_x_at(x0, t))
+    out_x = np.where(in_strip, x0, _roof_x_at(_roof_drift(x0), t))
     out_y = np.empty_like(y0)
     if np.any(in_strip):
         out_y[in_strip] = (y0[in_strip] + t) % tau0[in_strip]
@@ -252,21 +259,24 @@ def _roof_outer_y(x0: np.ndarray, y0: np.ndarray, t: float) -> np.ndarray:
     a unique root because d/ds of the left side is 1 while the roof height
     along the drift changes at rate at most |tau'| * |dx/dt| < 0.8.
     """
+    drift = _roof_drift(x0)
+    tau_end = roof_height(_roof_x_at(drift, t))
     s_cur = np.zeros_like(y0)
     y_cur = y0.copy()
     for _ in range(int(np.ceil(t / ROOF_RIDGE_MIN)) + 2):
-        gap = y_cur + (t - s_cur) - roof_height(_roof_x_at(x0, t))
+        gap = y_cur + (t - s_cur) - tau_end
         active = gap >= 0
         if not np.any(active):
             break
         lo = s_cur[active].copy()
         hi = np.full(lo.shape, float(t))
-        xa, ya, sa = x0[active], y_cur[active], s_cur[active]
+        da = tuple(term[active] for term in drift)
+        ya, sa = y_cur[active], s_cur[active]
         for _ in range(52):
             mid = 0.5 * (lo + hi)
-            g = ya + (mid - sa) - roof_height(_roof_x_at(xa, mid))
-            hi = np.where(g >= 0, mid, hi)
-            lo = np.where(g >= 0, lo, mid)
+            wrapped = ya + (mid - sa) - roof_height(_roof_x_at(da, mid)) >= 0
+            hi = np.where(wrapped, mid, hi)
+            lo = np.where(wrapped, lo, mid)
         s_cur[active] = hi
         y_cur[active] = 0.0
     return np.clip(y_cur + (t - s_cur), 0.0, None)

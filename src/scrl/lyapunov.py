@@ -68,48 +68,53 @@ def level_function(pair: StablePair, space: GridSpace) -> np.ndarray:
     return np.minimum(d / (pair.R * effective_eta0(pair)), 1.0)
 
 
-def sup_along_orbit(pair: StablePair, space: GridSpace, orbit: OrbitData,
-                    s_max: float = 20.0, pair_index: int = 0) -> LyapunovField:
-    """Build the full summand: suffix maxima of orbit levels, then the integral.
+def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
+                    s_max: float = 20.0) -> list[LyapunovField]:
+    """Build the full summand of each pair: suffix maxima of orbit levels, then the integral.
 
-    The per-point truncation certificate looks for a certified nested
-    level eta whose neighborhood contains the whole trailing T(eta)
-    window of the orbit; past the horizon such orbits cannot raise the
-    supremum above eta / eta0.
+    The orbit is walked once for all pairs, so each row's distances share
+    one set of seam entry costs.  The per-point truncation certificate
+    looks for a certified nested level eta whose neighborhood contains
+    the whole trailing T(eta) window of the orbit; past the horizon such
+    orbits cannot raise the supremum above eta / eta0.
     """
-    eta0 = effective_eta0(pair)
-    scale = pair.R * eta0
+    eta0s = [effective_eta0(pair) for pair in pairs]
+    scales = [pair.R * eta0 for pair, eta0 in zip(pairs, eta0s)]
     J = orbit.times.size
-    l_series = np.empty((J, space.n))
+    levels = [np.empty((J, space.n)) for _ in pairs]
     for j in range(J):
-        d = space.dist_coords_to_subset(orbit.coords[j], pair.B)
-        l_series[j] = np.minimum(d / scale, 1.0)
-    k_series = np.maximum.accumulate(l_series[::-1], axis=0)[::-1]
+        d = space.dist_coords_to_subsets(orbit.coords[j], [pair.B for pair in pairs])
+        for l_series, d_pair, scale in zip(levels, d, scales):
+            l_series[j] = np.minimum(d_pair / scale, 1.0)
 
-    certified = np.zeros(space.n, dtype=bool)
-    tail_slack = np.ones(space.n)
+    fields = []
     horizon = orbit.times[-1]
-    for eta in sorted(pair.T_table):
-        if eta > eta0 + 1e-12:
-            break      # saturated levels cannot tighten the bound below 1
-        need = pair.T_table[eta]
-        window = orbit.times >= horizon - need - 1e-9
-        inside = np.all(l_series[window] * scale <= pair.R * eta + 1e-12, axis=0)
-        fresh = inside & ~certified
-        if np.any(fresh):
-            certified[fresh] = True
-            tail_slack[fresh] = np.maximum(
-                0.0, min(1.0, eta / eta0) - k_series[0][fresh])
-    tail_slack[~certified] = np.maximum(0.0, 1.0 - k_series[0][~certified])
+    for rank, (pair, eta0, scale, series) in enumerate(zip(pairs, eta0s, scales, levels)):
+        l_values = series[0].copy()
+        certified = np.zeros(space.n, dtype=bool)
+        bound = np.ones(space.n)           # bound on the supremum beyond the horizon
+        for eta in sorted(pair.T_table):
+            if eta > eta0 + 1e-12:
+                break      # saturated levels cannot tighten the bound below 1
+            need = pair.T_table[eta]
+            window = orbit.times >= horizon - need - 1e-9
+            inside = np.all(series[window] * scale <= pair.R * eta + 1e-12, axis=0)
+            fresh = inside & ~certified
+            certified |= fresh
+            bound[fresh] = min(1.0, eta / eta0)
+        for j in range(J - 2, -1, -1):     # suffix maxima in place: l becomes k
+            np.maximum(series[j], series[j + 1], out=series[j])
+        tail_slack = np.maximum(0.0, bound - series[0])
 
-    fld = LyapunovField(
-        pair_index=pair_index,
-        l_values=l_series[0].copy(), k_values=k_series[0].copy(),
-        h_values=np.empty(space.n), tail_slack=tail_slack, certified=certified,
-        quad_bound=np.empty(space.n), k_series=k_series,
-        eta0_effective=eta0, s_max=s_max)
-    fld.h_values, fld.quad_bound = discounted_integral(fld, orbit)
-    return fld
+        fld = LyapunovField(
+            pair_index=rank,
+            l_values=l_values, k_values=series[0].copy(),
+            h_values=np.empty(space.n), tail_slack=tail_slack, certified=certified,
+            quad_bound=np.empty(space.n), k_series=series,
+            eta0_effective=eta0, s_max=s_max)
+        fld.h_values, fld.quad_bound = discounted_integral(fld, orbit)
+        fields.append(fld)
+    return fields
 
 
 def discounted_integral(fld: LyapunovField, orbit: OrbitData,

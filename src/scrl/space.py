@@ -19,6 +19,7 @@ Three domains are supported, each sampled on a regular cell-center grid:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,20 +190,39 @@ class GridSpace:
             out[lo:lo + chunk] = d
         return out
 
+    @cached_property
+    def grid_entry_costs(self) -> np.ndarray:
+        """Seam entry costs of the grid points themselves, (n, m); roof only."""
+        return self.seam.entry_costs(self.points)
+
     def dist_coords_to_subset(self, pts: np.ndarray, ids) -> np.ndarray:
         """Distances from query coords to the nearest member of a point-id set."""
-        ids = np.asarray(sorted(ids), dtype=int)
-        if ids.size == 0:
-            return np.full(np.atleast_2d(pts).shape[0], np.inf)
+        return self.dist_coords_to_subsets(pts, [ids])[0]
+
+    def dist_coords_to_subsets(self, pts: np.ndarray, id_sets) -> np.ndarray:
+        """(len(id_sets), k) distances from query coords to each id set.
+
+        On the roof the seam entry costs of ``pts`` are computed once for
+        all the sets, and once per grid when ``pts`` is the grid itself.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.domain == CIRCLE:
-            return circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
-        d = _euclid(pts, self.points[ids]).min(axis=1)
-        if self.domain == ROOF:
-            premin = self.seam.to_grid[:, ids].min(axis=1)  # (m,)
-            entry = self.seam.entry_costs(pts)              # (k, m)
-            np.minimum(d, (entry + premin[None, :]).min(axis=1), out=d)
-        return d
+        out = np.full((len(id_sets), pts.shape[0]), np.inf)
+        entry = None
+        for d, ids in zip(out, id_sets):
+            ids = np.asarray(sorted(ids), dtype=int)
+            if ids.size == 0:
+                continue
+            if self.domain == CIRCLE:
+                d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
+                continue
+            d[:] = _euclid(pts, self.points[ids]).min(axis=1)
+            if self.domain == ROOF:
+                if entry is None:
+                    entry = (self.grid_entry_costs if pts is self.points
+                             else self.seam.entry_costs(pts))         # (k, m)
+                premin = self.seam.to_grid[:, ids].min(axis=1)     # (m,)
+                np.minimum(d, (entry + premin[None, :]).min(axis=1), out=d)
+        return out
 
     def nearest(self, pts: np.ndarray) -> np.ndarray:
         """Grid ids of nearest points; ties break toward the lowest id.

@@ -124,25 +124,25 @@ def omega_limits_all(orbit: OrbitData, burn_frac: float = 0.5) -> tuple[list, np
 
     Follows the T-lattice cells after a burn-in, keeps cells that are
     visited at least twice, and flags points whose tails are still
-    discovering new cells near the horizon (reported, not fatal).
+    discovering new cells near the horizon (reported, not fatal).  Each
+    point's tail is sorted stably, so a run of equal cells starts at the
+    cell's first visit.
     """
     cells = orbit.t_cells
-    steps, n = cells.shape[0] - 1, cells.shape[1]
+    steps = cells.shape[0] - 1
     burn = int(steps * burn_frac)
     probe = max(1, steps // 8)
-    tails: list[np.ndarray] = []
-    nonconv = np.zeros(n, dtype=bool)
-    for p in range(n):
-        tail = cells[burn:, p]
-        uniq, counts = np.unique(tail, return_counts=True)
-        recur = uniq[counts >= 2]
-        first_seen = {}
-        for i, c in enumerate(tail):
-            if c not in first_seen:
-                first_seen[c] = i
-        if max(first_seen.values()) >= tail.size - probe:
-            nonconv[p] = True
-        tails.append(recur)
+    tail = cells[burn:].T                                   # (n, L)
+    order = np.argsort(tail, axis=1, kind="stable")
+    ranked = np.take_along_axis(tail, order, axis=1)
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    last_new = np.where(starts, order, 0).max(axis=1)
+    nonconv = last_new >= tail.shape[1] - probe
+    repeated = starts.copy()
+    repeated[:, :-1] &= ~starts[:, 1:]                      # run of length >= 2
+    repeated[:, -1] = False
+    tails = np.split(ranked[repeated], np.cumsum(repeated.sum(axis=1))[:-1])
     return tails, nonconv
 
 

@@ -180,7 +180,7 @@ def test_criterion_5_circle_profile(circle_run):
     eta0, B_star, _ = find_eta0_and_bstar(space, B, B_bullet, nn["T_table"], R, prof)
     pair = StablePair(B=B, B_bullet=B_bullet, R=R, eta0=eta0,
                       T_table=nn["T_table"], B_star=B_star)
-    fld = sup_along_orbit(pair, space, orbit, s_max=S_MAX)
+    fld = sup_along_orbit([pair], space, orbit, s_max=S_MAX)[0]
 
     assert np.max(np.abs(fld.h_values[B])) <= 1e-6
     assert np.max(np.abs(1.0 - fld.h_values[B_star])) <= np.exp(-S_MAX) + 1e-6
@@ -266,13 +266,13 @@ def test_criterion_8_self_consistency(system, circle_run, square_run, roof_run):
     long_run = build_orbit_data(flow, space, T, fine_horizon=2 * S_MAX + 4 * T,
                                 horizon=60.0 * T, t_steps=60)
     for pair in pairs:
-        f_half = sup_along_orbit(pair, space, half, s_max=S_MAX)
-        f_full = sup_along_orbit(pair, space, full, s_max=S_MAX)
+        f_half = sup_along_orbit([pair], space, half, s_max=S_MAX)[0]
+        f_full = sup_along_orbit([pair], space, full, s_max=S_MAX)[0]
         change = np.abs(f_half.h_values - f_full.h_values)
         assert np.all(change < f_full.quad_bound + 1e-15)
 
-        f_short = sup_along_orbit(pair, space, long_run, s_max=S_MAX)
-        f_long = sup_along_orbit(pair, space, long_run, s_max=2 * S_MAX)
+        f_short = sup_along_orbit([pair], space, long_run, s_max=S_MAX)[0]
+        f_long = sup_along_orbit([pair], space, long_run, s_max=2 * S_MAX)[0]
         assert np.max(np.abs(f_long.h_values - f_short.h_values)) <= np.exp(-S_MAX)
     _report(f"criterion 8 ({system})",
             f"quadrature and horizon changes bounded for {len(pairs)} pairs")

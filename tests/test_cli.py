@@ -159,6 +159,19 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert run(["scr", "--system", "custom", "--grid-domain", "circle", "--grid", "8",
                     "--flow-csv", str(bad), "--m-max", "1", "--out", str(tmp_path / "c")]) == 1
     assert "flow CSV" in capsys.readouterr().err
+    # config-file values of the wrong type
+    cfg_file = tmp_path / "cfg.json"
+    for body, message in (({"system": "circle", "grid_n": 64, "m_max": "4"}, "m_max"),
+                          ({"system": "circle", "grid_n": 64.5}, "grid_n"),
+                          ({"system": "circle", "epsilon": "0.05"}, "epsilon"),
+                          ({"system": "circle", "epsilon_max": [0.1]}, "epsilon_max"),
+                          ({"system": "circle", "radii": [0.1, "x"]}, "radii"),
+                          ({"system": 3}, "system"),
+                          ({"system": "circle", "horizon_steps": True}, "horizon_steps"),
+                          ([1, 2], "JSON object")):
+        cfg_file.write_text(json.dumps(body))
+        assert run(["scr", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_internal_value_error_exits_two(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from scrl.flows import (CIRCLE_MARKERS, ROOF_STRIP_HALF_WIDTH, build_transition,
-                        circle_fixed_distance, flow_map, load_sampled_transition,
-                        make_flow)
+from scrl import flows
+from scrl.flows import (CIRCLE_MARKERS, ROOF_DRIFT_CAP, ROOF_DRIFT_RATE, ROOF_RIDGE_MIN,
+                        ROOF_STRIP_HALF_WIDTH, build_transition, circle_fixed_distance,
+                        flow_map, load_sampled_transition, make_flow)
+from scrl.orbits import build_orbit_data
 from scrl.space import build_grid, circle_gap, roof_height
 
 
@@ -196,6 +200,91 @@ def test_roof_not_uniformly_lipschitz(roof_flow):
         return float(np.hypot(out[0, 0] - out[1, 0], dy)) / gap
 
     assert stretch(1e-3) > 10 * stretch(1e-1)
+
+
+def _frozen_roof_x_at(x0, t):
+    """The roof drift as first written: every term recomputed per call."""
+    s = np.sign(x0 - 0.5)
+    r0 = np.maximum(np.abs(x0 - 0.5) - ROOF_STRIP_HALF_WIDTH, 0.0)
+    t = np.asarray(t, dtype=float)
+    knee = ROOF_DRIFT_CAP / ROOF_DRIFT_RATE
+    t_lin = np.maximum(r0 - knee, 0.0) / ROOF_DRIFT_CAP
+    lin = r0 - ROOF_DRIFT_CAP * np.minimum(t, t_lin)
+    r = np.where(t <= t_lin, lin,
+                 np.minimum(r0, knee) * np.exp(-ROOF_DRIFT_RATE * (t - t_lin)))
+    return 0.5 + s * (ROOF_STRIP_HALF_WIDTH + r) * (r0 > 0) \
+        + s * np.abs(x0 - 0.5) * (r0 == 0)
+
+
+def _frozen_roof_outer_y(x0, y0, t):
+    """The wrap bisection as first written, with no hoisted invariants."""
+    s_cur = np.zeros_like(y0)
+    y_cur = y0.copy()
+    for _ in range(int(np.ceil(t / ROOF_RIDGE_MIN)) + 2):
+        gap = y_cur + (t - s_cur) - roof_height(_frozen_roof_x_at(x0, t))
+        active = gap >= 0
+        if not np.any(active):
+            break
+        lo = s_cur[active].copy()
+        hi = np.full(lo.shape, float(t))
+        xa, ya, sa = x0[active], y_cur[active], s_cur[active]
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            g = ya + (mid - sa) - roof_height(_frozen_roof_x_at(xa, mid))
+            hi = np.where(g >= 0, mid, hi)
+            lo = np.where(g >= 0, lo, mid)
+        s_cur[active] = hi
+        y_cur[active] = 0.0
+    return np.clip(y_cur + (t - s_cur), 0.0, None)
+
+
+def _frozen_roof_flow(pts, t):
+    x0, y0 = pts[:, 0].copy(), pts[:, 1].copy()
+    tau0 = roof_height(x0)
+    y0[y0 >= tau0] = 0.0
+    in_strip = np.abs(x0 - 0.5) <= ROOF_STRIP_HALF_WIDTH
+    out_x = np.where(in_strip, x0, _frozen_roof_x_at(x0, t))
+    out_y = np.empty_like(y0)
+    out_y[in_strip] = (y0[in_strip] + t) % tau0[in_strip]
+    idx = np.nonzero(~in_strip)[0]
+    out_y[idx] = _frozen_roof_outer_y(x0[idx], y0[idx], t)
+    return np.column_stack([out_x, out_y])
+
+
+def _roof_test_points():
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(0, 1, 600)
+    inside = np.column_stack([xs, rng.uniform(0, 1, 600) * roof_height(xs)])
+    xr = rng.uniform(0, 1, 200)
+    on_roof = np.column_stack([xr, roof_height(xr)])
+    edge_x = 0.5 + np.array([-1, 1])[:, None] * (ROOF_STRIP_HALF_WIDTH
+                                                + np.array([0.0, 1e-15, 1e-9, 1e-6]))
+    edge_x = np.concatenate([edge_x.ravel(), [0.0, 1.0, 0.2, 0.8]])
+    edges = np.column_stack([np.repeat(edge_x, 3),
+                             np.tile([0.0, 0.5, 1.0], edge_x.size)
+                             * roof_height(np.repeat(edge_x, 3))])
+    return np.concatenate([inside, on_roof, edges])
+
+
+@pytest.mark.parametrize("t", [1 / 8, 1 / 4, 1.0, 4.0])
+def test_roof_flow_bit_identical_to_frozen_bisection(roof_flow, t):
+    # t = 4 wraps several times in one call, as the m = 4 transition does
+    pts = _roof_test_points()
+    got = roof_flow.evaluate(pts, t)
+    want = _frozen_roof_flow(pts, t)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_roof_orbit_table_bit_identical_to_frozen_bisection(monkeypatch):
+    def coords_digest():
+        s = build_grid("roof", 12)
+        orbit = build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=24.0,
+                                 horizon=60.0, t_steps=60)
+        return hashlib.sha256(orbit.coords.tobytes()).hexdigest()
+
+    got = coords_digest()
+    monkeypatch.setattr(flows, "_roof_flow", _frozen_roof_flow)
+    assert got == coords_digest()
 
 
 # -- transitions ----------------------------------------------------------

@@ -45,7 +45,7 @@ def matched_pair(circle_system):
 @pytest.fixture(scope="module")
 def matched_field(matched_pair, circle_system):
     s, f, tr, orbit = circle_system
-    return sup_along_orbit(matched_pair, s, orbit, s_max=S_MAX)
+    return sup_along_orbit([matched_pair], s, orbit, s_max=S_MAX)[0]
 
 
 # -- level function ----------------------------------------------------------
@@ -100,7 +100,7 @@ def test_k_matches_brute_force_supremum(circle_system):
     pair = StablePair(B=B, B_bullet=np.empty(0, dtype=np.int64), R=0.5,
                       eta0=0.125, T_table={0.125: 1.0},
                       B_star=np.empty(0, dtype=np.int64))
-    fld = sup_along_orbit(pair, s, orbit, s_max=S_MAX)
+    fld = sup_along_orbit([pair], s, orbit, s_max=S_MAX)[0]
     rng = np.random.default_rng(2)
     for p in rng.integers(0, s.n, 12):
         ts = np.linspace(0, 60, 6001)
@@ -121,7 +121,7 @@ def test_uncertified_points_flagged():
     strip = np.nonzero(np.abs(s.points[:, 0] - 0.5) <= 0.1)[0]
     pair = StablePair(B=strip, B_bullet=np.empty(0, dtype=np.int64),
                       R=1.0, eta0=None, T_table={}, B_star=np.empty(0, dtype=np.int64))
-    fld = sup_along_orbit(pair, s, orbit, s_max=S_MAX)
+    fld = sup_along_orbit([pair], s, orbit, s_max=S_MAX)[0]
     assert not np.any(fld.certified)
     assert np.all(fld.tail_slack >= 0)
     assert np.all(fld.tail_slack <= 1)
@@ -175,8 +175,8 @@ def test_quadrature_self_consistency(matched_pair, circle_system):
                             horizon=200.0, t_steps=200, fine_divisor=16)
     coarse = build_orbit_data(f, s, 1.0, fine_horizon=S_MAX + 4.0,
                               horizon=200.0, t_steps=200, fine_divisor=8)
-    f_half = sup_along_orbit(matched_pair, s, fine, s_max=S_MAX)
-    f_full = sup_along_orbit(matched_pair, s, coarse, s_max=S_MAX)
+    f_half = sup_along_orbit([matched_pair], s, fine, s_max=S_MAX)[0]
+    f_full = sup_along_orbit([matched_pair], s, coarse, s_max=S_MAX)[0]
     change = np.abs(f_half.h_values - f_full.h_values)
     assert np.all(change < f_full.quad_bound + 1e-15)
 
@@ -186,8 +186,8 @@ def test_truncation_soundness(matched_pair, circle_system):
     s, f, tr, _ = circle_system
     orbit = build_orbit_data(f, s, 1.0, fine_horizon=2 * S_MAX + 4.0,
                              horizon=200.0, t_steps=200)
-    f_short = sup_along_orbit(matched_pair, s, orbit, s_max=S_MAX)
-    f_long = sup_along_orbit(matched_pair, s, orbit, s_max=2 * S_MAX)
+    f_short = sup_along_orbit([matched_pair], s, orbit, s_max=S_MAX)[0]
+    f_long = sup_along_orbit([matched_pair], s, orbit, s_max=2 * S_MAX)[0]
     assert np.max(np.abs(f_long.h_values - f_short.h_values)) <= np.exp(-S_MAX)
 
 
@@ -271,3 +271,55 @@ def test_verify_requires_probe_at_least_T(matched_field, matched_pair, circle_sy
     with pytest.raises(ValueError):
         verify_lyapunov([matched_field], [matched_pair], s, orbit, FakeScr(),
                         t_probe=0.25, margin=1e-4)
+
+
+def _assert_same_fields(got, want):
+    assert got.pair_index == want.pair_index
+    for name in ("l_values", "k_values", "h_values", "tail_slack", "certified",
+                 "quad_bound", "k_series"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.eta0_effective, got.s_max) == (want.eta0_effective, want.s_max)
+
+
+def _roof12_pairs():
+    s = build_grid("roof", 12)
+    orbit = build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=S_MAX + 4.0,
+                             horizon=60.0, t_steps=60)
+    x = s.points[:, 0]
+    empty = np.empty(0, dtype=np.int64)
+    strip = StablePair(B=np.nonzero(np.abs(x - 0.5) <= 0.1)[0], B_bullet=empty, R=1.0,
+                       eta0=0.5, T_table={0.05: 4.0, 0.2: 10.0, 0.4: 2.0, 0.8: 1.0},
+                       B_star=empty)
+    left = StablePair(B=np.nonzero(x < 0.3)[0], B_bullet=empty, R=0.8, eta0=None,
+                      T_table={0.3: 6.0}, B_star=empty)
+    corner = StablePair(B=np.array([0, 5]), B_bullet=empty, R=1.2, eta0=0.25,
+                        T_table={0.1: 3.0, 0.25: 1.0}, B_star=empty)
+    return s, orbit, [strip, left, corner]
+
+
+def test_batched_sup_along_orbit_matches_single_pairs_roof():
+    s, orbit, pairs = _roof12_pairs()
+    batched = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    assert [f.pair_index for f in batched] == [0, 1, 2]
+    assert 0 < batched[1].certified.sum() < s.n      # both certificate branches run
+    for rank, (pair, fld) in enumerate(zip(pairs, batched)):
+        single = sup_along_orbit([pair], s, orbit, s_max=S_MAX)[0]
+        single.pair_index = rank
+        _assert_same_fields(fld, single)
+
+
+def test_batched_sup_along_orbit_matches_single_pairs_circle(matched_pair, circle_system):
+    s, f, tr, orbit = circle_system
+    theta = s.points[:, 0]
+    other = StablePair(B=np.nonzero(np.abs(theta - 0.375) < 0.05)[0],
+                       B_bullet=np.empty(0, dtype=np.int64), R=0.5, eta0=0.125,
+                       T_table={0.05: 2.0, 0.125: 1.0}, B_star=np.empty(0, dtype=np.int64))
+    pairs = [matched_pair, other, matched_pair]
+    batched = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    for rank, (pair, fld) in enumerate(zip(pairs, batched)):
+        single = sup_along_orbit([pair], s, orbit, s_max=S_MAX)[0]
+        single.pair_index = rank
+        _assert_same_fields(fld, single)
+    assert sup_along_orbit([], s, orbit, s_max=S_MAX) == []

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrl.space import ROOF_RIDGE, build_grid, circle_gap, roof_height
+from scrl.flows import make_flow
+from scrl.orbits import build_orbit_data
+from scrl.space import ROOF, ROOF_RIDGE, _euclid, build_grid, circle_gap, roof_height
 
 from oracles import max_projection_gap
 
@@ -166,3 +168,39 @@ def test_roof_ridge_value():
     assert roof_height(0.0) == pytest.approx(1.0)
     assert roof_height(1.0) == pytest.approx(1.0)
     assert roof_height(0.5) == pytest.approx(ROOF_RIDGE)
+
+
+def _fresh_dist_to_subset(space, pts, ids):
+    """Per-set distance with fresh seam entry costs on every call."""
+    ids = np.asarray(sorted(ids), dtype=int)
+    if space.domain == "circle":
+        return circle_gap(pts[:, :1], space.points[None, ids, 0]).min(axis=1)
+    d = _euclid(pts, space.points[ids]).min(axis=1)
+    if space.domain == ROOF:
+        premin = space.seam.to_grid[:, ids].min(axis=1)
+        entry = space.seam.entry_costs(pts)
+        np.minimum(d, (entry + premin[None, :]).min(axis=1), out=d)
+    return d
+
+
+@pytest.mark.parametrize("system,domain,n", [("roof", "roof", 12),
+                                             ("square", "unit-square", 10),
+                                             ("circle", "circle", 96)])
+def test_multi_set_distance_matches_per_set(system, domain, n):
+    s = build_grid(domain, n)
+    orbit = build_orbit_data(make_flow(system), s, 1.0, fine_horizon=2.0,
+                             horizon=4.0, t_steps=4)
+    rng = np.random.default_rng(n)
+    id_sets = [[0], rng.choice(s.n, 5, replace=False), np.arange(s.n)[::3],
+               np.empty(0, dtype=int), [s.n - 1, 1]]
+    # the grid itself (cached entry costs), a copy of it, and orbit rows
+    for pts in (s.points, s.points.copy(), orbit.coords[3], orbit.coords[-1]):
+        got = s.dist_coords_to_subsets(pts, id_sets)
+        assert got.shape == (len(id_sets), pts.shape[0])
+        for row, ids in zip(got, id_sets):
+            single = s.dist_coords_to_subset(pts, ids)
+            assert row.tobytes() == single.tobytes()
+            if len(ids):
+                assert row.tobytes() == _fresh_dist_to_subset(s, pts, ids).tobytes()
+            else:
+                assert np.all(np.isinf(row))

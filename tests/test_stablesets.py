@@ -110,6 +110,55 @@ def test_omega_point_roof_periodic_column():
     assert len(cells[p]) >= 2
 
 
+def _loop_omega_limits_all(orbit, burn_frac=0.5):
+    """Point-by-point reference for omega_limits_all."""
+    cells = orbit.t_cells
+    steps, n = cells.shape[0] - 1, cells.shape[1]
+    burn = int(steps * burn_frac)
+    probe = max(1, steps // 8)
+    tails, nonconv = [], np.zeros(n, dtype=bool)
+    for p in range(n):
+        tail = cells[burn:, p]
+        uniq, counts = np.unique(tail, return_counts=True)
+        first_seen = {}
+        for i, c in enumerate(tail):
+            first_seen.setdefault(c, i)
+        nonconv[p] = max(first_seen.values()) >= tail.size - probe
+        tails.append(uniq[counts >= 2])
+    return tails, nonconv
+
+
+def _assert_same_omega_limits(orbit):
+    got_tails, got_flags = omega_limits_all(orbit)
+    want_tails, want_flags = _loop_omega_limits_all(orbit)
+    assert np.array_equal(got_flags, want_flags)
+    assert len(got_tails) == len(want_tails)
+    for got, want in zip(got_tails, want_tails):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("steps,n,cells", [(0, 5, 3), (1, 4, 2), (7, 30, 4),
+                                           (40, 50, 12), (200, 40, 300)])
+def test_omega_limits_all_matches_loop_on_random_tables(steps, n, cells):
+    from scrl.orbits import OrbitData
+    rng = np.random.default_rng(steps * 1000 + n)
+    t_cells = rng.integers(0, cells, (steps + 1, n)).astype(np.int64)
+    t_cells[:, 0] = 7                      # constant tail
+    t_cells[:, -1] = np.arange(steps + 1)  # never repeats
+    orbit = OrbitData(T=1.0, times=np.arange(steps + 1, dtype=float),
+                      coords=np.zeros((steps + 1, n, 1)), t_cells=t_cells,
+                      t_steps=steps)
+    _assert_same_omega_limits(orbit)
+
+
+@pytest.mark.parametrize("system,domain", [("roof", "roof"), ("square", "unit-square")])
+def test_omega_limits_all_matches_loop_on_orbits(system, domain):
+    s = build_grid(domain, 12)
+    orbit = build_orbit_data(make_flow(system), s, 1.0, fine_horizon=24.0,
+                             horizon=100.0, t_steps=100)
+    _assert_same_omega_limits(orbit)
+
+
 # -- complementary -----------------------------------------------------------
 
 

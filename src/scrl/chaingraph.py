@@ -8,6 +8,14 @@ costs therefore decide strong chain recurrence, per-edge thresholds plus
 strong connectivity decide classical chain recurrence, and multi-source
 shortest paths realize the budgeted reachability operator.  All of these
 read only the cheapest edge per (u, v), so the graph keeps just that one.
+
+Return costs under a cost limit search a smaller graph: an edge (x, y, w)
+is kept iff w + LB <= limit + 1e-9, where LB is a landmark lower bound on
+the return distance D[y, x].  Every edge of a cycle within the limit
+satisfies w + D[y, x] <= limit, so it is kept, and the shortest paths
+that close those cycles are all still there: the costs within the limit
+are exact, bit for bit.  Reachability and classical chain recurrence keep
+the full graph.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ class ChainGraph:
             self._csr = (limit, _adjacency(self.n, u, v, w))
         return self._csr[1]
 
-    def all_pairs(self, limit: float | None = None, sources=None) -> np.ndarray:
+    def all_pairs(self, limit: float | None = None, sources=None,
+                  adjacency: sp.csr_matrix | None = None) -> np.ndarray:
         """Shortest path costs D[s, v] from each of ``sources`` (every node
         by default), optionally cost-limited.
 
@@ -66,11 +75,13 @@ class ChainGraph:
         limit lie on no path within it, so the search runs without them.
         The full matrix is cached, and a cached full matrix whose limit
         dominates the request is reused (its entries above the requested
-        limit may then be finite).
+        limit may then be finite).  A search from ``sources`` may run on
+        another ``adjacency`` instead, such as a subgraph or a transpose.
         """
         want = np.inf if limit is None else float(limit)
         if sources is not None:
-            return dijkstra(self.csr(want), directed=True, indices=sources, limit=want)
+            adj = self.csr(want) if adjacency is None else adjacency
+            return dijkstra(adj, directed=True, indices=sources, limit=want)
         for have, mat in self._apsp.items():
             if have >= want:
                 return mat
@@ -203,6 +214,11 @@ def min_return_cost(g: ChainGraph, u: int) -> float:
 # Dijkstra sources per all_pairs call of min_return_cost_all: it holds
 # (_SOURCE_CHUNK, n) distances at a time rather than an n x n matrix.
 _SOURCE_CHUNK = 256
+# Landmarks of the cycle-edge lower bounds, how far their searches reach
+# (a multiple of the cost limit), and the edges per block of the bound.
+_LANDMARKS = 16
+_LANDMARK_REACH = 2.0
+_BOUND_BLOCK = 1 << 16
 
 
 def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray:
@@ -210,23 +226,68 @@ def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray
 
     A cycle through u leaves by an edge (u, v, w) and returns along a
     shortest path v -> u, so its least cost is the least w + D[v, u].
-    The rows D[v, .] are computed _SOURCE_CHUNK sources at a time, each
-    read only by the edges into its sources.  Results are cached per limit.
+    Under a finite limit the search runs only on the edges that
+    ``cycle_edges`` keeps, which include every edge of every cycle within
+    the limit; the shortest paths of those cycles survive, so every cost
+    within the limit comes out bit for bit as on the full graph.  The
+    rows D[v, .] are computed _SOURCE_CHUNK sources at a time, each read
+    only by the kept edges into its sources.  Results are cached per limit.
     """
     want = np.inf if limit is None else float(limit)
     if want not in g._costs:
+        if np.isfinite(want):
+            e = cycle_edges(g, want)
+            u, v, w = g.edge_u[e], g.edge_v[e], g.edge_w[e]
+            adj = _adjacency(g.n, u, v, w)
+        else:
+            u, v, w, adj = g.edge_u, g.edge_v, g.edge_w, g.csr()
         out = np.full(g.n, np.inf)
-        into = np.argsort(g.edge_v, kind="stable")          # edges grouped by v
+        into = np.argsort(v, kind="stable")                 # edges grouped by v
         lows = range(0, g.n, _SOURCE_CHUNK)
-        cuts = np.searchsorted(g.edge_v, [*lows, g.n], sorter=into)
+        cuts = np.searchsorted(v, [*lows, g.n], sorter=into)
         for k, lo in enumerate(lows):
-            dist = g.all_pairs(want, sources=np.arange(lo, min(lo + _SOURCE_CHUNK, g.n)))
-            e = into[cuts[k]:cuts[k + 1]]
-            u = g.edge_u[e]
-            np.minimum.at(out, u, g.edge_w[e] + dist[g.edge_v[e] - lo, u])
+            sources = np.arange(lo, min(lo + _SOURCE_CHUNK, g.n))
+            dist = g.all_pairs(want, sources=sources, adjacency=adj)
+            i = into[cuts[k]:cuts[k + 1]]
+            np.minimum.at(out, u[i], w[i] + dist[v[i] - lo, u[i]])
         out[out > want] = np.inf
         g._costs[want] = out
     return g._costs[want].copy()
+
+
+def cycle_edges(g: ChainGraph, limit: float) -> np.ndarray:
+    """Indices of the edges that may lie on a cycle of cost <= ``limit``.
+
+    An edge (x, y, w) lies on such a cycle only if w + D[y, x] <= limit.
+    Landmark distances bound D[y, x] from below (Goldberg & Harrelson's
+    ALT bounds): for every landmark L the triangle inequality gives
+    D[y, x] >= D[L, x] - D[L, y] and D[y, x] >= D[y, L] - D[x, L].  The
+    landmarks are _LANDMARKS evenly spaced ids, searched forward and
+    backward on the edges within the limit up to lam = _LANDMARK_REACH *
+    limit; their distances are clipped to lam, which keeps each
+    difference a lower bound and finite (an unreached node counts as lam
+    away), so no inf - inf turns a bound into NaN.  An edge is kept iff
+    w + LB <= limit + 1e-9, the slack absorbing the rounding of the
+    distances.
+    """
+    lam = min(_LANDMARK_REACH * float(limit), np.finfo(float).max)
+    within = np.flatnonzero(g.edge_w <= limit)
+    if within.size == 0:
+        return within
+    adj = g.csr(limit)
+    marks = np.unique(np.arange(_LANDMARKS) * g.n // _LANDMARKS)
+    fwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj), lam)   # D[L, x]
+    bwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj.T.tocsr()), lam)  # D[x, L]
+    keep = np.empty(within.size, dtype=bool)
+    for lo in range(0, within.size, _BOUND_BLOCK):
+        e = within[lo:lo + _BOUND_BLOCK]
+        x, y = g.edge_u[e], g.edge_v[e]
+        bound = np.zeros(e.size)          # a bound of 0 or less keeps the edge anyway
+        for f, b in zip(fwd, bwd):        # one landmark row at a time, no (k, E) array
+            np.maximum(bound, f[x] - f[y], out=bound)
+            np.maximum(bound, b[y] - b[x], out=bound)
+        keep[lo:lo + _BOUND_BLOCK] = g.edge_w[e] + bound <= limit + 1e-9
+    return within[keep]
 
 
 def compute_scr(g: ChainGraph, epsilon: float, cost_limit: float | None = None) -> ScrResult:

@@ -324,15 +324,15 @@ def read_json(path: Path):
 
 
 def floyd_warshall_reference(n: int, edges) -> np.ndarray:
-    """Brute-force all-pairs matrix used to diff the fast paths."""
+    """Brute-force all-pairs matrix used to diff the fast paths: one
+    vectorised relaxation through each k (row and column k stay fixed
+    during it, as weights are nonnegative)."""
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     for u, v, w in edges:
         dist[u, v] = min(dist[u, v], w)
     for k in range(n):
-        for i in range(n):
-            via = dist[i, k] + dist[k, :]
-            dist[i] = np.minimum(dist[i], via)
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     return dist
 
 
@@ -342,17 +342,20 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
     Random weights are dyadic (multiples of 2^-20) so both computations
     are exact in floating point and must agree bit for bit.  Besides the
     ``seeds`` small graphs, one sparse graph of 300 nodes spans more than
-    one chunk of Dijkstra sources in min_return_cost_all.
+    one chunk of Dijkstra sources in min_return_cost_all.  Every graph's
+    return costs are also checked under finite cost limits that some
+    cycles cost exactly.
     """
     rng = np.random.default_rng(rng_seed)
-    mismatches = 0
+    trials = []                         # (exact, exact under limits) per graph
     for trial in range(seeds):
         n = int(rng.integers(4, 40))
         density = rng.uniform(0.05, 0.4)
-        mismatches += not _dyadic_trial(rng, n, max(1, int(n * n * density)))
-    wide = _dyadic_trial(rng, 300, 1200)
-    mismatches += not wide
-    report = {"trials": seeds, "mismatches": mismatches, "wide_graph_exact": wide}
+        trials.append(_dyadic_trial(rng, n, max(1, int(n * n * density))))
+    trials.append(_dyadic_trial(rng, 300, 1200))
+    mismatches = sum(not (exact and limited) for exact, limited in trials)
+    report = {"trials": seeds, "mismatches": mismatches, "wide_graph_exact": trials[-1][0],
+              "limited_return_costs_exact": all(limited for _, limited in trials)}
     if grid_checks:
         for system in ("circle", "square"):
             cfg = RunConfig(system=system, grid_n=16, epsilon=0.1)
@@ -375,8 +378,10 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
     return report
 
 
-def _dyadic_trial(rng, n: int, n_edges: int) -> bool:
-    """One random dyadic digraph: do both fast paths match the reference?"""
+def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool]:
+    """One random dyadic digraph: do both fast paths match the reference,
+    and do the return costs under two limits, each the cost of some
+    cycle, match it with the entries above the limit set to +inf?"""
     u = rng.integers(0, n, n_edges)
     v = rng.integers(0, n, n_edges)
     w = rng.integers(1, 2 ** 20, n_edges) / 2.0 ** 20
@@ -384,10 +389,13 @@ def _dyadic_trial(rng, n: int, n_edges: int) -> bool:
     g = graph_from_edges(n, edges)
     ref = floyd_warshall_reference(n, edges)
     mrc_ref = np.full(n, np.inf)
-    for uu, vv, ww in edges:
-        mrc_ref[uu] = min(mrc_ref[uu], ww + ref[vv, uu])
+    np.minimum.at(mrc_ref, u, w + ref[v, u])
+    costs = np.unique(mrc_ref[np.isfinite(mrc_ref)])
+    limits = costs[[costs.size // 8, costs.size // 2]] if costs.size else []
+    limited = all(np.array_equal(min_return_cost_all(g, float(c)),
+                                 np.where(mrc_ref <= c, mrc_ref, np.inf)) for c in limits)
     if not np.array_equal(min_return_cost_all(g), mrc_ref):
-        return False
+        return False, limited
     eps = float(rng.uniform(0.1, 2.0))
     Y = sorted(set(rng.integers(0, n, 3).tolist()))
     seed_cost = np.full(n, np.inf)
@@ -395,7 +403,7 @@ def _dyadic_trial(rng, n: int, n_edges: int) -> bool:
         if uu in Y:
             seed_cost[vv] = min(seed_cost[vv], ww)
     reach_ref = (seed_cost[:, None] + ref).min(axis=0)
-    return np.array_equal(omega_budget(g, Y, eps), np.nonzero(reach_ref < eps)[0])
+    return np.array_equal(omega_budget(g, Y, eps), np.nonzero(reach_ref < eps)[0]), limited
 
 
 # -- argument parsing --------------------------------------------------------

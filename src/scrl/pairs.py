@@ -83,8 +83,9 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
     grid_orbit = grid_image_orbit(tr, t_cap_steps)
 
     catalog = PairCatalog()
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     seen_B: set[str] = set()
+    found = []              # (B, B_bullet, T_table, provenance) per pair
     for radius in radii:
         for seed in seeds:
             d = space.dist_coords_to_subset(space.points, [seed])
@@ -110,20 +111,22 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
                                       t_cap_steps, grid_orbit=grid_orbit)
             if nn["failures"]:
                 continue          # not strongly stable at the sampled levels
-            prof = avoidance_profile(space, orbit, B)
-            found = find_eta0_and_bstar(space, B, B_bullet, nn["T_table"], R, prof)
-            if found is None:
-                eta0, B_star = None, np.empty(0, dtype=np.int64)
-            else:
-                eta0, B_star, _ = found
-            pair = StablePair(
-                B=B, B_bullet=B_bullet, R=R, eta0=eta0,
-                T_table=nn["T_table"], B_star=B_star,
-                provenance={"center": int(seed), "radius": radius,
-                            "epsilon": epsilon, "T": tr.T})
-            seen[key] = len(catalog.pairs)
-            catalog.pairs.append(pair)
+            seen.add(key)
+            found.append((B, B_bullet, nn["T_table"],
+                          {"center": int(seed), "radius": radius,
+                           "epsilon": epsilon, "T": tr.T}))
             catalog.dedupe_keys.append(key)
+    # the avoidance profiles of all pairs share one pass over the orbit
+    profiles = avoidance_profile(space, orbit, [B for B, *_ in found])
+    for (B, B_bullet, T_table, provenance), prof in zip(found, profiles):
+        star = find_eta0_and_bstar(space, B, B_bullet, T_table, R, prof)
+        if star is None:
+            eta0, B_star = None, np.empty(0, dtype=np.int64)
+        else:
+            eta0, B_star, _ = star
+        catalog.pairs.append(StablePair(
+            B=B, B_bullet=B_bullet, R=R, eta0=eta0, T_table=T_table,
+            B_star=B_star, provenance=provenance))
     return catalog
 
 

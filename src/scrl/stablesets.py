@@ -250,18 +250,18 @@ def grid_image_orbit(tr: GridTransition, steps: int) -> np.ndarray:
     return out
 
 
-def avoidance_profile(space: GridSpace, orbit: OrbitData, B,
+def avoidance_profile(space: GridSpace, orbit: OrbitData, Bs,
                       rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-point minimum distance to B along the sampled exact orbit.
+    """(len(Bs), n) per-point minimum distance to each set B along the
+    sampled exact orbit, in one pass over the orbit rows.
 
     Defaults to the T-lattice samples; pass ``rows`` for a finer sweep.
     """
-    B = np.asarray(sorted(B), dtype=np.int64)
     if rows is None:
         rows = orbit.t_rows
-    out = np.full(space.n, np.inf)
+    out = np.full((len(Bs), space.n), np.inf)
     for j in rows:
-        np.minimum(out, space.dist_coords_to_subset(orbit.coords[j], B), out=out)
+        np.minimum(out, space.dist_coords_to_subsets(orbit.coords[j], Bs), out=out)
     return out
 
 

@@ -26,19 +26,6 @@ def floyd_warshall(n, edges):
     return np.array(dist)
 
 
-def floyd_warshall_np(n, edges):
-    """Row-vectorized all-pairs reference for larger instances."""
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for e in edges:
-        u, v, w = int(e[0]), int(e[1]), float(e[-1])
-        if w < dist[u, v]:
-            dist[u, v] = w
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    return dist
-
-
 def min_return_cost_oracle(n, edges, dist=None):
     if dist is None:
         dist = floyd_warshall(n, edges)

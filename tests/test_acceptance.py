@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from scrl.chaingraph import graph_from_edges, min_return_cost_all, omega_budget
-from scrl.cli import RunConfig, build_bundle, run_pipeline, stage_cr, stage_scr
+from scrl.cli import (RunConfig, build_bundle, floyd_warshall_reference, run_pipeline,
+                      stage_cr, stage_scr)
 from scrl.lyapunov import sup_along_orbit
 from scrl.space import build_grid
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
                              find_eta0_and_bstar, nested_neighborhoods,
                              omega_limits_all)
 
-from oracles import (floyd_warshall_np, min_return_cost_oracle, omega_oracle,
-                     random_digraph)
+from oracles import min_return_cost_oracle, omega_oracle, random_digraph
 
 EPS_SWEEP = [0.02, 0.05, 0.1]
 S_MAX = 20.0
@@ -55,15 +55,24 @@ def _run_of(name, circle_run, square_run, roof_run):
 # -- criterion 1: oracle equivalence ----------------------------------------
 
 
+def _limited(costs, limit):
+    """Reference return costs under a cost limit: +inf above it."""
+    return np.where(costs <= limit, costs, np.inf)
+
+
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     for trial in range(100):
         n, edges = random_digraph(rng, max_nodes=200)
         g = graph_from_edges(n, edges)
-        dist = floyd_warshall_np(n, edges)
-        assert np.array_equal(min_return_cost_all(g),
-                              min_return_cost_oracle(n, edges, dist=dist))
+        dist = floyd_warshall_reference(n, edges)
+        ref = min_return_cost_oracle(n, edges, dist=dist)
+        assert np.array_equal(min_return_cost_all(g), ref)
+        costs = np.unique(ref[np.isfinite(ref)])
+        if costs.size:                 # a limit that some cycle costs exactly
+            limit = float(costs[costs.size // 2])
+            assert np.array_equal(min_return_cost_all(g, limit), _limited(ref, limit))
         eps = float(rng.uniform(0.1, 2.0))
         Y = sorted(set(rng.integers(0, n, 3).tolist()))
         assert np.array_equal(omega_budget(g, Y, eps),
@@ -78,9 +87,10 @@ def test_criterion_1_oracle_equivalence():
         q = np.round(raw.edge_w * 2.0 ** 30) / 2.0 ** 30
         edges = list(zip(raw.edge_u.tolist(), raw.edge_v.tolist(), q.tolist()))
         g = graph_from_edges(raw.n, edges, resolution=raw.resolution)
-        dist = floyd_warshall_np(raw.n, edges)
-        assert np.array_equal(min_return_cost_all(g),
-                              min_return_cost_oracle(raw.n, edges, dist=dist))
+        dist = floyd_warshall_reference(raw.n, edges)
+        ref = min_return_cost_oracle(raw.n, edges, dist=dist)
+        assert np.array_equal(min_return_cost_all(g), ref)
+        assert np.array_equal(min_return_cost_all(g, 0.1), _limited(ref, 0.1))
         Y = [0, raw.n // 2]
         assert np.array_equal(omega_budget(g, Y, 0.1),
                               omega_oracle(raw.n, edges, Y, 0.1, dist=dist))
@@ -176,7 +186,7 @@ def test_criterion_5_circle_profile(circle_run):
     R = 0.5
     nn = nested_neighborhoods(space, tr, B, R, list(np.geomspace(0.02, 0.125, 8)))
     assert not nn["failures"]
-    prof = avoidance_profile(space, orbit, B)
+    prof = avoidance_profile(space, orbit, [B])[0]
     eta0, B_star, _ = find_eta0_and_bstar(space, B, B_bullet, nn["T_table"], R, prof)
     pair = StablePair(B=B, B_bullet=B_bullet, R=R, eta0=eta0,
                       T_table=nn["T_table"], B_star=B_star)

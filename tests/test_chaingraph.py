@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 from hypothesis import given, settings, strategies as st
 
-from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr,
+from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr, cycle_edges,
                              export_graph_csv, graph_from_edges, import_graph_csv,
                              min_return_cost, min_return_cost_all, omega_budget)
 from scrl.flows import build_transition, make_flow
@@ -384,10 +384,158 @@ def test_return_costs_never_hold_more_than_256_rows(monkeypatch):
     monkeypatch.setattr(ChainGraph, "all_pairs", spy)
     g = _grid_graph("circle", "circle", 600)
     first = min_return_cost_all(g, 0.2)
-    assert rows == [256, 256, 88]
+    # 16 landmarks forward and backward, then the source chunks
+    assert rows == [16, 16, 256, 256, 88]
+    assert max(rows) <= 256
     # a second budget at the same limit reads the cached costs
     assert np.array_equal(min_return_cost_all(g, 0.2), first)
-    assert len(rows) == 3
+    assert len(rows) == 5
+
+
+def _edges_graph(n, u, v, w):
+    return graph_from_edges(n, list(zip(np.asarray(u).tolist(), np.asarray(v).tolist(),
+                                        np.asarray(w, dtype=float).tolist())))
+
+
+def _attained_limits(g, count=4):
+    """Limits equal to return costs of the full graph, so some cycles cost
+    exactly the limit."""
+    full = _dense_return_costs(g, None)
+    costs = np.unique(full[np.isfinite(full)])
+    return [float(c) for c in costs[np.linspace(0, costs.size - 1, count).astype(int)]]
+
+
+def _pruning_case(name):
+    """(graph, limits) for the landmark-pruned return-cost search."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "dyadic-exact-limit":
+        # a ring of 0.25 + 0.25 + 0.25 plus a random graph on a coarse dyadic lattice
+        n = 60
+        u = np.r_[0, 1, 2, rng.integers(0, n, 180)]
+        v = np.r_[1, 2, 0, rng.integers(0, n, 180)]
+        w = np.r_[0.25, 0.25, 0.25, rng.integers(1, 32, 180) / 64.0]
+        g = _edges_graph(n, u, v, w)
+        return g, [0.75, *_attained_limits(g)]
+    if name == "decimal-exact-limit":
+        # decimal weights round, so a cycle at exactly the limit needs the slack
+        n = 40
+        u, v = rng.integers(0, n, 120), rng.integers(0, n, 120)
+        g = _edges_graph(n, u, v, np.round(rng.uniform(0.01, 0.3, 120), 2))
+        return g, _attained_limits(g, 8)
+    if name == "disconnected":
+        # two separate components and isolated nodes: most landmarks reach
+        # nothing, and some ids reach no landmark
+        n = 64
+        a, b = rng.integers(0, 10, (2, 60))
+        c, d = rng.integers(40, 64, (2, 90))
+        g = _edges_graph(n, np.r_[a, c], np.r_[b, d], rng.integers(1, 2 ** 10, 150) / 2.0 ** 10)
+        return g, [0.25, 0.5, *_attained_limits(g)]
+    if name == "fewer-nodes-than-landmarks":
+        graphs = []
+        for n in range(1, 16):
+            m = 3 * n
+            graphs.append(_edges_graph(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                       rng.integers(1, 2 ** 8, m) / 2.0 ** 8))
+        return graphs, [0.3, 1.0]
+    if name == "zero-weights-and-self-loops":
+        n = 50
+        u, v = rng.integers(0, n, 200), rng.integers(0, n, 200)
+        v[:25] = u[:25]                                    # self-loops
+        w = rng.integers(0, 2 ** 6, 200) / 2.0 ** 6
+        w[::7] = 0.0
+        g = _edges_graph(n, u, v, w)
+        return g, [0.0, 2.0 ** -6, *_attained_limits(g)]
+    if name == "several-chunks":
+        graphs = []
+        for n in (300, 700):
+            u, v = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
+            graphs.append(_edges_graph(n, u, v, np.round(rng.uniform(0.001, 0.1, 4 * n), 3)))
+        return graphs, [0.15, 0.3]
+    if name == "reach-overflows":
+        # 2 * limit is inf, so unclipped rows meet inf - inf
+        n = 40
+        g = _edges_graph(n, rng.integers(0, 20, 100), rng.integers(0, 20, 100),
+                         rng.uniform(0.0, 1.0, 100))
+        return g, [1e308]
+    raise KeyError(name)
+
+
+PRUNING_CASES = ["dyadic-exact-limit", "decimal-exact-limit", "disconnected",
+                 "fewer-nodes-than-landmarks", "zero-weights-and-self-loops",
+                 "several-chunks", "reach-overflows"]
+
+
+def _case_graphs(name):
+    graphs, limits = _pruning_case(name)
+    graphs = graphs if isinstance(graphs, list) else [graphs]
+    return [(g, limit) for g in graphs for limit in limits]
+
+
+@pytest.mark.parametrize("case", PRUNING_CASES)
+def test_pruned_return_costs_match_dense_reduction(case):
+    finite = 0
+    for g, limit in _case_graphs(case):
+        got = min_return_cost_all(g, limit)
+        want = _dense_return_costs(g, limit)
+        assert np.array_equal(got, want), (g.n, limit)
+        finite += np.isfinite(want).sum()
+    assert finite > 0
+
+
+def _dense_distances(g, limit, reach=None):
+    """n x n distances over the edges within ``limit``, searched up to
+    ``reach`` (the limit by default)."""
+    keep = g.edge_w <= limit
+    adj = sp.csr_matrix((np.maximum(g.edge_w[keep], 1e-300),
+                         (g.edge_u[keep], g.edge_v[keep])), shape=(g.n, g.n))
+    return dijkstra(adj, directed=True, limit=limit if reach is None else reach)
+
+
+@pytest.mark.parametrize("case", [*PRUNING_CASES, "grids"])
+def test_cycle_edges_keep_every_edge_within_the_limit(case):
+    if case == "grids":
+        pairs = [(_grid_graph("circle", "circle", 300), 0.1),
+                 (_grid_graph("unit-square", "square", 18), 0.1),
+                 (_grid_graph("roof", "roof", 20), 0.3)]
+    else:
+        pairs = _case_graphs(case)
+    for g, limit in pairs:
+        dist = _dense_distances(g, limit)
+        needed = np.flatnonzero(g.edge_w + dist[g.edge_v, g.edge_u] <= limit)
+        kept = cycle_edges(g, limit)
+        assert np.all(np.diff(kept) > 0)
+        assert np.all(g.edge_w[kept] <= limit)
+        assert np.all(np.isin(needed, kept)), (g.n, limit)
+        if case == "grids":                  # and the landmarks do prune
+            assert kept.size < 0.8 * np.count_nonzero(g.edge_w <= limit)
+
+
+def _keep_rule_reference(g, limit, landmarks=16):
+    """The documented keep rule with dense (landmarks, edges) arrays."""
+    lam = 2 * limit
+    marks = np.unique(np.arange(landmarks) * g.n // landmarks)
+    dist = np.minimum(_dense_distances(g, limit, lam), lam)   # clipped to lam
+    x, y = g.edge_u, g.edge_v
+    fwd = dist[marks][:, x] - dist[marks][:, y]        # D[L, x] - D[L, y]
+    bwd = dist[y][:, marks] - dist[x][:, marks]        # D[y, L] - D[x, L]
+    bound = np.maximum(fwd.max(axis=0), bwd.max(axis=1))
+    return np.flatnonzero((g.edge_w <= limit) & (g.edge_w + bound <= limit + 1e-9))
+
+
+def test_cycle_edges_follow_the_keep_rule():
+    # 0 -> 1 -> 0 whose weight plus bound lands exactly on limit + 1e-9:
+    # kept by the rule, though the cycle itself is over the limit
+    a = (0.25 + 1e-9) - 0.125
+    assert a + 0.125 == 0.25 + 1e-9
+    g = _edges_graph(2, [0, 1], [1, 0], [a, 0.125])
+    assert np.array_equal(cycle_edges(g, 0.25), [0, 1])
+    assert np.isinf(min_return_cost_all(g, 0.25)).all()
+    pairs = [(g, 0.25), (_grid_graph("circle", "circle", 300), 0.1)]
+    for case in ("dyadic-exact-limit", "decimal-exact-limit", "disconnected",
+                 "zero-weights-and-self-loops"):
+        pairs += _case_graphs(case)
+    for g, limit in pairs:
+        assert np.array_equal(cycle_edges(g, limit), _keep_rule_reference(g, limit))
 
 
 def test_all_pairs_limit_matches_unpruned_search():

@@ -191,6 +191,7 @@ def test_oracle_check_clean(tmp_path, capsys):
     report = json.loads((tmp_path / "oracle_report.json").read_text())
     assert report["mismatches"] == 0
     assert report["grid_circle_exact"] and report["grid_square_exact"]
+    assert report["wide_graph_exact"] and report["limited_return_costs_exact"]
 
 
 def test_custom_flow_end_to_end(tmp_path):

@@ -36,7 +36,7 @@ def matched_pair(circle_system):
     nn = nested_neighborhoods(s, tr, B, R, list(np.geomspace(0.02, 0.125, 6)),
                               t_cap_steps=200)
     assert not nn["failures"]
-    prof = avoidance_profile(s, orbit, B)
+    prof = avoidance_profile(s, orbit, [B])[0]
     eta0, B_star, _ = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     return StablePair(B=B, B_bullet=Bb, R=R, eta0=eta0,
                       T_table=nn["T_table"], B_star=B_star)

@@ -8,7 +8,7 @@ from scrl.flows import build_transition, make_flow
 from scrl.orbits import build_orbit_data
 from scrl.pairs import PairCatalog, default_radii, enumerate_pairs, select_cover
 from scrl.space import build_grid
-from scrl.stablesets import default_eta_samples
+from scrl.stablesets import default_eta_samples, find_eta0_and_bstar
 
 
 def build_all(system, domain, n, epsilon, prune=None, m_max=4):
@@ -84,6 +84,22 @@ def test_square_pairs_certified_and_sound(square_parts, square_catalog):
                 continue
             y = s.points[m, 1]
             assert min(y, 1 - y) <= collar
+
+
+def test_pairs_match_per_pair_avoidance_profiles(square_parts, square_catalog):
+    # eta0 and B_star from one orbit pass per pair, as before the profiles
+    # of all pairs were batched
+    s, f, tr, g, scr, orbit = square_parts
+    assert len(square_catalog.pairs) > 1
+    for pair in square_catalog.pairs:
+        prof = np.full(s.n, np.inf)
+        for j in orbit.t_rows:
+            np.minimum(prof, s.dist_coords_to_subset(orbit.coords[j], pair.B), out=prof)
+        star = find_eta0_and_bstar(s, pair.B, pair.B_bullet, pair.T_table, pair.R, prof)
+        eta0, B_star = (None, []) if star is None else star[:2]
+        assert pair.eta0 == eta0
+        assert np.array_equal(pair.B_star, B_star)
+    assert any(p.B_star.size for p in square_catalog.pairs)
 
 
 def test_square_cover_residual_zero(square_catalog):

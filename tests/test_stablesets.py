@@ -301,7 +301,7 @@ def test_nested_reports_witness_on_failure(circle64):
 def test_find_eta0_absent_when_no_complement():
     s, f, tr, g = make_system("identity", "circle", 16, m_max=1, prune=0.3)
     orbit = build_orbit_data(f, s, 1.0, fine_horizon=24.0, horizon=50.0, t_steps=50)
-    prof = avoidance_profile(s, orbit, np.arange(s.n))
+    prof = avoidance_profile(s, orbit, [np.arange(s.n)])[0]
     got = find_eta0_and_bstar(s, np.arange(s.n), [], {0.5: 1.0}, 0.5, prof)
     assert got is None
 
@@ -318,7 +318,7 @@ def test_find_eta0_circle_matched_scale(circle64, circle64_orbit):
     nn = nested_neighborhoods(s, tr, B, R, list(np.geomspace(0.02, 0.125, 6)),
                               t_cap_steps=100)
     assert not nn["failures"]
-    prof = avoidance_profile(s, circle64_orbit, B)
+    prof = avoidance_profile(s, circle64_orbit, [B])[0]
     eta0, B_star, dropped = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     assert eta0 == pytest.approx(0.125)
     assert not np.any(np.isin(B_star, B))
@@ -336,7 +336,7 @@ def test_find_eta0_square_origin(square16, square16_orbit):
     Bb = complementary(s, tr, B, cells, flags)
     R = np.sqrt(2)
     nn = nested_neighborhoods(s, tr, B, R, default_eta_samples(16), t_cap_steps=100)
-    prof = avoidance_profile(s, square16_orbit, B)
+    prof = avoidance_profile(s, square16_orbit, [B])[0]
     got = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     assert got is not None
     eta0, B_star, dropped = got
@@ -349,6 +349,37 @@ def test_find_eta0_square_origin(square16, square16_orbit):
     assert np.all(prof[B_star] > R * eta0)
 
 
+def _profile_per_set(space, orbit, B):
+    """The per-set walk avoidance_profile replaced: one orbit pass per B."""
+    out = np.full(space.n, np.inf)
+    for j in orbit.t_rows:
+        np.minimum(out, space.dist_coords_to_subset(orbit.coords[j], B), out=out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def roof12_orbit():
+    s = build_grid("roof", 12)
+    return s, build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=24.0,
+                               horizon=60.0, t_steps=60)
+
+
+@pytest.mark.parametrize("system", ["roof", "square", "circle"])
+def test_avoidance_profile_matches_per_set_walk(system, roof12_orbit, square16,
+                                                square16_orbit, circle64, circle64_orbit):
+    s, orbit = {"roof": roof12_orbit,
+                "square": (square16[0], square16_orbit),
+                "circle": (circle64[0], circle64_orbit)}[system]
+    x = s.points[:, 0]
+    sets = [np.nonzero(np.abs(x - 0.5) <= 0.1)[0], np.array([s.n - 1, 0, 3]),
+            np.arange(s.n), np.nonzero(x < 0.3)[0][::-1]]
+    got = avoidance_profile(s, orbit, sets)
+    assert got.shape == (len(sets), s.n)
+    for row, B in zip(got, sets):
+        assert row.tobytes() == _profile_per_set(s, orbit, B).tobytes()
+    assert avoidance_profile(s, orbit, []).shape == (0, s.n)
+
+
 def test_bstar_forward_invariant(circle64, circle64_orbit):
     s, f, tr, g = circle64
     theta = s.points[:, 0]
@@ -357,7 +388,7 @@ def test_bstar_forward_invariant(circle64, circle64_orbit):
     Bb = complementary(s, tr, B, cells, flags)
     nn = nested_neighborhoods(s, tr, B, 0.5, list(np.geomspace(0.02, 0.125, 6)),
                               t_cap_steps=100)
-    prof = avoidance_profile(s, circle64_orbit, B)
+    prof = avoidance_profile(s, circle64_orbit, [B])[0]
     _, B_star, _ = find_eta0_and_bstar(s, B, Bb, nn["T_table"], 0.5, prof)
     img = np.unique(tr.image[B_star])
     d = s.dist_coords_to_subset(s.points[img], B_star)

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .chaingraph import (ChainGraph, ScrResult, build_chain_graph, compute_cr,
-                         compute_scr, min_return_cost, omega_budget)
+                         compute_scr, min_return_cost_all, omega_budget)
 from .flows import FlowModel, GridTransition, build_transition, flow_map, make_flow
 from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
                        discounted_integral, level_function, sup_along_orbit,
@@ -17,7 +17,7 @@ from .stablesets import (StablePair, build_strongly_stable, complementary,
 
 __all__ = [
     "ChainGraph", "ScrResult", "build_chain_graph", "compute_cr", "compute_scr",
-    "min_return_cost", "omega_budget",
+    "min_return_cost_all", "omega_budget",
     "FlowModel", "GridTransition", "build_transition", "flow_map", "make_flow",
     "CombinedLyapunov", "LyapunovField", "combine_pairs", "discounted_integral",
     "level_function", "sup_along_orbit", "verify_lyapunov",

@@ -124,6 +124,17 @@ class ScrResult:
             "warning_band": [int(i) for i in self.band],
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "ScrResult":
+        def inf(c):
+            return np.inf if c is None else c
+        return cls(
+            epsilon=obj["epsilon"], resolution=obj["resolution"],
+            cost_limit=inf(obj["cost_limit"]),
+            min_return_cost=np.array([inf(c) for c in obj["min_return_cost"]]),
+            members=np.asarray(obj["members"], dtype=np.int64),
+            band=np.asarray(obj["warning_band"], dtype=np.int64))
+
 
 # Rows of u per block: dist_coords_to_grid's own chunk, so _euclid sees the
 # same blocks as on a whole image array and the weights come out the same.
@@ -197,18 +208,6 @@ def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
         n=n, T=T, m_max=int(m.max()) if rows else 1,
         prune_radius=prune_radius, resolution=resolution,
         edge_u=u[first], edge_v=v[first], edge_m=m[first], edge_w=w[first])
-
-
-def min_return_cost(g: ChainGraph, u: int) -> float:
-    """Cheapest total weight of a cycle through u with at least one edge."""
-    if not 0 <= u < g.n:
-        raise IndexError(f"node {u} out of range")
-    csr = g.csr()
-    back = dijkstra(csr.T, directed=True, indices=[u])[0]  # sp(v -> u)
-    row = slice(csr.indptr[u], csr.indptr[u + 1])
-    if row.start == row.stop:
-        return np.inf
-    return float(np.min(g.edge_w[row] + back[g.edge_v[row]]))
 
 
 # Dijkstra sources per all_pairs call of min_return_cost_all: it holds

@@ -1,10 +1,12 @@
 """Pipeline orchestration and the ``scrl`` command line tool.
 
-Subcommands map to pipeline stages.  ``analyze`` runs everything; the
-stage subcommands (``scr``, ``cr``, ``pairs``, ``lyapunov``, ``verify``,
-``compare``) re-run one stage against cached artifacts in the output
-directory, and ``oracle-check`` diffs the fast shortest-path machinery
-against brute-force references.  All outputs are deterministic: repeated
+Each subcommand is a list of pipeline stages (``COMMANDS``), all run by
+``run_pipeline``: ``analyze`` runs every stage, ``compare`` runs scr and
+cr and checks SCR within CR, and each other stage subcommand (``scr``,
+``cr``, ``pairs``, ``lyapunov``, ``verify``) runs its one stage against
+the cached artifacts of the earlier ones in the output directory.
+``oracle-check`` diffs the fast shortest-path machinery against
+brute-force references.  All outputs are deterministic: repeated
 runs with the same configuration produce byte-identical files.
 
 Exit codes: 0 success, 1 configuration or missing-cache error, 2 crash,
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chaingraph import (ChainGraph, build_chain_graph, compute_cr, compute_scr,
+from .chaingraph import (ChainGraph, ScrResult, build_chain_graph, compute_cr, compute_scr,
                          export_graph_csv, graph_from_edges, min_return_cost_all,
                          omega_budget)
 from .flows import FlowModel, GridTransition, build_transition, load_sampled_transition, make_flow
@@ -220,33 +222,89 @@ def verify_passed(report: dict) -> bool:
     return not report["monotonicity_violations"] and report["strict_pass_fraction"] >= 0.99
 
 
-def run_pipeline(cfg: RunConfig, out: Path | None = None, export_graph: bool = False):
-    """Full pipeline; returns (exit_code, result dict). Writes artifacts if out given."""
-    bundle = build_bundle(cfg)
-    scr_results = stage_scr(bundle, [cfg.epsilon])
-    scr = scr_results[0]
-    cr_members = stage_cr(bundle, [cfg.epsilon])[cfg.epsilon]
-    catalog = stage_pairs(bundle, scr)
-    fields, combined = stage_lyapunov(bundle, catalog)
-    report = stage_verify(bundle, catalog, fields, scr)
-    ok = verify_passed(report)
+# Stages of each subcommand, in the order they run.
+COMMANDS = {
+    "analyze": ("scr", "cr", "pairs", "lyapunov", "verify"),
+    "compare": ("scr", "cr", "compare"),
+    **{stage: (stage,) for stage in ("scr", "cr", "pairs", "lyapunov", "verify")},
+}
 
-    if out is not None:
+
+def run_pipeline(cfg: RunConfig, out: Path, stages, epsilons: list[float] | None = None):
+    """Run ``stages`` in order; returns (exit_code, results by name).
+
+    Each stage writes its artifact to ``out`` when it finishes and prints
+    one line.  Its inputs come from the earlier stages of this run, or else
+    from their cached artifacts in ``out``.  scr and cr run at each of
+    ``epsilons`` (default: ``cfg.epsilon``, which must be the smallest).
+    """
+    bundle = build_bundle(cfg)
+    if stages[0] in ("scr", "cr"):           # a run from the start of the chain
         out.mkdir(parents=True, exist_ok=True)
         write_metadata(out, bundle)
-        write_json(out / "scr.json", {"results": [r.to_json() for r in scr_results]})
-        write_json(out / "cr.json", {"results": [{
-            "epsilon": cfg.epsilon, "members": [int(i) for i in cr_members]}]})
-        write_json(out / "pairs.json", catalog.to_json())
-        for rank, fld in enumerate(fields):
-            write_field_csv(out / f"lyapunov_pair_{rank}.csv", bundle.space, fld)
-        write_combined_csv(out / "lyapunov_combined.csv", bundle.space, combined)
-        write_json(out / "verify_report.json", report)
-        if export_graph:
-            export_graph_csv(bundle.graph, out / "graph.csv")
-    result = {"bundle": bundle, "scr": scr, "cr": cr_members, "catalog": catalog,
-              "fields": fields, "combined": combined, "report": report}
-    return (0 if ok else 3), result
+    res = {"bundle": bundle}
+    epsilons = epsilons or [cfg.epsilon]
+    passed = True
+    for stage in stages:
+        if stage == "scr":
+            results = stage_scr(bundle, epsilons)
+            res["scr"] = results[0]
+            write_json(out / "scr.json", {"results": [r.to_json() for r in results]})
+            sizes = {r.epsilon: len(r.members) for r in results}
+            print("scr members per epsilon:", json.dumps(_plain(sizes), sort_keys=True))
+        elif stage == "cr":
+            crs = res["cr"] = stage_cr(bundle, epsilons)
+            write_json(out / "cr.json", {"results": [
+                {"epsilon": e, "members": [int(i) for i in m]} for e, m in crs.items()]})
+            print("cr members per epsilon:", json.dumps({repr(e): len(m) for e, m in crs.items()}))
+        elif stage == "compare":           # after scr and cr
+            inclusion = all(set(r.members.tolist()) <= set(res["cr"][r.epsilon].tolist())
+                            for r in results)
+            write_json(out / "compare.json", {"scr_subset_of_cr": inclusion})
+            print("scr subset of cr:", inclusion)
+            passed &= inclusion
+        elif stage == "pairs":
+            catalog = res["catalog"] = stage_pairs(bundle, _earlier(res, "scr", out))
+            write_json(out / "pairs.json", catalog.to_json())
+            print(f"pairs: {len(catalog.pairs)} unique, {len(catalog.selected)} selected, "
+                  f"residual {len(catalog.residual)}")
+        elif stage == "lyapunov":
+            res["fields"], res["combined"] = stage_lyapunov(
+                bundle, _earlier(res, "catalog", out))
+            for rank, fld in enumerate(res["fields"]):
+                write_field_csv(out / f"lyapunov_pair_{rank}.csv", bundle.space, fld)
+            write_combined_csv(out / "lyapunov_combined.csv", bundle.space, res["combined"])
+            print(f"lyapunov fields written for {len(res['fields'])} pairs")
+        elif stage == "verify":
+            catalog = _earlier(res, "catalog", out)
+            scr = _earlier(res, "scr", out)
+            if "fields" not in res:            # recomputed, not read back from the CSVs
+                res["fields"] = stage_lyapunov(bundle, catalog)[0]
+            report = res["report"] = stage_verify(bundle, catalog, res["fields"], scr)
+            write_json(out / "verify_report.json", report)
+            print(f"monotonicity violations: {len(report['monotonicity_violations'])}  "
+                  f"strict pass fraction: {report['strict_pass_fraction']:.4f}")
+            passed &= verify_passed(report)
+    return (0 if passed else 3), res
+
+
+def _earlier(res: dict, name: str, out: Path):
+    """Input ``name`` ("scr" or "catalog") from an earlier stage of this
+    run, or else from its cached artifact in ``out``."""
+    if name not in res:
+        artifact, stage = ("scr.json", "scr") if name == "scr" else ("pairs.json", "pairs")
+        if not (out / artifact).exists():
+            raise MissingCache(artifact, stage)
+        cache = json.loads((out / artifact).read_text())
+        if name == "catalog":
+            res[name] = PairCatalog.from_json(cache)
+        else:
+            epsilon = res["bundle"].cfg.epsilon
+            hits = [r for r in cache["results"] if abs(r["epsilon"] - epsilon) < 1e-12]
+            if not hits:
+                raise MissingCache(f"scr.json entry for epsilon {epsilon}", "scr")
+            res[name] = ScrResult.from_json(hits[0])
+    return res[name]
 
 
 # -- serialization --------------------------------------------------------
@@ -304,20 +362,12 @@ def write_field_csv(path: Path, space: GridSpace, fld: LyapunovField) -> None:
 
 def write_combined_csv(path: Path, space: GridSpace, combined: CombinedLyapunov) -> None:
     H = combined.H_values
-    if H.size == 0:
-        H = np.zeros(space.n)
     with open(path, "w") as fh:
         fh.write("point_index,x,y,H\n")
         for i in range(space.n):
             x = float(space.points[i, 0])
             y = float(space.points[i, 1]) if space.dim > 1 else 0.0
             fh.write(f"{i},{x!r},{y!r},{float(H[i])!r}\n")
-
-
-def read_json(path: Path):
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
 
 
 # -- oracle check ----------------------------------------------------------
@@ -337,7 +387,7 @@ def floyd_warshall_reference(n: int, edges) -> np.ndarray:
 
 
 def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dict:
-    """Diff min_return_cost and omega_budget against the reference matrix.
+    """Diff min_return_cost_all and omega_budget against the reference matrix.
 
     Random weights are dyadic (multiples of 2^-20) so both computations
     are exact in floating point and must agree bit for bit.  Besides the
@@ -353,29 +403,27 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
         density = rng.uniform(0.05, 0.4)
         trials.append(_dyadic_trial(rng, n, max(1, int(n * n * density))))
     trials.append(_dyadic_trial(rng, 300, 1200))
+    grid = {}
+    for system in ("circle", "square") if grid_checks else ():
+        g = build_bundle(RunConfig(system=system, grid_n=16, epsilon=0.1)).graph
+        q = np.round(g.edge_w * 2 ** 30) / 2 ** 30
+        gq, _, mrc_ref = return_cost_reference(g.n, g.edge_u, g.edge_v, q,
+                                               resolution=g.resolution)
+        grid[f"grid_{system}_exact"] = np.array_equal(min_return_cost_all(gq), mrc_ref)
     mismatches = sum(not (exact and limited) for exact, limited in trials)
-    report = {"trials": seeds, "mismatches": mismatches, "wide_graph_exact": trials[-1][0],
-              "limited_return_costs_exact": all(limited for _, limited in trials)}
-    if grid_checks:
-        for system in ("circle", "square"):
-            cfg = RunConfig(system=system, grid_n=16, epsilon=0.1)
-            bundle = build_bundle(cfg)
-            g = bundle.graph
-            q = np.round(g.edge_w * 2 ** 30) / 2 ** 30
-            gq = graph_from_edges(
-                g.n, list(zip(g.edge_u.tolist(), g.edge_v.tolist(), q.tolist())),
-                resolution=g.resolution)
-            ref = floyd_warshall_reference(
-                g.n, list(zip(g.edge_u.tolist(), g.edge_v.tolist(), q.tolist())))
-            mrc_ref = np.full(g.n, np.inf)
-            for uu, vv, ww in zip(g.edge_u, g.edge_v, q):
-                mrc_ref[uu] = min(mrc_ref[uu], ww + ref[vv, uu])
-            agree = np.array_equal(min_return_cost_all(gq), mrc_ref)
-            report[f"grid_{system}_exact"] = bool(agree)
-            if not agree:
-                mismatches += 1
-    report["mismatches"] = mismatches
-    return report
+    return {"trials": seeds, "mismatches": mismatches + sum(not ok for ok in grid.values()),
+            "wide_graph_exact": trials[-1][0],
+            "limited_return_costs_exact": all(limited for _, limited in trials), **grid}
+
+
+def return_cost_reference(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, **kwargs):
+    """The graph of edges (u, v, w), their reference matrix D, and the
+    brute-force return costs: the least w + D[v, u] over the out-edges of u."""
+    edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
+    ref = floyd_warshall_reference(n, edges)
+    mrc_ref = np.full(n, np.inf)
+    np.minimum.at(mrc_ref, u, w + ref[v, u])
+    return graph_from_edges(n, edges, **kwargs), ref, mrc_ref
 
 
 def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool]:
@@ -385,11 +433,7 @@ def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool]:
     u = rng.integers(0, n, n_edges)
     v = rng.integers(0, n, n_edges)
     w = rng.integers(1, 2 ** 20, n_edges) / 2.0 ** 20
-    edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
-    g = graph_from_edges(n, edges)
-    ref = floyd_warshall_reference(n, edges)
-    mrc_ref = np.full(n, np.inf)
-    np.minimum.at(mrc_ref, u, w + ref[v, u])
+    g, ref, mrc_ref = return_cost_reference(n, u, v, w)
     costs = np.unique(mrc_ref[np.isfinite(mrc_ref)])
     limits = costs[[costs.size // 8, costs.size // 2]] if costs.size else []
     limited = all(np.array_equal(min_return_cost_all(g, float(c)),
@@ -399,9 +443,8 @@ def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool]:
     eps = float(rng.uniform(0.1, 2.0))
     Y = sorted(set(rng.integers(0, n, 3).tolist()))
     seed_cost = np.full(n, np.inf)
-    for uu, vv, ww in edges:
-        if uu in Y:
-            seed_cost[vv] = min(seed_cost[vv], ww)
+    out_of_Y = np.isin(u, Y)
+    np.minimum.at(seed_cost, v[out_of_Y], w[out_of_Y])
     reach_ref = (seed_cost[:, None] + ref).min(axis=0)
     return np.array_equal(omega_budget(g, Y, eps), np.nonzero(reach_ref < eps)[0]), limited
 
@@ -480,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="scrl",
         description="Strong chain recurrence and Lyapunov synthesis on sampled flows")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "scr", "cr", "compare", "pairs", "lyapunov", "verify"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "analyze":
@@ -503,108 +546,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
+    out = Path(args.out)
     if args.command == "oracle-check":
         report = oracle_check(args.seeds, args.rng_seed)
         print(json.dumps(_plain(report), sort_keys=True))
         if args.out:
-            write_json(Path(args.out) / "oracle_report.json", report)
+            out.mkdir(parents=True, exist_ok=True)
+            write_json(out / "oracle_report.json", report)
         return 0 if report["mismatches"] == 0 else 3
 
     cfg, epsilons = config_from_args(args)
-    out = Path(args.out)
-
-    if args.command == "analyze":
-        code, result = run_pipeline(cfg, out, export_graph=args.export_graph)
-        rep = result["report"]
-        print(f"scr members: {len(result['scr'].members)}  pairs: "
-              f"{len(result['catalog'].selected)} selected of {len(result['catalog'].pairs)}  "
-              f"residual: {len(result['catalog'].residual)}")
-        print(f"monotonicity violations: {len(rep['monotonicity_violations'])}  "
-              f"strict pass fraction: {rep['strict_pass_fraction']:.4f}")
-        return code
-
-    if args.command in ("scr", "cr", "compare"):
-        bundle = build_bundle(cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        write_metadata(out, bundle)
-        code = 0
-        if args.command in ("scr", "compare"):
-            results = stage_scr(bundle, epsilons)
-            write_json(out / "scr.json", {"results": [r.to_json() for r in results]})
-            sizes = {r.epsilon: len(r.members) for r in results}
-            print("scr members per epsilon:", json.dumps(_plain(sizes), sort_keys=True))
-        if args.command in ("cr", "compare"):
-            crs = stage_cr(bundle, epsilons)
-            write_json(out / "cr.json", {"results": [
-                {"epsilon": e, "members": [int(i) for i in m]} for e, m in sorted(crs.items())]})
-            print("cr members per epsilon:",
-                  json.dumps({repr(e): len(m) for e, m in sorted(crs.items())}))
-        if args.command == "compare":
-            inclusion = all(
-                set(int(i) for i in r.members) <= set(int(i) for i in crs[r.epsilon])
-                for r in results)
-            write_json(out / "compare.json", {"scr_subset_of_cr": inclusion})
-            print("scr subset of cr:", inclusion)
-            code = 0 if inclusion else 3
-        return code
-
-    if args.command == "pairs":
-        bundle = build_bundle(cfg)
-        scr_cache = read_json(out / "scr.json")
-        if scr_cache is None:
-            raise MissingCache("scr.json", "scr")
-        scr = _scr_from_cache(scr_cache, cfg.epsilon, bundle)
-        catalog = stage_pairs(bundle, scr)
-        write_json(out / "pairs.json", catalog.to_json())
-        print(f"pairs: {len(catalog.pairs)} unique, {len(catalog.selected)} selected, "
-              f"residual {len(catalog.residual)}")
-        return 0
-
-    if args.command == "lyapunov":
-        bundle = build_bundle(cfg)
-        pairs_cache = read_json(out / "pairs.json")
-        if pairs_cache is None:
-            raise MissingCache("pairs.json", "pairs")
-        catalog = PairCatalog.from_json(pairs_cache)
-        fields, combined = stage_lyapunov(bundle, catalog)
-        for rank, fld in enumerate(fields):
-            write_field_csv(out / f"lyapunov_pair_{rank}.csv", bundle.space, fld)
-        write_combined_csv(out / "lyapunov_combined.csv", bundle.space, combined)
-        print(f"lyapunov fields written for {len(fields)} pairs")
-        return 0
-
-    if args.command == "verify":
-        bundle = build_bundle(cfg)
-        pairs_cache = read_json(out / "pairs.json")
-        if pairs_cache is None:
-            raise MissingCache("pairs.json", "pairs")
-        scr_cache = read_json(out / "scr.json")
-        if scr_cache is None:
-            raise MissingCache("scr.json", "scr")
-        catalog = PairCatalog.from_json(pairs_cache)
-        scr = _scr_from_cache(scr_cache, cfg.epsilon, bundle)
-        fields, _ = stage_lyapunov(bundle, catalog)
-        report = stage_verify(bundle, catalog, fields, scr)
-        write_json(out / "verify_report.json", report)
-        print(f"monotonicity violations: {len(report['monotonicity_violations'])}  "
-              f"strict pass fraction: {report['strict_pass_fraction']:.4f}")
-        return 0 if verify_passed(report) else 3
-
-    raise ConfigError(f"unhandled command {args.command}")
-
-
-def _scr_from_cache(cache: dict, epsilon: float, bundle: RunBundle):
-    from .chaingraph import ScrResult
-    for r in cache["results"]:
-        if abs(r["epsilon"] - epsilon) < 1e-12:
-            cost = np.array([np.inf if c is None else c for c in r["min_return_cost"]])
-            return ScrResult(
-                epsilon=epsilon, min_return_cost=cost,
-                members=np.asarray(r["members"], dtype=np.int64),
-                band=np.asarray(r["warning_band"], dtype=np.int64),
-                resolution=r["resolution"],
-                cost_limit=np.inf if r["cost_limit"] is None else r["cost_limit"])
-    raise MissingCache(f"scr.json entry for epsilon {epsilon}", "scr")
+    # analyze's later stages read the scr of cfg.epsilon, so it sweeps no budget
+    code, result = run_pipeline(cfg, out, COMMANDS[args.command],
+                                [cfg.epsilon] if args.command == "analyze" else epsilons)
+    if getattr(args, "export_graph", False):
+        export_graph_csv(result["bundle"].graph, out / "graph.csv")
+    return code
 
 
 if __name__ == "__main__":

@@ -74,10 +74,6 @@ class FlowModel:
             return _roof_flow(pts, t)
         raise ValueError(f"flow kind {self.kind!r} has no continuous evaluator")
 
-    @property
-    def has_evaluator(self) -> bool:
-        return self.kind != "custom-sampled"
-
     def describe(self) -> dict:
         """Speed-profile metadata recorded with every run."""
         base = {"kind": self.kind, "domain": self.domain, "params": dict(self.params)}

@@ -30,8 +30,6 @@ class OrbitData:
     T: float
     times: np.ndarray = field(repr=False)            # (J,)
     coords: np.ndarray = field(repr=False)           # (J, n, dim)
-    fine_step: float = 0.0
-    fine_until: float = 0.0
     t_cells: np.ndarray = field(repr=False, default=None)   # (steps+1, n) int
     t_rows: np.ndarray = field(repr=False, default=None)    # (steps+1,) lattice rows
     t_steps: int = 0
@@ -42,11 +40,6 @@ class OrbitData:
         if j >= self.times.size or abs(self.times[j] - t) > 1e-9:
             raise ValueError(f"time {t} is not on the orbit lattice")
         return j
-
-    def shifted_rows(self, shift_t: float) -> np.ndarray:
-        """Row indices mapping each fine-window row j to time times[j] + shift_t."""
-        fine_rows = np.nonzero(self.times <= self.fine_until - shift_t + 1e-9)[0]
-        return np.array([self.index_at(self.times[j] + shift_t) for j in fine_rows])
 
 
 def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
@@ -77,6 +70,5 @@ def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
     t_cells[0] = np.arange(n)
     for i in range(1, t_steps + 1):
         t_cells[i] = space.nearest(coords[t_rows[i]])
-    return OrbitData(T=T, times=times, coords=coords, fine_step=fine,
-                     fine_until=float(fine_horizon), t_cells=t_cells,
+    return OrbitData(T=T, times=times, coords=coords, t_cells=t_cells,
                      t_rows=t_rows, t_steps=t_steps)

@@ -265,15 +265,6 @@ class GridSpace:
         d = self.dist_coords_to_subset(self.points, ids)
         return np.nonzero(d <= radius + 1e-12)[0]
 
-    def contains(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.domain == CIRCLE:
-            return np.ones(pts.shape[0], dtype=bool)
-        ok = (pts[:, 0] >= -tol) & (pts[:, 0] <= 1 + tol)
-        if self.domain == UNIT_SQUARE:
-            return ok & (pts[:, 1] >= -tol) & (pts[:, 1] <= 1 + tol)
-        return ok & (pts[:, 1] >= -tol) & (pts[:, 1] <= roof_height(pts[:, 0]) + tol)
-
     def _check_id(self, p: PointId) -> None:
         if not 0 <= p < self.n:
             raise IndexError(f"point id {p} out of range [0, {self.n})")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from scrl.chaingraph import graph_from_edges, min_return_cost_all, omega_budget
-from scrl.cli import (RunConfig, build_bundle, floyd_warshall_reference, run_pipeline,
-                      stage_cr, stage_scr)
+from scrl.cli import (COMMANDS, RunConfig, build_bundle, floyd_warshall_reference,
+                      run_pipeline, stage_cr, stage_scr)
 from scrl.lyapunov import sup_along_orbit
 from scrl.space import build_grid
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
@@ -30,22 +30,24 @@ def _report(name, detail):
     print(f"\n[acceptance] {name}: PASS  ({detail})")
 
 
-@pytest.fixture(scope="session")
-def circle_run():
-    code, result = run_pipeline(RunConfig(system="circle"))
-    return code, result
+def _analyze(system, tmp_path_factory):
+    out = tmp_path_factory.mktemp(system)
+    return run_pipeline(RunConfig(system=system), out, COMMANDS["analyze"])
 
 
 @pytest.fixture(scope="session")
-def square_run():
-    code, result = run_pipeline(RunConfig(system="square"))
-    return code, result
+def circle_run(tmp_path_factory):
+    return _analyze("circle", tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
-def roof_run():
-    code, result = run_pipeline(RunConfig(system="roof"))
-    return code, result
+def square_run(tmp_path_factory):
+    return _analyze("square", tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def roof_run(tmp_path_factory):
+    return _analyze("roof", tmp_path_factory)
 
 
 def _run_of(name, circle_run, square_run, roof_run):

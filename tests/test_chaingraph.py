@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr, cycle_edges,
                              export_graph_csv, graph_from_edges, import_graph_csv,
-                             min_return_cost, min_return_cost_all, omega_budget)
+                             min_return_cost_all, omega_budget)
 from scrl.flows import build_transition, make_flow
 from scrl.space import build_grid
 
@@ -39,14 +39,14 @@ SYNTH = [(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3), (2, 3, 0.05), (3, 2, 0.05)]
 def test_min_return_cost_synthetic():
     g = graph_from_edges(4, SYNTH)
     # frozen values, cross-checked against the brute-force reference below
-    assert min_return_cost(g, 0) == pytest.approx(0.6)
-    assert min_return_cost(g, 3) == pytest.approx(0.1)
+    assert min_return_cost_all(g)[0] == pytest.approx(0.6)
+    assert min_return_cost_all(g)[3] == pytest.approx(0.1)
     assert np.allclose(min_return_cost_all(g), min_return_cost_oracle(4, SYNTH))
 
 
 def test_no_cycle_is_unreachable():
     g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
-    assert np.isinf(min_return_cost(g, 0))
+    assert np.isinf(min_return_cost_all(g)[0])
 
 
 def test_negative_weight_rejected():
@@ -200,8 +200,6 @@ def test_guards():
         compute_cr(g, -1.0)
     with pytest.raises(ValueError):
         omega_budget(g, [], 0.1)
-    with pytest.raises(IndexError):
-        min_return_cost(g, 99)
 
 
 def test_scr_warns_near_noise_floor(identity_circle8):

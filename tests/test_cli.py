@@ -73,7 +73,9 @@ def test_stagewise_matches_analyze(tmp_path):
 
     direct = tmp_path / "direct"
     assert run(["analyze", *args, "--out", str(direct)]) == 0
-    for name in ("scr.json", "pairs.json", "lyapunov_combined.csv", "verify_report.json"):
+    written = sorted(path.name for path in staged.iterdir())
+    assert {"metadata.json", "lyapunov_pair_0.csv", "verify_report.json"} <= set(written)
+    for name in written:
         assert (staged / name).read_bytes() == (direct / name).read_bytes(), name
 
 
@@ -186,9 +188,10 @@ def test_internal_value_error_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_oracle_check_clean(tmp_path, capsys):
-    code = run(["oracle-check", "--seeds", "8", "--out", str(tmp_path)])
+    out = tmp_path / "new"             # created by the run
+    code = run(["oracle-check", "--seeds", "8", "--out", str(out)])
     assert code == 0
-    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    report = json.loads((out / "oracle_report.json").read_text())
     assert report["mismatches"] == 0
     assert report["grid_circle_exact"] and report["grid_square_exact"]
     assert report["wide_graph_exact"] and report["limited_return_costs_exact"]

@@ -345,7 +345,6 @@ def test_sampled_flow_round_trip(tmp_path):
                 fh.write(f"{u},{m},{tr.images[m - 1, u]}\n")
     flow2, tr2 = load_sampled_transition(path, s, 1.0, 2)
     assert flow2.kind == "custom-sampled"
-    assert not flow2.has_evaluator
     assert np.array_equal(tr2.images, tr.images)
     assert tr2.exact_images is None
 

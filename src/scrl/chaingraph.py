@@ -16,6 +16,16 @@ satisfies w + D[y, x] <= limit, so it is kept, and the shortest paths
 that close those cycles are all still there: the costs within the limit
 are exact, bit for bit.  Reachability and classical chain recurrence keep
 the full graph.
+
+Each Dijkstra source of the return costs then runs only as deep as a
+cycle it closes could beat one its target already has.  cap(u), the
+least of the limit, u's self-loop and its 2-cycles, bounds u's cost from
+above, since the search finds D[u, u] = 0 and D[v, u] <= w(v, u).  The
+edge attaining u's cost has w + LB <= w + D[v, u] <= cap(u), so only
+edges with w + LB <= cap(u) + 1e-9 are read, and a source v is searched
+to the largest cap(u) - w over those edges into it (plus the same
+slack).  Distances within a search limit are exact, so the costs stay
+bit for bit the same; without a limit the rule runs with LB = 0.
 """
 
 from __future__ import annotations
@@ -212,7 +222,7 @@ def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
 
 # Dijkstra sources per all_pairs call of min_return_cost_all: it holds
 # (_SOURCE_CHUNK, n) distances at a time rather than an n x n matrix.
-_SOURCE_CHUNK = 256
+_SOURCE_CHUNK = 64
 # Landmarks of the cycle-edge lower bounds, how far their searches reach
 # (a multiple of the cost limit), and the edges per block of the bound.
 _LANDMARKS = 16
@@ -226,29 +236,63 @@ def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray
     A cycle through u leaves by an edge (u, v, w) and returns along a
     shortest path v -> u, so its least cost is the least w + D[v, u].
     Under a finite limit the search runs only on the edges that
-    ``cycle_edges`` keeps, which include every edge of every cycle within
-    the limit; the shortest paths of those cycles survive, so every cost
-    within the limit comes out bit for bit as on the full graph.  The
-    rows D[v, .] are computed _SOURCE_CHUNK sources at a time, each read
-    only by the kept edges into its sources.  Results are cached per limit.
+    ``cycle_edges`` keeps, with their landmark bounds LB <= D[v, u];
+    without one, on every edge with LB = 0.  Each source v is searched
+    only as deep as a cycle through v could still beat one its tail
+    already has:
+
+    * cap(u) is the least of the limit, the self-loop weight w(u, u) and
+      every 2-cycle cost w(u, v) + w(v, u).  The search below finds
+      D[u, u] = 0 and D[v, u] <= w(v, u), so u's cost is at most cap(u)
+      whenever it is within the limit.
+    * An edge (u, v, w) is useful iff w + LB <= cap(u) + 1e-9.  The edge
+      attaining u's cost has w + D[v, u] <= cap(u) and LB <= D[v, u], so
+      it is useful.
+    * need(v) is the largest cap(u) - w over the useful edges into v; a
+      source with no useful in-edge is not searched.
+
+    Sources run in increasing need, _SOURCE_CHUNK at a time, each chunk
+    to min(limit, its largest need + 1e-9); the slack absorbs rounding
+    and the 1e-300 that stands for a zero weight.  A distance within a
+    search limit is exact, so every cost within the limit comes out bit
+    for bit as on the full graph.  Results are cached per limit.
     """
     want = np.inf if limit is None else float(limit)
     if want not in g._costs:
         if np.isfinite(want):
-            e = cycle_edges(g, want)
+            e, lb = _cycle_bounds(g, want)
             u, v, w = g.edge_u[e], g.edge_v[e], g.edge_w[e]
             adj = _adjacency(g.n, u, v, w)
         else:
             u, v, w, adj = g.edge_u, g.edge_v, g.edge_w, g.csr()
+            lb = 0.0
+        cap = np.full(g.n, want)
+        loop = u == v
+        np.minimum.at(cap, u[loop], w[loop])
+        key, rev = u * g.n + v, v * g.n + u                 # key ascends: (u, v) order
+        back = np.searchsorted(key, rev)        # the reverse edge, if kept; a loop finds itself
+        two = np.flatnonzero(back < key.size)
+        two = two[key[back[two]] == rev[two]]
+        np.minimum.at(cap, u[two], w[two] + w[back[two]])
+        useful = w + lb <= cap[u] + 1e-9
+        u, v, w = u[useful], v[useful], w[useful]
+        need = np.full(g.n, -np.inf)
+        np.maximum.at(need, v, cap[u] - w)
+        sources = np.flatnonzero(need > -np.inf)
+        sources = sources[np.argsort(need[sources], kind="stable")]
+        rank = np.full(g.n, -1, dtype=np.int64)             # -1: v is not searched
+        rank[sources] = np.arange(sources.size)
+        row = rank[v]                                       # v's place in the search order
+        into = np.argsort(row, kind="stable")               # edges grouped by that place
+        lows = range(0, sources.size, _SOURCE_CHUNK)
+        cuts = np.searchsorted(row, [*lows, sources.size], sorter=into)
         out = np.full(g.n, np.inf)
-        into = np.argsort(v, kind="stable")                 # edges grouped by v
-        lows = range(0, g.n, _SOURCE_CHUNK)
-        cuts = np.searchsorted(v, [*lows, g.n], sorter=into)
         for k, lo in enumerate(lows):
-            sources = np.arange(lo, min(lo + _SOURCE_CHUNK, g.n))
-            dist = g.all_pairs(want, sources=sources, adjacency=adj)
+            chunk = sources[lo:lo + _SOURCE_CHUNK]
+            reach = min(want, need[chunk[-1]] + 1e-9)
+            dist = g.all_pairs(reach, sources=chunk, adjacency=adj)
             i = into[cuts[k]:cuts[k + 1]]
-            np.minimum.at(out, u[i], w[i] + dist[v[i] - lo, u[i]])
+            np.minimum.at(out, u[i], w[i] + dist[row[i] - lo, u[i]])
         out[out > want] = np.inf
         g._costs[want] = out
     return g._costs[want].copy()
@@ -269,15 +313,20 @@ def cycle_edges(g: ChainGraph, limit: float) -> np.ndarray:
     w + LB <= limit + 1e-9, the slack absorbing the rounding of the
     distances.
     """
+    return _cycle_bounds(g, limit)[0]
+
+
+def _cycle_bounds(g: ChainGraph, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """``cycle_edges`` and the landmark bound LB of each kept edge."""
     lam = min(_LANDMARK_REACH * float(limit), np.finfo(float).max)
     within = np.flatnonzero(g.edge_w <= limit)
     if within.size == 0:
-        return within
+        return within, np.empty(0)
     adj = g.csr(limit)
     marks = np.unique(np.arange(_LANDMARKS) * g.n // _LANDMARKS)
     fwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj), lam)   # D[L, x]
     bwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj.T.tocsr()), lam)  # D[x, L]
-    keep = np.empty(within.size, dtype=bool)
+    kept, bounds = [], []
     for lo in range(0, within.size, _BOUND_BLOCK):
         e = within[lo:lo + _BOUND_BLOCK]
         x, y = g.edge_u[e], g.edge_v[e]
@@ -285,8 +334,10 @@ def cycle_edges(g: ChainGraph, limit: float) -> np.ndarray:
         for f, b in zip(fwd, bwd):        # one landmark row at a time, no (k, E) array
             np.maximum(bound, f[x] - f[y], out=bound)
             np.maximum(bound, b[y] - b[x], out=bound)
-        keep[lo:lo + _BOUND_BLOCK] = g.edge_w[e] + bound <= limit + 1e-9
-    return within[keep]
+        keep = g.edge_w[e] + bound <= limit + 1e-9
+        kept.append(e[keep])
+        bounds.append(bound[keep])
+    return _join(kept), _join(bounds)
 
 
 def compute_scr(g: ChainGraph, epsilon: float, cost_limit: float | None = None) -> ScrResult:

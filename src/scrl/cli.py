@@ -141,8 +141,7 @@ class RunBundle:
 
 def default_prune_radius(cfg: RunConfig, space: GridSpace) -> float:
     """Sparse by default, but never below the largest requested budget."""
-    eps_max = cfg.epsilon_max or cfg.epsilon
-    return max(10 * space.resolution, 1.25 * eps_max)
+    return max(10 * space.resolution, 1.25 * max(cfg.epsilon, cfg.epsilon_max))
 
 
 def build_bundle(cfg: RunConfig) -> RunBundle:
@@ -170,8 +169,13 @@ def build_bundle(cfg: RunConfig) -> RunBundle:
 # -- stages --------------------------------------------------------------
 
 
+def scr_cost_limit(bundle: RunBundle, epsilons: list[float]) -> float:
+    """Return costs above this limit are reported as +inf."""
+    return max(epsilons) + 10 * bundle.space.resolution
+
+
 def stage_scr(bundle: RunBundle, epsilons: list[float]) -> list:
-    limit = max(epsilons) + 10 * bundle.space.resolution
+    limit = scr_cost_limit(bundle, epsilons)
     return [compute_scr(bundle.graph, e, cost_limit=limit) for e in sorted(epsilons)]
 
 
@@ -394,7 +398,9 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
     ``seeds`` small graphs, one sparse graph of 300 nodes spans more than
     one chunk of Dijkstra sources in min_return_cost_all.  Every graph's
     return costs are also checked under finite cost limits that some
-    cycles cost exactly.
+    cycles cost exactly, and the circle and square grid graphs under the
+    limit of the scr stage, where self-loops, 2-cycles and landmark
+    bounds set the search depths.
     """
     rng = np.random.default_rng(rng_seed)
     trials = []                         # (exact, exact under limits) per graph
@@ -405,11 +411,15 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
     trials.append(_dyadic_trial(rng, 300, 1200))
     grid = {}
     for system in ("circle", "square") if grid_checks else ():
-        g = build_bundle(RunConfig(system=system, grid_n=16, epsilon=0.1)).graph
+        bundle = build_bundle(RunConfig(system=system, grid_n=16, epsilon=0.1))
+        g = bundle.graph
         q = np.round(g.edge_w * 2 ** 30) / 2 ** 30
         gq, _, mrc_ref = return_cost_reference(g.n, g.edge_u, g.edge_v, q,
                                                resolution=g.resolution)
         grid[f"grid_{system}_exact"] = np.array_equal(min_return_cost_all(gq), mrc_ref)
+        limit = scr_cost_limit(bundle, [bundle.cfg.epsilon])
+        grid[f"grid_{system}_limited_exact"] = np.array_equal(
+            min_return_cost_all(gq, limit), np.where(mrc_ref <= limit, mrc_ref, np.inf))
     mismatches = sum(not (exact and limited) for exact, limited in trials)
     return {"trials": seeds, "mismatches": mismatches + sum(not ok for ok in grid.values()),
             "wide_graph_exact": trials[-1][0],
@@ -510,8 +520,10 @@ def config_from_args(args) -> tuple[RunConfig, list[float]]:
         raise ConfigError(f"config file {args.config}: expected a JSON object")
     check_config_types(merged)
     epsilons = [float(e) for e in args.epsilon or [merged.get("epsilon", RunConfig.epsilon)]]
-    # without --epsilon a sweep's file keeps its largest budget, and so its prune radius
-    eps_max = max(epsilons) if args.epsilon else max(epsilons + [merged.get("epsilon_max", 0.0)])
+    # without --epsilon a file's largest budget stands as written (0 = epsilon), and so
+    # does its prune radius
+    eps_max = (merged["epsilon_max"] if "epsilon_max" in merged and not args.epsilon
+               else max(epsilons))
     merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
     merged.update(epsilon=min(epsilons), epsilon_max=float(eps_max), output_dir=args.out)
     cfg = RunConfig(**{k: v for k, v in merged.items() if k in known})

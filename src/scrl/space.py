@@ -39,8 +39,14 @@ def roof_height(x):
 
 
 def circle_gap(a, b):
-    """Wrap-around distance between circle positions (unit circumference)."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    """Wrap-around distance between circle positions (unit circumference).
+
+    Each input is reduced mod 1 before the two broadcast against each
+    other, so a (k, 1) against (1, n) call takes k + n remainders, not
+    k * n.  On inputs in [0, 1) the reduction is exact and the result is
+    |a - b| or 1 - |a - b|, as with a remainder of the difference.
+    """
+    d = np.abs(np.asarray(a, dtype=float) % 1.0 - np.asarray(b, dtype=float) % 1.0)
     return np.minimum(d, 1.0 - d)
 
 
@@ -52,9 +58,15 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense (k, n) Euclidean distances via the square expansion (BLAS)."""
-    sq = (a ** 2).sum(1)[:, None] + (b ** 2).sum(1)[None, :] - 2.0 * (a @ b.T)
+def _euclid(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
+    """Dense (k, n) Euclidean distances via the square expansion (BLAS).
+
+    ``a_sq`` may hold the squared norms of ``a``, ``(a ** 2).sum(1)``, when
+    the caller reuses the same queries against several ``b``.
+    """
+    if a_sq is None:
+        a_sq = (a ** 2).sum(1)
+    sq = a_sq[:, None] + (b ** 2).sum(1)[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -202,12 +214,14 @@ class GridSpace:
     def dist_coords_to_subsets(self, pts: np.ndarray, id_sets) -> np.ndarray:
         """(len(id_sets), k) distances from query coords to each id set.
 
-        On the roof the seam entry costs of ``pts`` are computed once for
-        all the sets, and once per grid when ``pts`` is the grid itself.
+        The squared norms of ``pts`` are computed once for all the sets.
+        On the roof so are the seam entry costs of ``pts``, and once per
+        grid when ``pts`` is the grid itself.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.full((len(id_sets), pts.shape[0]), np.inf)
         entry = None
+        pts_sq = (pts ** 2).sum(1)
         for d, ids in zip(out, id_sets):
             ids = np.asarray(sorted(ids), dtype=int)
             if ids.size == 0:
@@ -215,7 +229,7 @@ class GridSpace:
             if self.domain == CIRCLE:
                 d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
                 continue
-            d[:] = _euclid(pts, self.points[ids]).min(axis=1)
+            d[:] = _euclid(pts, self.points[ids], pts_sq).min(axis=1)
             if self.domain == ROOF:
                 if entry is None:
                     entry = (self.grid_entry_costs if pts is self.points

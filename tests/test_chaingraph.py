@@ -369,7 +369,7 @@ def test_chunked_return_costs_match_dense_reduction(limit):
             assert 0 < np.isfinite(got).mean() < 1      # the limit cuts some cycles
 
 
-def test_return_costs_never_hold_more_than_256_rows(monkeypatch):
+def test_return_costs_never_hold_more_than_64_rows(monkeypatch):
     from scrl.chaingraph import ChainGraph
     rows = []
     original = ChainGraph.all_pairs
@@ -382,12 +382,13 @@ def test_return_costs_never_hold_more_than_256_rows(monkeypatch):
     monkeypatch.setattr(ChainGraph, "all_pairs", spy)
     g = _grid_graph("circle", "circle", 600)
     first = min_return_cost_all(g, 0.2)
-    # 16 landmarks forward and backward, then the source chunks
-    assert rows == [16, 16, 256, 256, 88]
-    assert max(rows) <= 256
+    # 16 landmarks forward and backward, then the chunks of the 599 sources
+    # that have a useful in-edge
+    assert rows == [16, 16, *[64] * 9, 23]
+    assert max(rows[2:]) <= 64
     # a second budget at the same limit reads the cached costs
     assert np.array_equal(min_return_cost_all(g, 0.2), first)
-    assert len(rows) == 5
+    assert len(rows) == 12
 
 
 def _edges_graph(n, u, v, w):
@@ -449,6 +450,33 @@ def _pruning_case(name):
             u, v = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
             graphs.append(_edges_graph(n, u, v, np.round(rng.uniform(0.001, 0.1, 4 * n), 3)))
         return graphs, [0.15, 0.3]
+    if name == "cheap-loops-and-2-cycles":
+        # caps below the limit: self-loops and 2-cycles on a random graph;
+        # and a graph of zero caps only, a zero-weight self-loop and a
+        # zero-weight 2-cycle whose return distance is stored as 1e-300
+        n = 80
+        u, v = rng.integers(0, n, 240), rng.integers(0, n, 240)
+        w = np.round(rng.uniform(0.01, 0.3, 240), 2)
+        a = rng.choice(n, 40, replace=False)
+        loops = (a[:20], a[:20], np.round(rng.uniform(0.0, 0.1, 20), 2))
+        twos = (np.r_[a[20:30], a[30:]], np.r_[a[30:], a[20:30]],
+                np.round(rng.uniform(0.0, 0.05, 20), 2))
+        g = _edges_graph(n, *(np.r_[x, y, z] for x, y, z in zip((u, v, w), loops, twos)))
+        zeros = _edges_graph(3, [0, 1, 2], [1, 0, 2], [0.0, 0.0, 0.0])
+        return [g, zeros], [0.25, 0.5, *_attained_limits(g)]
+    if name == "useful-at-cap-slack":
+        # 0 -> 1 with w + LB landing exactly on cap(0) + 1e-9: the loop at 0
+        # sets cap(0) = 0.25, and with every node a landmark LB(1 -> 0) is
+        # D[1, 0] = 0.125, so the edge is useful though its cycle is dearer
+        a = (0.25 + 1e-9) - 0.125
+        assert a + 0.125 == 0.25 + 1e-9
+        g = _edges_graph(3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1], [0.25, a, 0.125, 0.0625, 0.0625])
+        return g, [0.3, 0.5]
+    if name == "only-self-loop-useful":
+        # the loops set cap(0) = 0.01 and cap(1) = 0.02, below the edges
+        # between them, so each source is searched only to its own loop
+        g = _edges_graph(3, [0, 0, 1, 1, 2], [0, 1, 1, 0, 2], [0.01, 0.2, 0.02, 0.3, 0.0])
+        return g, [0.1, 0.6]
     if name == "reach-overflows":
         # 2 * limit is inf, so unclipped rows meet inf - inf
         n = 40
@@ -460,7 +488,8 @@ def _pruning_case(name):
 
 PRUNING_CASES = ["dyadic-exact-limit", "decimal-exact-limit", "disconnected",
                  "fewer-nodes-than-landmarks", "zero-weights-and-self-loops",
-                 "several-chunks", "reach-overflows"]
+                 "several-chunks", "reach-overflows", "cheap-loops-and-2-cycles",
+                 "useful-at-cap-slack", "only-self-loop-useful"]
 
 
 def _case_graphs(name):
@@ -472,7 +501,9 @@ def _case_graphs(name):
 @pytest.mark.parametrize("case", PRUNING_CASES)
 def test_pruned_return_costs_match_dense_reduction(case):
     finite = 0
-    for g, limit in _case_graphs(case):
+    pairs = _case_graphs(case)
+    unlimited = [(g, None) for g in {id(g): g for g, _ in pairs}.values()]
+    for g, limit in pairs + unlimited:
         got = min_return_cost_all(g, limit)
         want = _dense_return_costs(g, limit)
         assert np.array_equal(got, want), (g.n, limit)
@@ -508,15 +539,21 @@ def test_cycle_edges_keep_every_edge_within_the_limit(case):
             assert kept.size < 0.8 * np.count_nonzero(g.edge_w <= limit)
 
 
-def _keep_rule_reference(g, limit, landmarks=16):
-    """The documented keep rule with dense (landmarks, edges) arrays."""
+def _landmark_bounds_reference(g, limit, landmarks=16):
+    """The documented landmark bound of every edge, with dense
+    (landmarks, edges) arrays; a bound is never below 0."""
     lam = 2 * limit
     marks = np.unique(np.arange(landmarks) * g.n // landmarks)
     dist = np.minimum(_dense_distances(g, limit, lam), lam)   # clipped to lam
     x, y = g.edge_u, g.edge_v
     fwd = dist[marks][:, x] - dist[marks][:, y]        # D[L, x] - D[L, y]
     bwd = dist[y][:, marks] - dist[x][:, marks]        # D[y, L] - D[x, L]
-    bound = np.maximum(fwd.max(axis=0), bwd.max(axis=1))
+    return np.maximum(np.maximum(fwd.max(axis=0), bwd.max(axis=1)), 0.0)
+
+
+def _keep_rule_reference(g, limit, landmarks=16):
+    """The documented keep rule with dense (landmarks, edges) arrays."""
+    bound = _landmark_bounds_reference(g, limit, landmarks)
     return np.flatnonzero((g.edge_w <= limit) & (g.edge_w + bound <= limit + 1e-9))
 
 
@@ -534,6 +571,63 @@ def test_cycle_edges_follow_the_keep_rule():
         pairs += _case_graphs(case)
     for g, limit in pairs:
         assert np.array_equal(cycle_edges(g, limit), _keep_rule_reference(g, limit))
+
+
+def _depth_rule_reference(g, limit, chunk=64):
+    """(sources, reach) of each return-cost search under the documented
+    depth rule, edge by edge in plain Python."""
+    want = np.inf if limit is None else limit
+    if limit is None:
+        kept, bound = np.arange(g.n_edges), np.zeros(g.n_edges)
+    else:
+        kept, bound = _keep_rule_reference(g, limit), _landmark_bounds_reference(g, limit)
+    edges = [(int(g.edge_u[e]), int(g.edge_v[e]), g.edge_w[e], bound[e]) for e in kept]
+    weight = {(u, v): w for u, v, w, _ in edges}
+    cap = [want] * g.n
+    for u, v, w, _ in edges:
+        cycle = w if u == v else w + weight.get((v, u), np.inf)
+        cap[u] = min(cap[u], cycle)
+    need = {}
+    for u, v, w, lb in edges:
+        if w + lb <= cap[u] + 1e-9:
+            need[v] = max(need.get(v, -np.inf), cap[u] - w)
+    order = sorted(need, key=lambda v: (need[v], v))
+    return [(order[lo:lo + chunk], min(want, need[order[lo:lo + chunk][-1]] + 1e-9))
+            for lo in range(0, len(order), chunk)]
+
+
+@pytest.mark.parametrize("case", ["dyadic-exact-limit", "decimal-exact-limit", "disconnected",
+                                  "zero-weights-and-self-loops", "several-chunks",
+                                  "cheap-loops-and-2-cycles", "useful-at-cap-slack",
+                                  "only-self-loop-useful", "grids"])
+def test_return_cost_searches_follow_the_depth_rule(case, monkeypatch):
+    from scrl.chaingraph import ChainGraph
+    calls = []
+    original = ChainGraph.all_pairs
+
+    def spy(self, limit=None, sources=None, adjacency=None):
+        calls.append((np.asarray(sources).tolist(), limit))
+        return original(self, limit, sources=sources, adjacency=adjacency)
+
+    monkeypatch.setattr(ChainGraph, "all_pairs", spy)
+    if case == "grids":
+        pairs = [(_grid_graph("circle", "circle", 300), 0.1),
+                 (_grid_graph("unit-square", "square", 18), 0.1)]
+    else:
+        pairs = _case_graphs(case)
+    pairs += [(g, None) for g in {id(g): g for g, _ in pairs}.values()]
+    shallow = skipped = 0
+    for g, limit in {(id(g), limit): (g, limit) for g, limit in pairs}.values():
+        calls.clear()                     # once per limit: a repeat reads the cache
+        min_return_cost_all(g, limit)
+        landmarks = 2 if limit is not None and np.any(g.edge_w <= limit) else 0
+        want = _depth_rule_reference(g, limit)
+        assert calls[landmarks:] == want, (g.n, limit)
+        shallow += sum(reach < (np.inf if limit is None else limit) for _, reach in want)
+        skipped += g.n - sum(len(sources) for sources, _ in want)
+    assert shallow > 0 or skipped > 0      # the rule does cut searches
+    if case == "only-self-loop-useful":
+        assert _depth_rule_reference(*pairs[0]) == [([0, 1, 2], 1e-9)]
 
 
 def test_all_pairs_limit_matches_unpruned_search():

@@ -1,9 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scrl.cli import main
+from scrl.cli import COMMANDS, DOMAIN_OF, RunConfig, main, run_pipeline
 from scrl.flows import build_transition, make_flow
 from scrl.space import build_grid
 
@@ -118,6 +121,45 @@ def test_config_file_alone_reproduces_run(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+@st.composite
+def _run_configs(draw):
+    """Valid RunConfigs on small circle, square and identity grids."""
+    system = draw(st.sampled_from(["circle", "square", "identity"]))
+    grid_n = draw(st.integers(8, 10) if system == "square" else st.integers(8, 40))
+    res = build_grid(DOMAIN_OF[system], grid_n).resolution
+    unit = st.floats(0.0, 1.0)
+    epsilon = draw(st.floats(0.01, 0.3))
+    epsilon_max = draw(st.sampled_from([0.0, epsilon]) | st.floats(0.0, 0.5))
+    prune = draw(st.just(0.0) | st.floats(0.0, 0.2).map(
+        lambda x: max(3 * res, epsilon, epsilon_max) + x))
+    return RunConfig(
+        system=system, grid_n=grid_n,
+        grid_domain=draw(st.sampled_from(["", "circle", "unit-square", "roof"])),
+        epsilon=epsilon, epsilon_max=epsilon_max, prune_radius=prune,
+        T=draw(st.floats(0.1, 2.0)), m_max=draw(st.integers(1, 4)),
+        radii=draw(st.lists(st.floats(2 * res, 1.0), max_size=3)),
+        seed_stride=draw(st.integers(0, 5)),
+        neighborhood_scale=draw(st.just(0.0) | st.floats(0.1, 1.0)),
+        eta_count=draw(st.integers(1, 40)), eta_lo=draw(unit), eta_hi=draw(unit),
+        s_max=draw(st.floats(0.5, 30.0)), horizon_steps=draw(st.integers(1, 300)),
+        t_probe=draw(st.floats(0.1, 4.0)), margin=draw(st.just(0.0) | st.floats(1e-6, 0.1)),
+        rng_seed=draw(st.integers(0, 2 ** 31)), output_dir=draw(st.sampled_from(["", "x"])))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_run_configs())
+def test_metadata_config_round_trip(cfg):
+    # a config written to metadata.json and read back through --config
+    # reproduces both files byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second, cfg_file = Path(tmp, "first"), Path(tmp, "second"), Path(tmp, "cfg.json")
+        assert run_pipeline(cfg, first, COMMANDS["scr"])[0] == 0
+        cfg_file.write_text(json.dumps(json.loads((first / "metadata.json").read_text())["config"]))
+        assert run(["scr", "--config", str(cfg_file), "--out", str(second)]) == 0
+        for name in ("metadata.json", "scr.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 def test_config_file_values_survive_flag_defaults(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"system": "square", "grid_n": 8, "T": 0.5, "m_max": 2}))
@@ -194,6 +236,7 @@ def test_oracle_check_clean(tmp_path, capsys):
     report = json.loads((out / "oracle_report.json").read_text())
     assert report["mismatches"] == 0
     assert report["grid_circle_exact"] and report["grid_square_exact"]
+    assert report["grid_circle_limited_exact"] and report["grid_square_limited_exact"]
     assert report["wide_graph_exact"] and report["limited_return_costs_exact"]
 
 

@@ -163,6 +163,29 @@ def test_circle_gap_wraps():
     assert circle_gap(0.2, 0.7) == pytest.approx(0.5)
 
 
+def _gap_of_difference(a, b):
+    """circle_gap as a remainder of the difference, one per output entry."""
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def test_circle_gap_reduces_inputs_not_differences():
+    rng = np.random.default_rng(23)
+    grids = [build_grid("circle", n).points[:, 0] for n in (8, 13, 1792)]
+    ties = [(np.arange(n) + 0.5) / n for n in (8, 13, 1792)]          # half-cell ties
+    edge = [0.0, -0.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), 0.5]
+    reduced = np.concatenate([rng.uniform(0, 1, 2000), *grids, *ties, edge])
+    got = circle_gap(reduced[:, None], reduced[None, ::3])
+    want = _gap_of_difference(reduced[:, None], reduced[None, ::3])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))   # bit for bit
+    a = np.concatenate([rng.uniform(-3, 4, 2000), ties[2] - 1.0, ties[2] + 2.0])
+    b = np.concatenate([rng.uniform(-3, 4, 500), grids[2]])
+    got = circle_gap(a[:, None], b[None, :])
+    want = _gap_of_difference(a[:, None], b[None, :])
+    scale = np.maximum(np.maximum(np.abs(a)[:, None], np.abs(b)[None, :]), 1.0)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+
+
 def test_roof_ridge_value():
     # height profile is 1 at the edges and the ridge constant in the middle
     assert roof_height(0.0) == pytest.approx(1.0)

@@ -9,13 +9,14 @@ strong connectivity decide classical chain recurrence, and multi-source
 shortest paths realize the budgeted reachability operator.  All of these
 read only the cheapest edge per (u, v), so the graph keeps just that one.
 
-Return costs under a cost limit search a smaller graph: an edge (x, y, w)
-is kept iff w + LB <= limit + 1e-9, where LB is a landmark lower bound on
-the return distance D[y, x].  Every edge of a cycle within the limit
-satisfies w + D[y, x] <= limit, so it is kept, and the shortest paths
-that close those cycles are all still there: the costs within the limit
-are exact, bit for bit.  Reachability and classical chain recurrence keep
-the full graph.
+Return costs search a smaller graph: an edge (x, y, w) is kept iff
+w + LB <= limit + 1e-9, where LB is a landmark lower bound on the return
+distance D[y, x] (with no limit, the limit is +inf and every edge is
+kept).  Every edge of a cycle within the limit satisfies
+w + D[y, x] <= limit, so it is kept, and the shortest paths that close
+those cycles are all still there: the costs within the limit are exact,
+bit for bit.  Reachability and classical chain recurrence keep the full
+graph.
 
 Each Dijkstra source of the return costs then runs only as deep as a
 cycle it closes could beat one its target already has.  cap(u), the
@@ -25,7 +26,7 @@ edge attaining u's cost has w + LB <= w + D[v, u] <= cap(u), so only
 edges with w + LB <= cap(u) + 1e-9 are read, and a source v is searched
 to the largest cap(u) - w over those edges into it (plus the same
 slack).  Distances within a search limit are exact, so the costs stay
-bit for bit the same; without a limit the rule runs with LB = 0.
+bit for bit the same.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .flows import FlowModel, GridTransition
-from .space import GridSpace
+from .space import GRID_BLOCK, GridSpace
 
 
 @dataclass(eq=False)
@@ -145,10 +146,16 @@ class ScrResult:
             members=np.asarray(obj["members"], dtype=np.int64),
             band=np.asarray(obj["warning_band"], dtype=np.int64))
 
-
-# Rows of u per block: dist_coords_to_grid's own chunk, so _euclid sees the
-# same blocks as on a whole image array and the weights come out the same.
-_EDGE_BLOCK = 512
+    def non_recurrent(self, space: GridSpace) -> np.ndarray:
+        """Ids the pairs must cover and H must strictly decrease on: all
+        but the members, the warning band and the members' 3 * resolution
+        thickening."""
+        recurrent = np.zeros(space.n, dtype=bool)
+        recurrent[self.members] = True
+        recurrent[self.band] = True
+        if self.members.size:
+            recurrent[space.thicken(self.members, 3 * space.resolution)] = True
+        return np.nonzero(~recurrent)[0]
 
 
 def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
@@ -164,8 +171,8 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
             f"prune_radius {prune_radius} < 3 * resolution {3 * space.resolution}; "
             "near-zero-cost continuation edges would be lost")
     us, vs, ms, ws = [], [], [], []
-    for lo in range(0, space.n, _EDGE_BLOCK):
-        hi = min(lo + _EDGE_BLOCK, space.n)
+    for lo in range(0, space.n, GRID_BLOCK):
+        hi = min(lo + GRID_BLOCK, space.n)
         wmin = best = None
         for m in range(1, tr.m_max + 1):
             if tr.exact_images is not None:
@@ -235,11 +242,10 @@ def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray
 
     A cycle through u leaves by an edge (u, v, w) and returns along a
     shortest path v -> u, so its least cost is the least w + D[v, u].
-    Under a finite limit the search runs only on the edges that
-    ``cycle_edges`` keeps, with their landmark bounds LB <= D[v, u];
-    without one, on every edge with LB = 0.  Each source v is searched
-    only as deep as a cycle through v could still beat one its tail
-    already has:
+    The search runs only on the edges that ``cycle_edges`` keeps under
+    the limit (+inf when there is none), with their landmark bounds
+    LB <= D[v, u].  Each source v is searched only as deep as a cycle
+    through v could still beat one its tail already has:
 
     * cap(u) is the least of the limit, the self-loop weight w(u, u) and
       every 2-cycle cost w(u, v) + w(v, u).  The search below finds
@@ -259,13 +265,9 @@ def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray
     """
     want = np.inf if limit is None else float(limit)
     if want not in g._costs:
-        if np.isfinite(want):
-            e, lb = _cycle_bounds(g, want)
-            u, v, w = g.edge_u[e], g.edge_v[e], g.edge_w[e]
-            adj = _adjacency(g.n, u, v, w)
-        else:
-            u, v, w, adj = g.edge_u, g.edge_v, g.edge_w, g.csr()
-            lb = 0.0
+        e, lb = cycle_edges(g, want)
+        u, v, w = g.edge_u[e], g.edge_v[e], g.edge_w[e]
+        adj = _adjacency(g.n, u, v, w)
         cap = np.full(g.n, want)
         loop = u == v
         np.minimum.at(cap, u[loop], w[loop])
@@ -298,8 +300,9 @@ def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray
     return g._costs[want].copy()
 
 
-def cycle_edges(g: ChainGraph, limit: float) -> np.ndarray:
-    """Indices of the edges that may lie on a cycle of cost <= ``limit``.
+def cycle_edges(g: ChainGraph, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the edges that may lie on a cycle of cost <= ``limit``,
+    and the landmark bound LB of each.
 
     An edge (x, y, w) lies on such a cycle only if w + D[y, x] <= limit.
     Landmark distances bound D[y, x] from below (Goldberg & Harrelson's
@@ -307,17 +310,12 @@ def cycle_edges(g: ChainGraph, limit: float) -> np.ndarray:
     D[y, x] >= D[L, x] - D[L, y] and D[y, x] >= D[y, L] - D[x, L].  The
     landmarks are _LANDMARKS evenly spaced ids, searched forward and
     backward on the edges within the limit up to lam = _LANDMARK_REACH *
-    limit; their distances are clipped to lam, which keeps each
-    difference a lower bound and finite (an unreached node counts as lam
-    away), so no inf - inf turns a bound into NaN.  An edge is kept iff
-    w + LB <= limit + 1e-9, the slack absorbing the rounding of the
-    distances.
+    limit, at most the largest float; their distances are clipped to
+    lam, which keeps each difference a lower bound and finite (an
+    unreached node counts as lam away), so no inf - inf turns a bound
+    into NaN.  An edge is kept iff w + LB <= limit + 1e-9, the slack
+    absorbing the rounding of the distances.
     """
-    return _cycle_bounds(g, limit)[0]
-
-
-def _cycle_bounds(g: ChainGraph, limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """``cycle_edges`` and the landmark bound LB of each kept edge."""
     lam = min(_LANDMARK_REACH * float(limit), np.finfo(float).max)
     within = np.flatnonzero(g.edge_w <= limit)
     if within.size == 0:

@@ -32,7 +32,7 @@ from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
                        sup_along_orbit, verify_lyapunov)
 from .orbits import OrbitData, build_orbit_data
 from .pairs import PairCatalog, default_radii, default_seed_stride, enumerate_pairs, select_cover
-from .space import DOMAINS, GridSpace, build_grid
+from .space import DOMAINS, GridSpace, _fw_closure, build_grid
 from .stablesets import default_eta_samples
 
 DEFAULT_GRID = {"circle": 256, "square": 32, "roof": 48, "identity": 64, "custom": 64}
@@ -61,10 +61,18 @@ class RunConfig:
     horizon_steps: int = 200
     t_probe: float = 1.0
     margin: float = 0.0              # 0 = adaptive
-    output_dir: str = "scrl-out"
-    rng_seed: int = 0
     flow_csv: str = ""
-    epsilon_max: float = 0.0         # largest budget of a sweep; 0 = epsilon
+    epsilons: list = field(default_factory=list)   # every budget of a sweep; [] = [epsilon]
+
+    @property
+    def budgets(self) -> list:
+        """The budgets scr and cr run at, ascending; epsilon is the smallest."""
+        return sorted(self.epsilons) or [self.epsilon]
+
+    @property
+    def grid(self) -> int:
+        """grid_n, or the system's default grid."""
+        return self.grid_n or DEFAULT_GRID[self.system]
 
     def validate(self) -> None:
         if self.system not in DEFAULT_GRID:
@@ -72,6 +80,8 @@ class RunConfig:
         for name in ("epsilon", "T", "s_max", "t_probe"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.budgets[0] != self.epsilon:
+            raise ConfigError(f"epsilon {self.epsilon} is not the smallest of {self.epsilons}")
         for name in ("m_max", "horizon_steps", "eta_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
@@ -128,6 +138,14 @@ class RunBundle:
     def scale(self) -> float:
         return self.cfg.neighborhood_scale or self.space.diameter
 
+    @property
+    def radii(self) -> list:
+        return self.cfg.radii or default_radii(self.space.resolution)
+
+    @property
+    def seed_stride(self) -> int:
+        return self.cfg.seed_stride or default_seed_stride(self.space.n)
+
     def ensure_orbit(self) -> OrbitData:
         if self.orbit is None:
             self.cfg.check_orbit_times()
@@ -141,13 +159,12 @@ class RunBundle:
 
 def default_prune_radius(cfg: RunConfig, space: GridSpace) -> float:
     """Sparse by default, but never below the largest requested budget."""
-    return max(10 * space.resolution, 1.25 * max(cfg.epsilon, cfg.epsilon_max))
+    return max(10 * space.resolution, 1.25 * cfg.budgets[-1])
 
 
 def build_bundle(cfg: RunConfig) -> RunBundle:
     cfg.validate()
-    n = cfg.grid_n or DEFAULT_GRID[cfg.system]
-    space = build_grid(DOMAIN_OF[cfg.system] or cfg.grid_domain or "circle", n)
+    space = build_grid(DOMAIN_OF[cfg.system] or cfg.grid_domain or "circle", cfg.grid)
     cfg.check_resolution(space.resolution)
     if cfg.system == "custom":
         try:
@@ -158,9 +175,9 @@ def build_bundle(cfg: RunConfig) -> RunBundle:
         flow = make_flow(cfg.system)
         tr = build_transition(flow, space, cfg.T, cfg.m_max)
     prune = cfg.prune_radius or default_prune_radius(cfg, space)
-    if max(cfg.epsilon, cfg.epsilon_max) > prune:
+    if cfg.budgets[-1] > prune:
         raise ConfigError(
-            f"epsilon {max(cfg.epsilon, cfg.epsilon_max)} exceeds prune radius "
+            f"epsilon {cfg.budgets[-1]} exceeds prune radius "
             f"{prune:.4g}; chains at this budget would need pruned edges")
     graph = build_chain_graph(space, tr, flow, prune)
     return RunBundle(cfg=cfg, space=space, flow=flow, tr=tr, graph=graph)
@@ -185,14 +202,11 @@ def stage_cr(bundle: RunBundle, epsilons: list[float]) -> dict:
 
 def stage_pairs(bundle: RunBundle, scr) -> PairCatalog:
     cfg = bundle.cfg
-    space = bundle.space
-    radii = cfg.radii or default_radii(space.resolution)
-    stride = cfg.seed_stride or default_seed_stride(space.n)
     etas = default_eta_samples(cfg.eta_count, cfg.eta_lo, cfg.eta_hi)
     catalog = enumerate_pairs(
-        bundle.graph, bundle.tr, space, cfg.epsilon, radii, stride, scr,
-        bundle.ensure_orbit(), bundle.scale, etas, t_cap_steps=cfg.horizon_steps)
-    return select_cover(catalog, scr, space)
+        bundle.graph, bundle.tr, bundle.space, cfg.epsilon, bundle.radii, bundle.seed_stride,
+        scr, bundle.ensure_orbit(), bundle.scale, etas, t_cap_steps=cfg.horizon_steps)
+    return select_cover(catalog, scr, bundle.space)
 
 
 def stage_lyapunov(bundle: RunBundle, catalog: PairCatalog
@@ -200,10 +214,7 @@ def stage_lyapunov(bundle: RunBundle, catalog: PairCatalog
     orbit = bundle.ensure_orbit()
     fields = sup_along_orbit([catalog.pairs[i] for i in catalog.selected], bundle.space,
                              orbit, s_max=bundle.cfg.s_max)
-    combined = combine_pairs(fields)
-    if combined.n_pairs == 0:
-        combined.H_values = np.zeros(bundle.space.n)
-    return fields, combined
+    return fields, combine_pairs(fields, bundle.space.n)
 
 
 def adaptive_margin(cfg: RunConfig, space: GridSpace, n_pairs: int) -> float:
@@ -234,20 +245,21 @@ COMMANDS = {
 }
 
 
-def run_pipeline(cfg: RunConfig, out: Path, stages, epsilons: list[float] | None = None):
+def run_pipeline(cfg: RunConfig, out: Path, stages):
     """Run ``stages`` in order; returns (exit_code, results by name).
 
     Each stage writes its artifact to ``out`` when it finishes and prints
     one line.  Its inputs come from the earlier stages of this run, or else
     from their cached artifacts in ``out``.  scr and cr run at each of
-    ``epsilons`` (default: ``cfg.epsilon``, which must be the smallest).
+    ``cfg.budgets``, but only at ``cfg.epsilon`` in a run that goes on to
+    pairs: its later stages read the scr of ``cfg.epsilon``.
     """
     bundle = build_bundle(cfg)
     if stages[0] in ("scr", "cr"):           # a run from the start of the chain
         out.mkdir(parents=True, exist_ok=True)
         write_metadata(out, bundle)
     res = {"bundle": bundle}
-    epsilons = epsilons or [cfg.epsilon]
+    epsilons = [cfg.epsilon] if "pairs" in stages else cfg.budgets
     passed = True
     for stage in stages:
         if stage == "scr":
@@ -333,21 +345,18 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_metadata(out: Path, bundle: RunBundle) -> None:
-    cfg = bundle.cfg
-    cfg_dump = asdict(cfg)
-    cfg_dump["output_dir"] = ""        # implicit in the file location
     meta = {
         "version": __version__,
-        "config": cfg_dump,
+        "config": asdict(bundle.cfg),
         "resolved": {
-            "grid_n": cfg.grid_n or DEFAULT_GRID[cfg.system],
+            "grid_n": bundle.cfg.grid,
             "n_points": bundle.space.n,
             "resolution": bundle.space.resolution,
             "pitch": bundle.space.pitch,
             "prune_radius": bundle.graph.prune_radius,
             "neighborhood_scale": bundle.scale,
-            "radii": cfg.radii or default_radii(bundle.space.resolution),
-            "seed_stride": cfg.seed_stride or default_seed_stride(bundle.space.n),
+            "radii": bundle.radii,
+            "seed_stride": bundle.seed_stride,
         },
         "flow": bundle.flow.describe(),
     }
@@ -378,19 +387,15 @@ def write_combined_csv(path: Path, space: GridSpace, combined: CombinedLyapunov)
 
 
 def floyd_warshall_reference(n: int, edges) -> np.ndarray:
-    """Brute-force all-pairs matrix used to diff the fast paths: one
-    vectorised relaxation through each k (row and column k stay fixed
-    during it, as weights are nonnegative)."""
+    """Brute-force all-pairs matrix used to diff the fast paths: the
+    Floyd-Warshall closure of the cheapest edge per (u, v)."""
     dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
     for u, v, w in edges:
         dist[u, v] = min(dist[u, v], w)
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    return dist
+    return _fw_closure(dist)
 
 
-def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dict:
+def oracle_check(seeds: int, rng_seed: int = 0) -> dict:
     """Diff min_return_cost_all and omega_budget against the reference matrix.
 
     Random weights are dyadic (multiples of 2^-20) so both computations
@@ -410,7 +415,7 @@ def oracle_check(seeds: int, rng_seed: int = 0, grid_checks: bool = True) -> dic
         trials.append(_dyadic_trial(rng, n, max(1, int(n * n * density))))
     trials.append(_dyadic_trial(rng, 300, 1200))
     grid = {}
-    for system in ("circle", "square") if grid_checks else ():
+    for system in ("circle", "square"):
         bundle = build_bundle(RunConfig(system=system, grid_n=16, epsilon=0.1))
         g = bundle.graph
         q = np.round(g.edge_w * 2 ** 30) / 2 ** 30
@@ -509,8 +514,12 @@ def check_config_types(values: dict) -> None:
             raise ConfigError(f"config value {f.name} = {value!r} is not {what}")
 
 
-def config_from_args(args) -> tuple[RunConfig, list[float]]:
-    """The config file's values, overridden by the flags given explicitly."""
+def config_from_args(args) -> RunConfig:
+    """The config file's values, overridden by the flags given explicitly.
+
+    The ``--epsilon`` flags, when given, are the budgets of the run and
+    the smallest is ``epsilon``.
+    """
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     try:
         merged = json.loads(Path(args.config).read_text()) if args.config else {}
@@ -519,15 +528,10 @@ def config_from_args(args) -> tuple[RunConfig, list[float]]:
     if not isinstance(merged, dict):
         raise ConfigError(f"config file {args.config}: expected a JSON object")
     check_config_types(merged)
-    epsilons = [float(e) for e in args.epsilon or [merged.get("epsilon", RunConfig.epsilon)]]
-    # without --epsilon a file's largest budget stands as written (0 = epsilon), and so
-    # does its prune radius
-    eps_max = (merged["epsilon_max"] if "epsilon_max" in merged and not args.epsilon
-               else max(epsilons))
     merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
-    merged.update(epsilon=min(epsilons), epsilon_max=float(eps_max), output_dir=args.out)
-    cfg = RunConfig(**{k: v for k, v in merged.items() if k in known})
-    return cfg, sorted(epsilons)
+    if args.epsilon:
+        merged.update(epsilon=min(args.epsilon), epsilons=sorted(args.epsilon))
+    return RunConfig(**{k: v for k, v in merged.items() if k in known})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -567,10 +571,7 @@ def _dispatch(args) -> int:
             write_json(out / "oracle_report.json", report)
         return 0 if report["mismatches"] == 0 else 3
 
-    cfg, epsilons = config_from_args(args)
-    # analyze's later stages read the scr of cfg.epsilon, so it sweeps no budget
-    code, result = run_pipeline(cfg, out, COMMANDS[args.command],
-                                [cfg.epsilon] if args.command == "analyze" else epsilons)
+    code, result = run_pipeline(config_from_args(args), out, COMMANDS[args.command])
     if getattr(args, "export_graph", False):
         export_graph_csv(result["bundle"].graph, out / "graph.csv")
     return code

@@ -297,6 +297,7 @@ class GridTransition:
     m_max: int
     images: np.ndarray = field(repr=False)          # (m_max, n) int
     exact_images: np.ndarray | None = field(repr=False, default=None)
+    _cycles: tuple | None = field(repr=False, default=None)   # image-map cycles, see stablesets
 
     @property
     def image(self) -> np.ndarray:

@@ -144,26 +144,25 @@ def discounted_integral(fld: LyapunovField, orbit: OrbitData,
     return h, bound
 
 
-def combine_pairs(fields: list[LyapunovField]) -> CombinedLyapunov:
-    """H = sum over n of h_n / 3^n (identically zero for an empty list)."""
-    if not fields:
-        return CombinedLyapunov(H_values=np.zeros(0), n_pairs=0)
-    H = np.zeros_like(fields[0].h_values)
-    for i, fld in enumerate(fields):
-        H += fld.h_values * 3.0 ** (-i)
-    return CombinedLyapunov(H_values=H, n_pairs=len(fields))
+def _weighted_sum(summands, n: int) -> np.ndarray:
+    """sum over i of summands[i] / 3^i on n grid points (zeros for none)."""
+    out = np.zeros(n)
+    for i, h in enumerate(summands):
+        out += h * 3.0 ** (-i)
+    return out
+
+
+def combine_pairs(fields: list[LyapunovField], n: int) -> CombinedLyapunov:
+    """H = sum over i of h_i / 3^i, on n grid points."""
+    return CombinedLyapunov(H_values=_weighted_sum([f.h_values for f in fields], n),
+                            n_pairs=len(fields))
 
 
 def combined_at_shift(fields: list[LyapunovField], orbit: OrbitData,
                       shift_t: float) -> np.ndarray:
     """H evaluated at phi_{shift}(x) for every grid x, on the shared lattice."""
-    if not fields:
-        return np.zeros(0)
-    out = np.zeros_like(fields[0].h_values)
-    for i, fld in enumerate(fields):
-        h_shift, _ = discounted_integral(fld, orbit, shift_t=shift_t)
-        out += h_shift * 3.0 ** (-i)
-    return out
+    shifted = (discounted_integral(f, orbit, shift_t=shift_t)[0] for f in fields)
+    return _weighted_sum(shifted, orbit.coords.shape[1])
 
 
 def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
@@ -176,23 +175,11 @@ def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
     if t_probe < orbit.T:
         raise ValueError(f"t_probe {t_probe} must be at least T = {orbit.T}")
     n = space.n
-    if not fields:
-        H0 = np.zeros(n)
-        Ht = np.zeros(n)
-    else:
-        H0 = combine_pairs(fields).H_values
-        Ht = combined_at_shift(fields, orbit, t_probe)
+    H0 = combine_pairs(fields, n).H_values
+    Ht = combined_at_shift(fields, orbit, t_probe)
 
     mono_bad = np.nonzero(Ht > H0 + tol_num)[0]
-
-    member_mask = np.zeros(n, dtype=bool)
-    member_mask[scr.members] = True
-    excluded = member_mask.copy()
-    excluded[scr.band] = True
-    if scr.members.size:
-        collar = space.thicken(scr.members, 3 * space.resolution)
-        excluded[collar] = True
-    universe = np.nonzero(~excluded)[0]
+    universe = scr.non_recurrent(space)
 
     decrease = H0 - Ht
     strict_bad = universe[decrease[universe] < margin]

@@ -75,9 +75,7 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
     if radii[0] < 2 * space.resolution:
         raise ValueError(f"smallest radius {radii[0]} below 2 * resolution")
 
-    member_mask = np.zeros(space.n, dtype=bool)
-    member_mask[scr.members] = True
-    seeds = np.nonzero(~member_mask)[0][::seed_stride]
+    seeds = np.setdiff1d(np.arange(space.n), scr.members)[::seed_stride]
 
     omega_cells, nonconv = omega_limits_all(orbit)
     grid_orbit = grid_image_orbit(tr, t_cap_steps)
@@ -88,8 +86,7 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
     found = []              # (B, B_bullet, T_table, provenance) per pair
     for radius in radii:
         for seed in seeds:
-            d = space.dist_coords_to_subset(space.points, [seed])
-            C = np.nonzero(d <= radius + 1e-12)[0]
+            C = space.thicken([seed], radius)
             try:
                 B, certificate, W = build_strongly_stable(g, tr, space, C, epsilon)
             except ValueError:
@@ -107,8 +104,7 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
             key = _signature(space, B, B_bullet)
             if key in seen:
                 continue
-            nn = nested_neighborhoods(space, tr, B, R, eta_samples,
-                                      t_cap_steps, grid_orbit=grid_orbit)
+            nn = nested_neighborhoods(space, tr, B, R, eta_samples, grid_orbit)
             if nn["failures"]:
                 continue          # not strongly stable at the sampled levels
             seen.add(key)
@@ -138,12 +134,7 @@ def select_cover(catalog: PairCatalog, scr: ScrResult, space: GridSpace) -> Pair
     the warning band is excluded by some selected pair; leftovers are
     reported as the residual.  Ties break toward the lower pair index.
     """
-    member_mask = np.zeros(space.n, dtype=bool)
-    member_mask[scr.members] = True
-    member_mask[scr.band] = True
-    if scr.members.size:
-        member_mask[space.thicken(scr.members, 3 * space.resolution)] = True
-    universe = set(np.nonzero(~member_mask)[0].tolist())
+    universe = set(scr.non_recurrent(space).tolist())
 
     exclusions = []
     for pair in catalog.pairs:

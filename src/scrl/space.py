@@ -32,6 +32,10 @@ ROOF_RIDGE = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 
 PointId = int
 
+# Query rows per block of dist_coords_to_grid.  The chain graph builds its
+# edges in blocks of the same rows, so _euclid sees the same shapes.
+GRID_BLOCK = 512
+
 
 def roof_height(x):
     """Height of the roof profile above x, minimal at x = 1/2."""
@@ -72,7 +76,9 @@ def _euclid(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.
 
 
 def _fw_closure(d: np.ndarray) -> np.ndarray:
-    """All-pairs shortest-path closure of a symmetric cost matrix."""
+    """All-pairs shortest-path closure of a nonnegative cost matrix: one
+    vectorised relaxation through each k (row and column k stay fixed
+    during it, as costs are nonnegative)."""
     d = d.copy()
     np.fill_diagonal(d, 0.0)
     for k in range(d.shape[0]):
@@ -136,18 +142,16 @@ class GridSpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         if self.domain == CIRCLE:
             return 0.5
         if self.domain == UNIT_SQUARE:
             return float(np.sqrt(2.0))
         # Quotient metric diameter, estimated once on the grid itself.
-        if not hasattr(self, "_diameter"):
-            step = max(1, self.n // 400)
-            sub = self.points[::step]
-            self._diameter = float(self.dist_coords_to_grid(sub).max())
-        return self._diameter
+        step = max(1, self.n // 400)
+        sub = self.points[::step]
+        return float(self.dist_coords_to_grid(sub).max())
 
     # -- distances ----------------------------------------------------
 
@@ -172,8 +176,7 @@ class GridSpace:
         self._check_id(q)
         return self.coord_distance(self.points[p], self.points[q])
 
-    def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float | None = None,
-                            chunk: int = 512) -> np.ndarray:
+    def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float | None = None) -> np.ndarray:
         """Dense (k, n) matrix of distances from query coords to all grid points.
 
         With a ``cutoff``, entries above it may be Euclidean overestimates
@@ -184,8 +187,8 @@ class GridSpace:
         if self.domain == CIRCLE:
             return circle_gap(pts[:, :1], self.points[None, :, 0])
         out = np.empty((pts.shape[0], self.n))
-        for lo in range(0, pts.shape[0], chunk):
-            block = pts[lo:lo + chunk]
+        for lo in range(0, pts.shape[0], GRID_BLOCK):
+            block = pts[lo:lo + GRID_BLOCK]
             d = _euclid(block, self.points)
             if self.domain == ROOF:
                 entry = self.seam.entry_costs(block)        # (c, m)
@@ -194,12 +197,8 @@ class GridSpace:
                 else:
                     refine = np.nonzero(entry.min(axis=1) <= cutoff)[0]
                 if refine.size:
-                    sub = d[refine]
-                    e_sub = entry[refine]
-                    for k in range(self.seam.x.size):
-                        np.minimum(sub, e_sub[:, k, None] + self.seam.to_grid[k][None, :], out=sub)
-                    d[refine] = sub
-            out[lo:lo + chunk] = d
+                    d[refine] = np.minimum(d[refine], _min_plus(entry[refine], self.seam.to_grid))
+            out[lo:lo + GRID_BLOCK] = d
         return out
 
     @cached_property

@@ -69,9 +69,8 @@ def _image_cycles(tr: GridTransition) -> tuple[np.ndarray, list[np.ndarray]]:
     Returns (cycle_id per node, member arrays per cycle); cached on the
     transition since the map never changes.
     """
-    cached = getattr(tr, "_cycles", None)
-    if cached is not None:
-        return cached
+    if tr._cycles is not None:
+        return tr._cycles
     f = tr.image
     n = f.size
     cycle_id = np.full(n, -1, dtype=np.int64)
@@ -119,18 +118,18 @@ def omega_limit_of_set(tr: GridTransition, U) -> np.ndarray:
     return np.asarray(sorted(out), dtype=np.int64)
 
 
-def omega_limits_all(orbit: OrbitData, burn_frac: float = 0.5) -> tuple[list, np.ndarray]:
+def omega_limits_all(orbit: OrbitData) -> tuple[list, np.ndarray]:
     """Recurring tail cells of each grid point's exact orbit.
 
-    Follows the T-lattice cells after a burn-in, keeps cells that are
-    visited at least twice, and flags points whose tails are still
-    discovering new cells near the horizon (reported, not fatal).  Each
-    point's tail is sorted stably, so a run of equal cells starts at the
-    cell's first visit.
+    Follows the T-lattice cells after a burn-in of half the steps, keeps
+    cells that are visited at least twice, and flags points whose tails
+    are still discovering new cells near the horizon (reported, not
+    fatal).  Each point's tail is sorted stably, so a run of equal cells
+    starts at the cell's first visit.
     """
     cells = orbit.t_cells
     steps = cells.shape[0] - 1
-    burn = int(steps * burn_frac)
+    burn = steps // 2
     probe = max(1, steps // 8)
     tail = cells[burn:].T                                   # (n, L)
     order = np.argsort(tail, axis=1, kind="stable")
@@ -204,12 +203,12 @@ def build_strongly_stable(g: ChainGraph, tr: GridTransition, space: GridSpace,
 
 
 def nested_neighborhoods(space: GridSpace, tr: GridTransition, B, R: float,
-                         eta_samples, t_cap_steps: int = 200,
-                         grid_orbit: np.ndarray | None = None) -> dict:
+                         eta_samples, grid_orbit: np.ndarray) -> dict:
     """Certify eventual forward invariance of metric thickenings of B.
 
     For each eta, U_eta = {x : d(x, B) <= R * eta}; the certificate is the
-    least k with image^j(U_eta) inside U_eta for every j in [k, t_cap].
+    least k with image^j(U_eta) inside U_eta for every j in [k, t_cap],
+    where row j of ``grid_orbit`` maps u to image^j(u) for j = 0..t_cap.
     Returns {"T_table": {eta: k * T}, "failures": {eta: witness_id}}.
     """
     B = np.asarray(sorted(B), dtype=np.int64)
@@ -218,8 +217,6 @@ def nested_neighborhoods(space: GridSpace, tr: GridTransition, B, R: float,
     if R <= 0:
         raise ValueError("neighborhood scale R must be positive")
     d2B = space.dist_coords_to_subset(space.points, B)
-    if grid_orbit is None:
-        grid_orbit = grid_image_orbit(tr, t_cap_steps)
     T_table: dict[float, float] = {}
     failures: dict[float, int] = {}
     for eta in sorted(float(e) for e in eta_samples):
@@ -250,17 +247,11 @@ def grid_image_orbit(tr: GridTransition, steps: int) -> np.ndarray:
     return out
 
 
-def avoidance_profile(space: GridSpace, orbit: OrbitData, Bs,
-                      rows: np.ndarray | None = None) -> np.ndarray:
+def avoidance_profile(space: GridSpace, orbit: OrbitData, Bs) -> np.ndarray:
     """(len(Bs), n) per-point minimum distance to each set B along the
-    sampled exact orbit, in one pass over the orbit rows.
-
-    Defaults to the T-lattice samples; pass ``rows`` for a finer sweep.
-    """
-    if rows is None:
-        rows = orbit.t_rows
+    T-lattice samples of the exact orbit, in one pass over them."""
     out = np.full((len(Bs), space.n), np.inf)
-    for j in rows:
+    for j in orbit.t_rows:
         np.minimum(out, space.dist_coords_to_subsets(orbit.coords[j], Bs), out=out)
     return out
 

@@ -17,8 +17,8 @@ from scrl.cli import (COMMANDS, RunConfig, build_bundle, floyd_warshall_referenc
 from scrl.lyapunov import sup_along_orbit
 from scrl.space import build_grid
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
-                             find_eta0_and_bstar, nested_neighborhoods,
-                             omega_limits_all)
+                             find_eta0_and_bstar, grid_image_orbit,
+                             nested_neighborhoods, omega_limits_all)
 
 from oracles import min_return_cost_oracle, omega_oracle, random_digraph
 
@@ -109,7 +109,7 @@ def test_criterion_1_oracle_equivalence():
 @pytest.mark.parametrize("system", ["circle", "square", "roof"])
 def test_criterion_2_sweeps(system):
     start = time.perf_counter()
-    cfg = RunConfig(system=system, epsilon=min(EPS_SWEEP), epsilon_max=max(EPS_SWEEP))
+    cfg = RunConfig(system=system, epsilon=min(EPS_SWEEP), epsilons=EPS_SWEEP)
     bundle = build_bundle(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -186,7 +186,8 @@ def test_criterion_5_circle_profile(circle_run):
     cells, flags = omega_limits_all(orbit)
     B_bullet = complementary(space, tr, B, cells, flags)
     R = 0.5
-    nn = nested_neighborhoods(space, tr, B, R, list(np.geomspace(0.02, 0.125, 8)))
+    nn = nested_neighborhoods(space, tr, B, R, list(np.geomspace(0.02, 0.125, 8)),
+                              grid_image_orbit(tr, 200))
     assert not nn["failures"]
     prof = avoidance_profile(space, orbit, [B])[0]
     eta0, B_star, _ = find_eta0_and_bstar(space, B, B_bullet, nn["T_table"], R, prof)

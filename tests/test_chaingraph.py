@@ -477,6 +477,13 @@ def _pruning_case(name):
         # between them, so each source is searched only to its own loop
         g = _edges_graph(3, [0, 0, 1, 1, 2], [0, 1, 1, 0, 2], [0.01, 0.2, 0.02, 0.3, 0.0])
         return g, [0.1, 0.6]
+    if name == "head-cannot-reach-tail":
+        # 0 has a loop and an edge to 1, which has no way back.  Unlimited,
+        # the edge is kept, but the landmark at 1 reaches nothing, so it
+        # bounds D[1, 0] by the clipped lam (the largest float) and the edge
+        # is not useful; under a limit the keep rule drops it
+        g = _edges_graph(2, [0, 0], [0, 1], [0.5, 0.25])
+        return g, [0.5, 1.0]
     if name == "reach-overflows":
         # 2 * limit is inf, so unclipped rows meet inf - inf
         n = 40
@@ -489,7 +496,7 @@ def _pruning_case(name):
 PRUNING_CASES = ["dyadic-exact-limit", "decimal-exact-limit", "disconnected",
                  "fewer-nodes-than-landmarks", "zero-weights-and-self-loops",
                  "several-chunks", "reach-overflows", "cheap-loops-and-2-cycles",
-                 "useful-at-cap-slack", "only-self-loop-useful"]
+                 "useful-at-cap-slack", "only-self-loop-useful", "head-cannot-reach-tail"]
 
 
 def _case_graphs(name):
@@ -531,7 +538,7 @@ def test_cycle_edges_keep_every_edge_within_the_limit(case):
     for g, limit in pairs:
         dist = _dense_distances(g, limit)
         needed = np.flatnonzero(g.edge_w + dist[g.edge_v, g.edge_u] <= limit)
-        kept = cycle_edges(g, limit)
+        kept = cycle_edges(g, limit)[0]
         assert np.all(np.diff(kept) > 0)
         assert np.all(g.edge_w[kept] <= limit)
         assert np.all(np.isin(needed, kept)), (g.n, limit)
@@ -542,7 +549,7 @@ def test_cycle_edges_keep_every_edge_within_the_limit(case):
 def _landmark_bounds_reference(g, limit, landmarks=16):
     """The documented landmark bound of every edge, with dense
     (landmarks, edges) arrays; a bound is never below 0."""
-    lam = 2 * limit
+    lam = min(2 * limit, np.finfo(float).max)
     marks = np.unique(np.arange(landmarks) * g.n // landmarks)
     dist = np.minimum(_dense_distances(g, limit, lam), lam)   # clipped to lam
     x, y = g.edge_u, g.edge_v
@@ -563,24 +570,23 @@ def test_cycle_edges_follow_the_keep_rule():
     a = (0.25 + 1e-9) - 0.125
     assert a + 0.125 == 0.25 + 1e-9
     g = _edges_graph(2, [0, 1], [1, 0], [a, 0.125])
-    assert np.array_equal(cycle_edges(g, 0.25), [0, 1])
+    assert np.array_equal(cycle_edges(g, 0.25)[0], [0, 1])
     assert np.isinf(min_return_cost_all(g, 0.25)).all()
     pairs = [(g, 0.25), (_grid_graph("circle", "circle", 300), 0.1)]
     for case in ("dyadic-exact-limit", "decimal-exact-limit", "disconnected",
                  "zero-weights-and-self-loops"):
         pairs += _case_graphs(case)
     for g, limit in pairs:
-        assert np.array_equal(cycle_edges(g, limit), _keep_rule_reference(g, limit))
+        kept, bound = cycle_edges(g, limit)
+        assert np.array_equal(kept, _keep_rule_reference(g, limit))
+        assert np.allclose(bound, _landmark_bounds_reference(g, limit)[kept], rtol=0, atol=1e-12)
 
 
 def _depth_rule_reference(g, limit, chunk=64):
     """(sources, reach) of each return-cost search under the documented
-    depth rule, edge by edge in plain Python."""
+    depth rule, edge by edge in plain Python; no limit is limit +inf."""
     want = np.inf if limit is None else limit
-    if limit is None:
-        kept, bound = np.arange(g.n_edges), np.zeros(g.n_edges)
-    else:
-        kept, bound = _keep_rule_reference(g, limit), _landmark_bounds_reference(g, limit)
+    kept, bound = _keep_rule_reference(g, want), _landmark_bounds_reference(g, want)
     edges = [(int(g.edge_u[e]), int(g.edge_v[e]), g.edge_w[e], bound[e]) for e in kept]
     weight = {(u, v): w for u, v, w, _ in edges}
     cap = [want] * g.n
@@ -599,7 +605,8 @@ def _depth_rule_reference(g, limit, chunk=64):
 @pytest.mark.parametrize("case", ["dyadic-exact-limit", "decimal-exact-limit", "disconnected",
                                   "zero-weights-and-self-loops", "several-chunks",
                                   "cheap-loops-and-2-cycles", "useful-at-cap-slack",
-                                  "only-self-loop-useful", "grids"])
+                                  "only-self-loop-useful", "head-cannot-reach-tail",
+                                  "grids"])
 def test_return_cost_searches_follow_the_depth_rule(case, monkeypatch):
     from scrl.chaingraph import ChainGraph
     calls = []
@@ -620,7 +627,7 @@ def test_return_cost_searches_follow_the_depth_rule(case, monkeypatch):
     for g, limit in {(id(g), limit): (g, limit) for g, limit in pairs}.values():
         calls.clear()                     # once per limit: a repeat reads the cache
         min_return_cost_all(g, limit)
-        landmarks = 2 if limit is not None and np.any(g.edge_w <= limit) else 0
+        landmarks = 2 if np.any(g.edge_w <= (np.inf if limit is None else limit)) else 0
         want = _depth_rule_reference(g, limit)
         assert calls[landmarks:] == want, (g.n, limit)
         shallow += sum(reach < (np.inf if limit is None else limit) for _, reach in want)
@@ -628,6 +635,13 @@ def test_return_cost_searches_follow_the_depth_rule(case, monkeypatch):
     assert shallow > 0 or skipped > 0      # the rule does cut searches
     if case == "only-self-loop-useful":
         assert _depth_rule_reference(*pairs[0]) == [([0, 1, 2], 1e-9)]
+    if case == "head-cannot-reach-tail":
+        g = pairs[0][0]
+        kept, bound = cycle_edges(g, np.inf)
+        assert kept.tolist() == [0, 1] and bound[1] == np.finfo(float).max
+        # only the loop is useful, so 1 is not searched and 0 only to its loop
+        assert _depth_rule_reference(g, None) == [([0], 1e-9)]
+        assert np.array_equal(min_return_cost_all(g), [0.5, np.inf])
 
 
 def test_all_pairs_limit_matches_unpruned_search():

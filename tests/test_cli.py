@@ -128,22 +128,22 @@ def _run_configs(draw):
     grid_n = draw(st.integers(8, 10) if system == "square" else st.integers(8, 40))
     res = build_grid(DOMAIN_OF[system], grid_n).resolution
     unit = st.floats(0.0, 1.0)
-    epsilon = draw(st.floats(0.01, 0.3))
-    epsilon_max = draw(st.sampled_from([0.0, epsilon]) | st.floats(0.0, 0.5))
+    # no sweep, or a sweep of one to three budgets whose smallest is epsilon
+    epsilons = draw(st.just([]) | st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
+    epsilon = min(epsilons) if epsilons else draw(st.floats(0.01, 0.3))
     prune = draw(st.just(0.0) | st.floats(0.0, 0.2).map(
-        lambda x: max(3 * res, epsilon, epsilon_max) + x))
+        lambda x: max(3 * res, epsilon, *epsilons) + x))
     return RunConfig(
         system=system, grid_n=grid_n,
         grid_domain=draw(st.sampled_from(["", "circle", "unit-square", "roof"])),
-        epsilon=epsilon, epsilon_max=epsilon_max, prune_radius=prune,
+        epsilon=epsilon, epsilons=epsilons, prune_radius=prune,
         T=draw(st.floats(0.1, 2.0)), m_max=draw(st.integers(1, 4)),
         radii=draw(st.lists(st.floats(2 * res, 1.0), max_size=3)),
         seed_stride=draw(st.integers(0, 5)),
         neighborhood_scale=draw(st.just(0.0) | st.floats(0.1, 1.0)),
         eta_count=draw(st.integers(1, 40)), eta_lo=draw(unit), eta_hi=draw(unit),
         s_max=draw(st.floats(0.5, 30.0)), horizon_steps=draw(st.integers(1, 300)),
-        t_probe=draw(st.floats(0.1, 4.0)), margin=draw(st.just(0.0) | st.floats(1e-6, 0.1)),
-        rng_seed=draw(st.integers(0, 2 ** 31)), output_dir=draw(st.sampled_from(["", "x"])))
+        t_probe=draw(st.floats(0.1, 4.0)), margin=draw(st.just(0.0) | st.floats(1e-6, 0.1)))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -158,6 +158,21 @@ def test_metadata_config_round_trip(cfg):
         assert run(["scr", "--config", str(cfg_file), "--out", str(second)]) == 0
         for name in ("metadata.json", "scr.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_sweep_reruns_from_its_metadata(tmp_path):
+    # every budget of a sweep is recorded, so its metadata reruns all of them
+    first = tmp_path / "first"
+    assert run(["compare", "--system", "circle", "--grid", "64", "--epsilon", "0.05",
+                "--epsilon", "0.1", "--epsilon", "0.2", "--out", str(first)]) == 0
+    config = json.loads((first / "metadata.json").read_text())["config"]
+    assert config["epsilons"] == [0.05, 0.1, 0.2]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    second = tmp_path / "second"
+    assert run(["compare", "--config", str(cfg_file), "--out", str(second)]) == 0
+    for name in ("scr.json", "cr.json", "compare.json", "metadata.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_config_file_values_survive_flag_defaults(tmp_path):
@@ -208,7 +223,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
     for body, message in (({"system": "circle", "grid_n": 64, "m_max": "4"}, "m_max"),
                           ({"system": "circle", "grid_n": 64.5}, "grid_n"),
                           ({"system": "circle", "epsilon": "0.05"}, "epsilon"),
-                          ({"system": "circle", "epsilon_max": [0.1]}, "epsilon_max"),
+                          ({"system": "circle", "epsilons": [0.1, "x"]}, "epsilons"),
+                          ({"system": "circle", "epsilon": 0.1, "epsilons": [0.05, 0.1]},
+                           "not the smallest"),
                           ({"system": "circle", "radii": [0.1, "x"]}, "radii"),
                           ({"system": 3}, "system"),
                           ({"system": "circle", "horizon_steps": True}, "horizon_steps"),

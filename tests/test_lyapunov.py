@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from scrl.chaingraph import build_chain_graph
+from scrl.chaingraph import ScrResult, build_chain_graph
 from scrl.flows import build_transition, make_flow
 from scrl.lyapunov import (combine_pairs, combined_at_shift, discounted_integral,
                            level_function, sup_along_orbit, verify_lyapunov)
 from scrl.orbits import build_orbit_data
 from scrl.space import build_grid, circle_gap
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
-                             find_eta0_and_bstar, nested_neighborhoods,
-                             omega_limits_all)
+                             find_eta0_and_bstar, grid_image_orbit,
+                             nested_neighborhoods, omega_limits_all)
 
 S_MAX = 20.0
 
@@ -34,7 +34,7 @@ def matched_pair(circle_system):
     Bb = complementary(s, tr, B, cells, flags)
     R = 0.5
     nn = nested_neighborhoods(s, tr, B, R, list(np.geomspace(0.02, 0.125, 6)),
-                              t_cap_steps=200)
+                              grid_image_orbit(tr, 200))
     assert not nn["failures"]
     prof = avoidance_profile(s, orbit, [B])[0]
     eta0, B_star, _ = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
@@ -195,20 +195,22 @@ def test_truncation_soundness(matched_pair, circle_system):
 
 
 def test_combine_trivial_cases(matched_field):
-    zero = combine_pairs([])
+    n = matched_field.h_values.size
+    zero = combine_pairs([], n)
     assert zero.n_pairs == 0 and zero.tail_bound == pytest.approx(1.5)
-    one = combine_pairs([matched_field])
+    assert np.array_equal(zero.H_values, np.zeros(n))
+    one = combine_pairs([matched_field], n)
     assert np.array_equal(one.H_values, matched_field.h_values)
     assert one.tail_bound == pytest.approx(0.5)
 
 
 def test_combine_same_field_twice(matched_field):
-    both = combine_pairs([matched_field, matched_field])
+    both = combine_pairs([matched_field, matched_field], matched_field.h_values.size)
     assert np.allclose(both.H_values, (4.0 / 3.0) * matched_field.h_values, atol=1e-15)
 
 
 def test_combined_bounded(matched_field):
-    both = combine_pairs([matched_field, matched_field])
+    both = combine_pairs([matched_field, matched_field], matched_field.h_values.size)
     assert np.all(both.H_values <= 1.5)
 
 
@@ -244,12 +246,10 @@ def test_verify_flags_constant_h_off_recurrent(matched_field, circle_system):
         certified=np.ones(s.n, dtype=bool), quad_bound=np.zeros(s.n),
         k_series=np.full((orbit.times.size, s.n), 0.5), s_max=S_MAX)
 
-    class FakeScr:
-        members = np.arange(0)
-        band = np.arange(0)
-
-    report = verify_lyapunov([const], [], s, orbit, FakeScr(), t_probe=1.0,
-                             margin=1e-4)
+    nothing = np.arange(0)
+    scr = ScrResult(epsilon=0.05, min_return_cost=np.full(s.n, np.inf),
+                    members=nothing, band=nothing)
+    report = verify_lyapunov([const], [], s, orbit, scr, t_probe=1.0, margin=1e-4)
     assert report["monotonicity_violations"] == []
     assert len(report["strict_failures"]) == report["n_strict_universe"] == s.n
 

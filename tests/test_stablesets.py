@@ -7,7 +7,7 @@ from scrl.orbits import build_orbit_data
 from scrl.space import build_grid, roof_height
 from scrl.stablesets import (StablePair, avoidance_profile, build_strongly_stable,
                              complementary, default_eta_samples, find_eta0_and_bstar,
-                             nested_neighborhoods, omega_limit_of_set,
+                             grid_image_orbit, nested_neighborhoods, omega_limit_of_set,
                              omega_limits_all)
 
 
@@ -257,7 +257,8 @@ def test_build_rejects_empty_seed(square16):
 
 def test_nested_identity_invariant_immediately():
     s, f, tr, g = make_system("identity", "circle", 16, m_max=1, prune=0.3)
-    out = nested_neighborhoods(s, tr, [2, 3], 0.5, [0.1, 0.5, 0.9], t_cap_steps=50)
+    out = nested_neighborhoods(s, tr, [2, 3], 0.5, [0.1, 0.5, 0.9],
+                               grid_image_orbit(tr, 50))
     assert not out["failures"]
     assert all(v == 1.0 for v in out["T_table"].values())
 
@@ -266,7 +267,7 @@ def test_nested_square_bottom_collar_drains(square16):
     s, f, tr, g = square16
     bottom = np.nonzero(s.points[:, 1] == s.points[:, 1].min())[0]
     out = nested_neighborhoods(s, tr, bottom, np.sqrt(2), [0.1, 0.3, 0.5, 0.9],
-                               t_cap_steps=100)
+                               grid_image_orbit(tr, 100))
     assert not out["failures"]
     assert all(np.isfinite(v) for v in out["T_table"].values())
 
@@ -289,7 +290,7 @@ def test_nested_reports_witness_on_failure(circle64):
     # a lone wandering cell is not forward invariant at any thickening
     s, f, tr, g = circle64
     wanderer = int(s.nearest(np.array([[0.2]]))[0])
-    out = nested_neighborhoods(s, tr, [wanderer], 0.5, [0.01], t_cap_steps=50)
+    out = nested_neighborhoods(s, tr, [wanderer], 0.5, [0.01], grid_image_orbit(tr, 50))
     assert 0.01 in out["failures"]
     witness = out["failures"][0.01]
     assert 0 <= witness < s.n
@@ -316,7 +317,7 @@ def test_find_eta0_circle_matched_scale(circle64, circle64_orbit):
     Bb = complementary(s, tr, B, cells, flags)
     R = 0.5
     nn = nested_neighborhoods(s, tr, B, R, list(np.geomspace(0.02, 0.125, 6)),
-                              t_cap_steps=100)
+                              grid_image_orbit(tr, 100))
     assert not nn["failures"]
     prof = avoidance_profile(s, circle64_orbit, [B])[0]
     eta0, B_star, dropped = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
@@ -335,7 +336,7 @@ def test_find_eta0_square_origin(square16, square16_orbit):
     B = np.asarray([origin])
     Bb = complementary(s, tr, B, cells, flags)
     R = np.sqrt(2)
-    nn = nested_neighborhoods(s, tr, B, R, default_eta_samples(16), t_cap_steps=100)
+    nn = nested_neighborhoods(s, tr, B, R, default_eta_samples(16), grid_image_orbit(tr, 100))
     prof = avoidance_profile(s, square16_orbit, [B])[0]
     got = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     assert got is not None
@@ -387,7 +388,7 @@ def test_bstar_forward_invariant(circle64, circle64_orbit):
     cells, flags = omega_limits_all(circle64_orbit)
     Bb = complementary(s, tr, B, cells, flags)
     nn = nested_neighborhoods(s, tr, B, 0.5, list(np.geomspace(0.02, 0.125, 6)),
-                              t_cap_steps=100)
+                              grid_image_orbit(tr, 100))
     prof = avoidance_profile(s, circle64_orbit, [B])[0]
     _, B_star, _ = find_eta0_and_bstar(s, B, Bb, nn["T_table"], 0.5, prof)
     img = np.unique(tr.image[B_star])

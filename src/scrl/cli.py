@@ -518,7 +518,8 @@ def config_from_args(args) -> RunConfig:
     """The config file's values, overridden by the flags given explicitly.
 
     The ``--epsilon`` flags, when given, are the budgets of the run and
-    the smallest is ``epsilon``.
+    the smallest is ``epsilon``.  A file key that is not a ``RunConfig``
+    field is a config error.
     """
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     try:
@@ -527,11 +528,16 @@ def config_from_args(args) -> RunConfig:
         raise ConfigError(f"config file {args.config}: {exc}") from exc
     if not isinstance(merged, dict):
         raise ConfigError(f"config file {args.config}: expected a JSON object")
+    unknown = sorted(set(merged) - known)
+    if unknown:
+        hint = ("; epsilon_max was replaced by epsilons, the list of a sweep's budgets"
+                if "epsilon_max" in unknown else "")
+        raise ConfigError(f"config file {args.config}: unknown keys {unknown}{hint}")
     check_config_types(merged)
     merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
     if args.epsilon:
         merged.update(epsilon=min(args.epsilon), epsilons=sorted(args.epsilon))
-    return RunConfig(**{k: v for k, v in merged.items() if k in known})
+    return RunConfig(**merged)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,7 +25,11 @@ every trajectory can be evaluated in closed form (no ODE stepping):
   different periods, which is what destroys uniform-in-time Lipschitz
   continuity of this flow.  Outside the strip there is a horizontal
   drift toward the strip with speed min(5 * gap, 1/2), so outer
-  trajectories wind inward onto the strip's boundary column.
+  trajectories wind inward onto the strip's boundary column.  The time of
+  each wrap is found by bisection.  :meth:`FlowModel.march` steps a whole
+  lattice of times at once, wrap event by wrap event rather than row by
+  row, with the same doubles as :meth:`FlowModel.evaluate` applied to
+  each row in turn; roof ``evaluate`` is that march over ``[0, t]``.
 
 * ``identity``: every point fixed, on the circle domain.
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import CIRCLE, ROOF, UNIT_SQUARE, GridSpace, circle_gap, roof_height
+from .space import CIRCLE, ROOF, ROOF_RIDGE, UNIT_SQUARE, GridSpace, circle_gap, roof_height
 
 CIRCLE_MARKERS = {"B": 0.0, "C": 0.375, "D": 0.625, "A": 0.875, "E": 0.9375}
 
@@ -71,8 +75,23 @@ class FlowModel:
         if self.kind == "north-south-square":
             return _square_flow(pts, t)
         if self.kind == "roof":
-            return _roof_flow(pts, t)
+            coords = np.empty((2,) + pts.shape)
+            coords[0] = pts
+            _roof_march(coords, np.array([t], dtype=float))
+            return coords[1]
         raise ValueError(f"flow kind {self.kind!r} has no continuous evaluator")
+
+    def march(self, coords: np.ndarray, steps: np.ndarray) -> None:
+        """Fill ``coords[1:]`` in place: ``coords[j]`` is phi_{steps[j-1]}
+        applied to ``coords[j-1]``, the same doubles as :meth:`evaluate`
+        row by row."""
+        if np.any(steps < 0):
+            raise ValueError(f"negative flow time t={np.min(steps)}; this is a semiflow")
+        if self.kind == "roof":
+            _roof_march(coords, steps)
+            return
+        for j, dt in enumerate(steps, 1):
+            coords[j] = self.evaluate(coords[j - 1], dt)
 
     def describe(self) -> dict:
         """Speed-profile metadata recorded with every run."""
@@ -108,8 +127,9 @@ def make_flow(system: str, params: dict | None = None) -> FlowModel:
 
 
 def flow_map(flow: FlowModel, x, t: float):
-    """phi_t(x) for a single point; validates domain membership."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
+    """phi_t(x) for a single point; validates domain membership.  ``x`` is
+    not modified."""
+    x = np.array(x, dtype=float).reshape(1, -1)
     if flow.domain == CIRCLE:
         x = x % 1.0
     elif flow.domain == UNIT_SQUARE:
@@ -228,57 +248,183 @@ def _roof_x_at(drift: tuple, t) -> np.ndarray:
     return 0.5 + s * (ROOF_STRIP_HALF_WIDTH + r) * moving + still
 
 
-def _roof_flow(pts: np.ndarray, t: float) -> np.ndarray:
-    x0, y0 = pts[:, 0].copy(), pts[:, 1].copy()
-    tau0 = roof_height(x0)
-    if np.any((x0 < -1e-12) | (x0 > 1 + 1e-12) | (y0 < -1e-12) | (y0 > tau0 + 1e-9)):
-        raise ValueError("point outside the roof domain")
-    on_roof = y0 >= tau0
-    y0[on_roof] = 0.0                                  # identified points
+def _roof_march(coords: np.ndarray, steps: np.ndarray) -> None:
+    """Fill ``coords[1:]`` in place: ``coords[j]`` is phi_{steps[j-1]} of ``coords[j-1]``.
 
-    in_strip = np.abs(x0 - 0.5) <= ROOF_STRIP_HALF_WIDTH
-    out_x = np.where(in_strip, x0, _roof_x_at(_roof_drift(x0), t))
-    out_y = np.empty_like(y0)
-    if np.any(in_strip):
-        out_y[in_strip] = (y0[in_strip] + t) % tau0[in_strip]
+    Bit for bit the row-by-row application of the single-step evaluator,
+    without stepping row by row where nothing happens:
 
-    idx = np.nonzero(~in_strip)[0]
-    if idx.size:
-        out_y[idx] = _roof_outer_y(x0[idx], y0[idx], t)
-    return np.column_stack([out_x, out_y])
+    * x never depends on y, so every row of x comes first, from the same
+      :func:`_roof_drift` / :func:`_roof_x_at` calls a single step makes.
+    * A point in the strip keeps its x, and its height steps as
+      ``(y + dt) % tau``.
+    * A drifting point's height steps as ``y + dt`` until a step reaches
+      the roof.  Those sums are sequential, so :func:`_roof_scan` takes them
+      from ``np.add.accumulate`` over a window of rows: the same doubles.
+      The wrap inside that step is then bisected as a single step would,
+      and the bisections of all points are batched into one round
+      (:func:`_roof_wrap_time`), however far apart their rows are.
 
-
-def _roof_outer_y(x0: np.ndarray, y0: np.ndarray, t: float) -> np.ndarray:
-    """Vertical coordinate after time t for drifting points, with wraps.
-
-    The wrap condition y0 + s == tau(x(s)) is solved by bisection; it has
-    a unique root because d/ds of the left side is 1 while the roof height
-    along the drift changes at rate at most |tau'| * |dx/dt| < 0.8.
+    A drifting height is identified with the floor on the first row only:
+    a single step never ends it at or above its roof.  A strip height is
+    checked on every row, since ``(y + dt) % tau`` rounds to ``tau`` when
+    a height just below the floor takes a tiny step.
     """
-    drift = _roof_drift(x0)
-    tau_end = roof_height(_roof_x_at(drift, t))
-    s_cur = np.zeros_like(y0)
-    y_cur = y0.copy()
-    for _ in range(int(np.ceil(t / ROOF_RIDGE_MIN)) + 2):
-        gap = y_cur + (t - s_cur) - tau_end
-        active = gap >= 0
-        if not np.any(active):
-            break
-        lo = s_cur[active].copy()
-        hi = np.full(lo.shape, float(t))
-        da = tuple(term[active] for term in drift)
-        ya, sa = y_cur[active], s_cur[active]
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            wrapped = ya + (mid - sa) - roof_height(_roof_x_at(da, mid)) >= 0
-            hi = np.where(wrapped, mid, hi)
-            lo = np.where(wrapped, lo, mid)
-        s_cur[active] = hi
-        y_cur[active] = 0.0
-    return np.clip(y_cur + (t - s_cur), 0.0, None)
+    rows = coords.shape[0]
+    x, y = coords[0, :, 0].copy(), coords[0, :, 1].copy()
+    tau0 = roof_height(x)
+    if np.any((x < -1e-12) | (x > 1 + 1e-12) | (y < -1e-12) | (y > tau0 + 1e-9)):
+        raise ValueError("point outside the roof domain")
+    y[y >= tau0] = 0.0                                 # identified points
+
+    entry = np.full(x.size, rows)                      # first row stepped from the strip
+    for j in range(1, rows):
+        in_strip = np.abs(x - 0.5) <= ROOF_STRIP_HALF_WIDTH
+        entry[in_strip & (entry == rows)] = j
+        x = np.where(in_strip, x, _roof_x_at(_roof_drift(x), steps[j - 1]))
+        coords[j, :, 0] = x
+    _roof_drifting_rows(coords, steps, y, entry)
+    _roof_strip_rows(coords, steps, y, entry)
 
 
-ROOF_RIDGE_MIN = float(roof_height(0.5))
+def _roof_strip_rows(coords, steps, y0, entry) -> None:
+    """Heights of points from the row they step from inside the strip on."""
+    ids = np.nonzero(entry < coords.shape[0])[0]
+    if not ids.size:
+        return
+    ids = ids[np.argsort(entry[ids], kind="stable")]
+    first = entry[ids]
+    tau = roof_height(coords[first - 1, ids, 0])       # x stays put in the strip
+    y = np.where(first == 1, y0[ids], coords[first - 1, ids, 1])
+    for j in range(int(first[0]), coords.shape[0]):
+        k = int(np.searchsorted(first, j, side="right"))
+        cur = y[:k]
+        cur[cur >= tau[:k]] = 0.0                      # identified points
+        np.add(cur, steps[j - 1], out=cur)
+        np.remainder(cur, tau[:k], out=cur)
+        coords[j, ids[:k], 1] = cur
+
+
+def _roof_drifting_rows(coords, steps, y0, entry) -> None:
+    """Heights of points over the steps they start outside the strip.
+
+    Each round scans every drifting point's steps up to its next wrap and
+    bisects all those wraps at once.  A point's state is the step into
+    ``row`` and its height ``ya`` at time ``sa`` into that step.
+    """
+    ids = np.nonzero(entry > 1)[0]
+    row = np.ones(ids.size, dtype=np.int64)
+    ya, sa = y0[ids], np.zeros(ids.size)
+    while ids.size:
+        ids, row, ya, sa = _roof_scan(coords, steps, entry, ids, row, ya, sa)
+        sa = _roof_wrap_time(_roof_drift(coords[row - 1, ids, 0]), ya, sa, steps[row - 1])
+        ya = np.zeros(ids.size)
+
+
+_SCAN_ROWS = 16     # rows per scan window; a wrap every 9 rows or fewer at steps T/8, T = 1
+
+
+def _roof_scan(coords, steps, entry, ids, row, ya, sa):
+    """Step drifting heights from their state to the first step that wraps.
+
+    The rest of the current step ends at ``clip(ya + (dt - sa), 0)``, as a
+    single step ends; each later step adds ``dt``, in order, through
+    ``np.add.accumulate`` over a window of rows.  A step wraps when its
+    end height reaches the roof: ``a - b >= 0`` is ``a >= b`` for doubles.
+    Writes the heights of the steps before; returns the state of every
+    point at the start of its wrapping step.
+    """
+    wraps = []
+    k = np.arange(min(_SCAN_ROWS, coords.shape[0] - 1))[:, None]
+    while ids.size:
+        end = entry[ids]
+        r = row + k
+        valid = r < end
+        r = np.minimum(r, end - 1)
+        acc = steps[r - 1]
+        acc[0] = np.clip(ya + (acc[0] - sa), 0.0, None)
+        np.add.accumulate(acc, axis=0, out=acc)
+        hit = (acc >= roof_height(coords[r, ids, 0])) & valid
+        first = hit.argmax(axis=0)
+        found = hit.any(axis=0)
+        write = k < np.where(found, first, valid.sum(axis=0))
+        coords[r[write], np.broadcast_to(ids, r.shape)[write], 1] = acc[write]
+        f = np.nonzero(found)[0]
+        kf, now = first[f], first[f] == 0
+        wraps.append((ids[f], r[kf, f], np.where(now, ya[f], acc[kf - 1, f]),
+                      np.where(now, sa[f], 0.0)))
+        go_on = ~found & (row + k.size < end)
+        ids, row, ya = ids[go_on], row[go_on] + k.size, acc[-1, go_on]
+        sa = np.zeros(ids.size)
+    return tuple(np.concatenate(part) for part in zip(*wraps)) if wraps else (ids, row, ya, sa)
+
+
+def _roof_wrap_time(drift: tuple, ya, sa, t) -> np.ndarray:
+    """Wrap time in [sa, t] of heights ya at time sa, by 52 bisection steps.
+
+    The wrap condition ya + (s - sa) == tau(x(s)) has a unique root
+    because d/ds of the left side is 1 while the roof height along the
+    drift changes at rate at most |tau'| * |dx/dt| < 0.8.  Elements in the
+    exponential drift regime with no earlier wrap in their step take
+    :func:`_roof_wrap_exp`; the rest take the general predicate.
+    """
+    s, _, t_lin, r_knee, _, _ = drift
+    hi = np.array(t, dtype=float)
+    fast = (t_lin == 0) & (sa == 0)
+    slow = np.nonzero(~fast)[0]
+    if slow.size:
+        hi[slow] = _roof_wrap_general(tuple(term[slow] for term in drift),
+                                      ya[slow], sa[slow], hi[slow])
+    fast = np.nonzero(fast)[0]
+    if fast.size:
+        hi[fast] = _roof_wrap_exp(s[fast], r_knee[fast], ya[fast], hi[fast])
+    return hi
+
+
+def _roof_wrap_general(drift: tuple, ya, sa, hi) -> np.ndarray:
+    lo = sa.copy()
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        wrapped = ya + (mid - sa) - roof_height(_roof_x_at(drift, mid)) >= 0
+        hi = np.where(wrapped, mid, hi)
+        lo = np.where(wrapped, lo, mid)
+    return hi
+
+
+def _roof_wrap_exp(s, r_knee, ya, hi) -> np.ndarray:
+    """The general bisection where t_lin == 0 and sa == 0, in place.
+
+    Same doubles with fewer calls.  ``mid - sa`` and ``mid - t_lin`` are
+    ``mid`` exactly, and the drift takes its exponential branch (at
+    mid == 0 both branches give r0).  ``* moving`` multiplies by 1 and
+    ``+ still`` adds a zero, since a drifting point has r0 > 0.  With
+    v = 0.1 + r and c = s / 2, |(0.5 + s * v) - 0.5| is (v + c) - c:
+    rounding commutes with negation, so for s = -1 the two sums are those
+    of (v - 0.5) + 0.5 negated, and the absolute value drops the sign.
+    And ``a - b >= 0`` is ``a >= b``.  Every rounding step of
+    :func:`_roof_x_at` and :func:`roof_height` is kept.
+    """
+    c = 0.5 * s
+    lo = np.zeros_like(hi)
+    mid, h, q = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
+    wrapped = np.empty(hi.shape, dtype=bool)
+    for _ in range(52):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, -ROOF_DRIFT_RATE, out=h)
+        np.exp(h, out=h)
+        h *= r_knee
+        h += ROOF_STRIP_HALF_WIDTH                     # v = 0.1 + r
+        h += c
+        h -= c                                         # |x(mid) - 0.5|
+        np.sqrt(h, out=h)
+        h += ROOF_RIDGE                                # tau(x(mid))
+        np.add(ya, mid, out=q)
+        np.greater_equal(q, h, out=wrapped)
+        np.copyto(hi, mid, where=wrapped)
+        np.logical_not(wrapped, out=wrapped)
+        np.copyto(lo, mid, where=wrapped)
+    return hi
 
 
 # -- grid transitions --------------------------------------------------

@@ -7,6 +7,13 @@ the flowed-point evaluation in verification.  This module computes the
 table once per (flow, grid, T): a fine lattice with step ``T/8`` out to
 ``fine_horizon`` (the quadrature window plus probe slack) and a coarse
 lattice with step ``T/4`` out to ``horizon``.
+
+Each row is the flow of the row before over one lattice step, and
+:meth:`FlowModel.march` computes exactly those doubles.  On the roof the
+march advances every point from one wrap of its orbit to the next: the
+steps between wraps are sequential sums, and all points' wraps are
+bisected in one batch per round, so the number of rounds is the largest
+wrap count of any point rather than the number of rows.
 """
 
 from __future__ import annotations
@@ -61,9 +68,7 @@ def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
     n, dim = space.n, space.dim
     coords = np.empty((times.size, n, dim))
     coords[0] = space.points
-    for j in range(1, times.size):
-        dt = times[j] - times[j - 1]
-        coords[j] = flow.evaluate(coords[j - 1], dt)
+    flow.march(coords, np.diff(times))
 
     t_rows = np.array([int(np.argmin(np.abs(times - i * T))) for i in range(t_steps + 1)])
     t_cells = np.empty((t_steps + 1, n), dtype=np.int64)

@@ -229,7 +229,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
                           ({"system": "circle", "radii": [0.1, "x"]}, "radii"),
                           ({"system": 3}, "system"),
                           ({"system": "circle", "horizon_steps": True}, "horizon_steps"),
-                          ([1, 2], "JSON object")):
+                          ([1, 2], "JSON object"),
+                          # keys that are not RunConfig fields, misspelled or retired
+                          ({"system": "circle", "grid": 64}, "unknown keys ['grid']"),
+                          ({"system": "circle", "epsilon_max": 0.2}, "replaced by epsilons")):
         cfg_file.write_text(json.dumps(body))
         assert run(["scr", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 1
         assert message in capsys.readouterr().err

@@ -1,12 +1,10 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from scrl import flows
-from scrl.flows import (CIRCLE_MARKERS, ROOF_DRIFT_CAP, ROOF_DRIFT_RATE, ROOF_RIDGE_MIN,
+from scrl.flows import (CIRCLE_MARKERS, ROOF_DRIFT_CAP, ROOF_DRIFT_RATE,
                         ROOF_STRIP_HALF_WIDTH, build_transition, circle_fixed_distance,
                         flow_map, load_sampled_transition, make_flow)
 from scrl.orbits import build_orbit_data
@@ -163,6 +161,13 @@ def test_outside_domain_rejected(square_flow, roof_flow):
 # -- roof specifics -------------------------------------------------------
 
 
+def test_flow_map_leaves_its_input_alone(roof_flow):
+    p = np.array([0.2, roof_height(0.2)])        # on the roof: identified with the floor
+    before = p.copy()
+    flow_map(roof_flow, p, 0.5)
+    assert p.tobytes() == before.tobytes()
+
+
 def test_roof_strip_periodicity(roof_flow):
     for x in (0.42, 0.5, 0.58):
         tau = float(roof_height(x))
@@ -202,6 +207,9 @@ def test_roof_not_uniformly_lipschitz(roof_flow):
     assert stretch(1e-3) > 10 * stretch(1e-1)
 
 
+FROZEN_RIDGE_MIN = float(np.sqrt(2.0) - 1.0) / float(np.sqrt(2.0))   # roof height at x = 1/2
+
+
 def _frozen_roof_x_at(x0, t):
     """The roof drift as first written: every term recomputed per call."""
     s = np.sign(x0 - 0.5)
@@ -220,7 +228,7 @@ def _frozen_roof_outer_y(x0, y0, t):
     """The wrap bisection as first written, with no hoisted invariants."""
     s_cur = np.zeros_like(y0)
     y_cur = y0.copy()
-    for _ in range(int(np.ceil(t / ROOF_RIDGE_MIN)) + 2):
+    for _ in range(int(np.ceil(t / FROZEN_RIDGE_MIN)) + 2):
         gap = y_cur + (t - s_cur) - roof_height(_frozen_roof_x_at(x0, t))
         active = gap >= 0
         if not np.any(active):
@@ -275,16 +283,101 @@ def test_roof_flow_bit_identical_to_frozen_bisection(roof_flow, t):
     assert got.tobytes() == want.tobytes()
 
 
-def test_roof_orbit_table_bit_identical_to_frozen_bisection(monkeypatch):
-    def coords_digest():
-        s = build_grid("roof", 12)
-        orbit = build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=24.0,
-                                 horizon=60.0, t_steps=60)
-        return hashlib.sha256(orbit.coords.tobytes()).hexdigest()
+def _frozen_row_loop(pts, steps):
+    """The orbit table as first built: one single-step evaluation per row."""
+    coords = np.empty((len(steps) + 1,) + pts.shape)
+    coords[0] = pts
+    for j, dt in enumerate(steps, 1):
+        coords[j] = _frozen_roof_flow(coords[j - 1], dt)
+    return coords
 
-    got = coords_digest()
-    monkeypatch.setattr(flows, "_roof_flow", _frozen_roof_flow)
-    assert got == coords_digest()
+
+def test_roof_orbit_table_bit_identical_to_frozen_bisection():
+    # T = 2 has coarse steps of 0.5, fine_divisor 16 has steps of T/16
+    s = build_grid("roof", 12)
+    for T, fine_divisor in ((1.0, 8), (1.0, 16), (2.0, 8)):
+        orbit = build_orbit_data(make_flow("roof"), s, T, fine_horizon=24.0 * T,
+                                 horizon=60.0 * T, t_steps=60, fine_divisor=fine_divisor)
+        want = _frozen_row_loop(s.points, np.diff(orbit.times))
+        assert orbit.coords.tobytes() == want.tobytes(), (T, fine_divisor)
+
+
+def _march(pts, steps):
+    coords = np.empty((len(steps) + 1,) + pts.shape)
+    coords[0] = pts
+    make_flow("roof").march(coords, np.asarray(steps, dtype=float))
+    return coords
+
+
+_EDGE_X = [0.5 + side * (ROOF_STRIP_HALF_WIDTH + off)
+           for side in (-1, 1) for off in (0.0, 1e-15, -1e-15, 1e-9)] + [0.0, 1.0, 0.2, 0.8]
+
+
+@st.composite
+def _roof_point(draw):
+    x = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_X)))
+    frac = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])))
+    return x, frac * float(roof_height(x))      # frac 1 is on the roof
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_roof_point(), min_size=1, max_size=12),
+       st.sampled_from([0.5, 1.0, 2.0]),
+       st.lists(st.sampled_from([1 / 16, 1 / 8, 1 / 4, 1 / 2, 4.0]), min_size=1, max_size=40))
+def test_roof_march_bit_identical_to_frozen_row_loop(points, T, fractions):
+    pts = np.array(points, dtype=float)
+    steps = T * np.array(fractions)
+    assert _march(pts, steps).tobytes() == _frozen_row_loop(pts, steps).tobytes()
+
+
+def test_roof_march_wraps_when_a_step_ends_on_the_roof():
+    # drifting heights that reach the roof exactly at the end of step 1 or 2
+    x0 = np.array([0.2, 0.8])
+    x1 = _frozen_roof_x_at(x0, 1 / 8)
+    tau1, tau2 = roof_height(x1), roof_height(_frozen_roof_x_at(x1, 1 / 8))
+    y_touch1, y_touch2 = tau1 - 1 / 8, tau2 - 1 / 4
+    assert np.all(y_touch1 + 1 / 8 == tau1) and np.all(y_touch2 + 1 / 8 + 1 / 8 == tau2)
+    pts = np.column_stack([np.tile(x0, 2), np.concatenate([y_touch1, y_touch2])])
+    steps = [1 / 8, 1 / 8, 1 / 8]
+    assert _march(pts, steps).tobytes() == _frozen_row_loop(pts, steps).tobytes()
+
+
+def test_roof_march_heights_at_the_floor_and_roof_match_frozen_row_loop():
+    # the domain admits heights down to -1e-12; zero steps leave them below
+    # the floor, where a single step clips a drifting height and a strip
+    # height can come back exactly on the roof
+    x = np.array([0.2, 0.5, 0.45, 0.2, 0.5, 0.8])
+    y = np.concatenate([[-1e-13, -1e-17, -1e-13], roof_height(x[3:])])
+    pts = np.column_stack([x, y])
+    steps = [0.0, 0.1, 0.0, 1 / 4, 1 / 8]
+    assert _march(pts, steps).tobytes() == _frozen_row_loop(pts, steps).tobytes()
+
+
+def _frozen_wrap_time(x0, ya, sa, t):
+    lo, hi = sa.copy(), t.copy()
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        g = ya + (mid - sa) - roof_height(_frozen_roof_x_at(x0, mid))
+        hi = np.where(g >= 0, mid, hi)
+        lo = np.where(g >= 0, lo, mid)
+    return hi
+
+
+def test_roof_wrap_kernels_choose_the_general_bisection():
+    # elements in the linear regime (t_lin > 0), after an earlier wrap in the
+    # step (sa > 0), and in the exponential regime from the step's start
+    x0 = np.array([0.05, 0.95, 0.25, 0.75, 0.35, 0.65, 0.3, 0.7, 0.39, 0.61])
+    sa = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.0, 0.7])
+    tau = roof_height(x0)
+    ya = np.where(sa > 0, 0.0, tau - 0.1)
+    t = np.where(sa > 0, sa + tau + 0.2, 0.25)
+    drift = flows._roof_drift(x0)
+    fast = (drift[2] == 0) & (sa == 0)
+    assert fast.any() and (drift[2] > 0).any() and (sa > 0).any()
+    got = flows._roof_wrap_time(drift, ya, sa, t)
+    want = _frozen_wrap_time(x0, ya, sa, t)
+    assert got.tobytes() == want.tobytes()
+    assert np.all((got > sa) & (got < t))        # a wrap strictly inside every step
 
 
 # -- transitions ----------------------------------------------------------

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .flows import FlowModel, GridTransition
-from .space import GRID_BLOCK, GridSpace
+from .space import GridSpace
 
 
 @dataclass(eq=False)
@@ -158,6 +158,11 @@ class ScrResult:
         return np.nonzero(~recurrent)[0]
 
 
+# Source rows per block of build_chain_graph: it holds (_ROW_BLOCK, n)
+# distances per multiplier at a time.
+_ROW_BLOCK = 512
+
+
 def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
                       prune_radius: float) -> ChainGraph:
     """Assemble the cheapest jump edge per (u, v) with weight at most
@@ -171,8 +176,8 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
             f"prune_radius {prune_radius} < 3 * resolution {3 * space.resolution}; "
             "near-zero-cost continuation edges would be lost")
     us, vs, ms, ws = [], [], [], []
-    for lo in range(0, space.n, GRID_BLOCK):
-        hi = min(lo + GRID_BLOCK, space.n)
+    for lo in range(0, space.n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, space.n)
         wmin = best = None
         for m in range(1, tr.m_max + 1):
             if tr.exact_images is not None:

@@ -31,6 +31,9 @@ class PairCatalog:
     dedupe_keys: list[str] = field(default_factory=list)
     selected: list[int] = field(default_factory=list)
     residual: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    # one-cell closure of B union B_bullet per pair, the set hashed into its
+    # dedupe key; kept in memory for select_cover, not written to JSON
+    closures: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -56,12 +59,6 @@ def default_radii(resolution: float) -> list[float]:
 
 def default_seed_stride(n: int) -> int:
     return 1 if n <= 1000 else 4
-
-
-def _signature(space: GridSpace, B, B_bullet) -> str:
-    union = np.union1d(B, B_bullet)
-    closed = space.thicken(union, space.pitch)
-    return hashlib.sha1(closed.astype(np.int64).tobytes()).hexdigest()
 
 
 def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
@@ -101,7 +98,8 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
                 B_bullet = complementary(space, tr, B, omega_cells, nonconv)
             except ValueError:
                 continue          # settled set not invariant at tolerance
-            key = _signature(space, B, B_bullet)
+            closed = space.thicken(np.union1d(B, B_bullet), space.pitch)
+            key = hashlib.sha1(closed.astype(np.int64).tobytes()).hexdigest()
             if key in seen:
                 continue
             nn = nested_neighborhoods(space, tr, B, R, eta_samples, grid_orbit)
@@ -112,6 +110,7 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
                           {"center": int(seed), "radius": radius,
                            "epsilon": epsilon, "T": tr.T}))
             catalog.dedupe_keys.append(key)
+            catalog.closures.append(closed)
     # the avoidance profiles of all pairs share one pass over the orbit
     profiles = avoidance_profile(space, orbit, [B for B, *_ in found])
     for (B, B_bullet, T_table, provenance), prof in zip(found, profiles):
@@ -130,17 +129,14 @@ def select_cover(catalog: PairCatalog, scr: ScrResult, space: GridSpace) -> Pair
     """Greedy cover of the non-recurrent points by pair exclusions.
 
     A pair excludes the points outside the one-cell closure of B union
-    B_bullet.  Selection stops when every non-recurrent point outside
-    the warning band is excluded by some selected pair; leftovers are
-    reported as the residual.  Ties break toward the lower pair index.
+    B_bullet, as ``enumerate_pairs`` kept it in ``catalog.closures``.
+    Selection stops when every non-recurrent point outside the warning
+    band is excluded by some selected pair; leftovers are reported as
+    the residual.  Ties break toward the lower pair index.
     """
     universe = set(scr.non_recurrent(space).tolist())
 
-    exclusions = []
-    for pair in catalog.pairs:
-        union = np.union1d(pair.B, pair.B_bullet)
-        closed = set(space.thicken(union, space.pitch).tolist())
-        exclusions.append(frozenset(i for i in universe if i not in closed))
+    exclusions = [universe.difference(closed.tolist()) for closed in catalog.closures]
 
     selected: list[int] = []
     remaining = set(universe)

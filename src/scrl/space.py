@@ -32,10 +32,6 @@ ROOF_RIDGE = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 
 PointId = int
 
-# Query rows per block of dist_coords_to_grid.  The chain graph builds its
-# edges in blocks of the same rows, so _euclid sees the same shapes.
-GRID_BLOCK = 512
-
 
 def roof_height(x):
     """Height of the roof profile above x, minimal at x = 1/2."""
@@ -62,16 +58,19 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euclid(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
-    """Dense (k, n) Euclidean distances via the square expansion (BLAS).
+def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense (k, n) Euclidean distances by the direct difference formula.
 
-    ``a_sq`` may hold the squared norms of ``a``, ``(a ** 2).sum(1)``, when
-    the caller reuses the same queries against several ``b``.
+    Each entry is sqrt(sum_j (a_j - b_j) ** 2), taken elementwise, so it
+    is exact to a few ulps, 0 for equal points, symmetric bit for bit,
+    and the same whatever the shapes of ``a`` and ``b``.
     """
-    if a_sq is None:
-        a_sq = (a ** 2).sum(1)
-    sq = a_sq[:, None] + (b ** 2).sum(1)[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for j in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, j], b[:, j])
+        diff *= diff
+        sq += diff
     return np.sqrt(sq, out=sq)
 
 
@@ -91,7 +90,9 @@ class RoofSeam:
 
     Seam sample i stands for the identified pair of points
     (x_i, tau(x_i)) == (x_i, 0).  ``closure`` holds seam-to-seam shortest
-    quotient distances, ``to_grid`` seam-to-grid-point distances.
+    quotient distances, ``grid_entry`` the (n, m) direct costs from each
+    grid point to each seam sample and ``to_grid`` seam-to-grid-point
+    distances.
     """
 
     def __init__(self, grid_points: np.ndarray, n_samples: int):
@@ -104,13 +105,11 @@ class RoofSeam:
         base = np.full((n_samples, n_samples), np.inf)
         for a in reps:
             for b in reps:
-                diff = a[:, None, :] - b[None, :, :]
-                np.minimum(base, np.sqrt((diff ** 2).sum(-1)), out=base)
+                np.minimum(base, _euclid(a, b), out=base)
         self.closure = _fw_closure(base)
 
-        entry = np.minimum(_euclid(self.top, grid_points),
-                           _euclid(self.bot, grid_points))  # (m, n)
-        self.to_grid = _min_plus(self.closure, entry)      # (m, n)
+        self.grid_entry = self.entry_costs(grid_points)    # (n, m)
+        self.to_grid = _min_plus(self.closure, np.ascontiguousarray(self.grid_entry.T))  # (m, n)
         self.to_grid_min = self.to_grid.min(axis=1)        # (m,)
         self.to_grid_argmin = self.to_grid.argmin(axis=1)  # (m,)
 
@@ -161,7 +160,7 @@ class GridSpace:
         b = np.asarray(b, dtype=float).reshape(1, -1)
         if self.domain == CIRCLE:
             return float(circle_gap(a[0, 0], b[0, 0]))
-        direct = float(np.sqrt(((a - b) ** 2).sum()))
+        direct = float(_euclid(a, b)[0, 0])
         if self.domain == UNIT_SQUARE:
             return direct
         ea = self.seam.entry_costs(a)[0]
@@ -176,35 +175,23 @@ class GridSpace:
         self._check_id(q)
         return self.coord_distance(self.points[p], self.points[q])
 
-    def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float | None = None) -> np.ndarray:
+    def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
         """Dense (k, n) matrix of distances from query coords to all grid points.
 
-        With a ``cutoff``, entries above it may be Euclidean overestimates
-        (only values <= cutoff are guaranteed exact); this prunes the
-        through-seam pass to points near the seam.
+        With a finite ``cutoff``, entries above it may be Euclidean
+        overestimates (only values <= cutoff are guaranteed exact); this
+        prunes the through-seam pass to points near the seam.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.domain == CIRCLE:
             return circle_gap(pts[:, :1], self.points[None, :, 0])
-        out = np.empty((pts.shape[0], self.n))
-        for lo in range(0, pts.shape[0], GRID_BLOCK):
-            block = pts[lo:lo + GRID_BLOCK]
-            d = _euclid(block, self.points)
-            if self.domain == ROOF:
-                entry = self.seam.entry_costs(block)        # (c, m)
-                if cutoff is None:
-                    refine = np.arange(block.shape[0])
-                else:
-                    refine = np.nonzero(entry.min(axis=1) <= cutoff)[0]
-                if refine.size:
-                    d[refine] = np.minimum(d[refine], _min_plus(entry[refine], self.seam.to_grid))
-            out[lo:lo + GRID_BLOCK] = d
-        return out
-
-    @cached_property
-    def grid_entry_costs(self) -> np.ndarray:
-        """Seam entry costs of the grid points themselves, (n, m); roof only."""
-        return self.seam.entry_costs(self.points)
+        d = _euclid(pts, self.points)
+        if self.domain == ROOF:
+            entry = self.seam.entry_costs(pts)              # (k, m)
+            refine = np.nonzero(entry.min(axis=1) <= cutoff)[0]
+            if refine.size:
+                d[refine] = np.minimum(d[refine], _min_plus(entry[refine], self.seam.to_grid))
+        return d
 
     def dist_coords_to_subset(self, pts: np.ndarray, ids) -> np.ndarray:
         """Distances from query coords to the nearest member of a point-id set."""
@@ -213,14 +200,12 @@ class GridSpace:
     def dist_coords_to_subsets(self, pts: np.ndarray, id_sets) -> np.ndarray:
         """(len(id_sets), k) distances from query coords to each id set.
 
-        The squared norms of ``pts`` are computed once for all the sets.
-        On the roof so are the seam entry costs of ``pts``, and once per
-        grid when ``pts`` is the grid itself.
+        On the roof the seam entry costs of ``pts`` are computed once for
+        all the sets, and once per grid when ``pts`` is the grid itself.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.full((len(id_sets), pts.shape[0]), np.inf)
         entry = None
-        pts_sq = (pts ** 2).sum(1)
         for d, ids in zip(out, id_sets):
             ids = np.asarray(sorted(ids), dtype=int)
             if ids.size == 0:
@@ -228,10 +213,10 @@ class GridSpace:
             if self.domain == CIRCLE:
                 d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
                 continue
-            d[:] = _euclid(pts, self.points[ids], pts_sq).min(axis=1)
+            d[:] = _euclid(pts, self.points[ids]).min(axis=1)
             if self.domain == ROOF:
                 if entry is None:
-                    entry = (self.grid_entry_costs if pts is self.points
+                    entry = (self.seam.grid_entry if pts is self.points
                              else self.seam.entry_costs(pts))         # (k, m)
                 premin = self.seam.to_grid[:, ids].min(axis=1)     # (m,)
                 np.minimum(d, (entry + premin[None, :]).min(axis=1), out=d)
@@ -258,8 +243,8 @@ class GridSpace:
             tied = gap == gap.min(axis=1, keepdims=True)
             return np.where(tied, ids, self.n).min(axis=1)
         out = np.empty(pts.shape[0], dtype=np.int64)
-        for lo in range(0, pts.shape[0], 2048):
-            block = pts[lo:lo + 2048]
+        for lo in range(0, pts.shape[0], 1024):
+            block = pts[lo:lo + 1024]
             d = _euclid(block, self.points)
             best = d.argmin(axis=1)
             if self.domain == ROOF:
@@ -270,7 +255,7 @@ class GridSpace:
                 via_val = via[np.arange(block.shape[0]), i_star]
                 better = via_val < best_val
                 best[better] = self.seam.to_grid_argmin[i_star[better]]
-            out[lo:lo + 2048] = best
+            out[lo:lo + 1024] = best
         return out
 
     def thicken(self, ids, radius: float) -> np.ndarray:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from scrl.chaingraph import ScrResult, build_chain_graph
+from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
 from scrl.lyapunov import (combine_pairs, combined_at_shift, discounted_integral,
                            level_function, sup_along_orbit, verify_lyapunov)
@@ -43,6 +46,17 @@ def matched_pair(circle_system):
 
 
 @pytest.fixture(scope="module")
+def square_selected_pair():
+    """The first selected pair of square 20, whose cell centers are not dyadic."""
+    bundle = build_bundle(RunConfig(system="square", grid_n=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scr = stage_scr(bundle, [bundle.cfg.epsilon])[0]
+    catalog = stage_pairs(bundle, scr)
+    return catalog.pairs[catalog.selected[0]], bundle.space
+
+
+@pytest.fixture(scope="module")
 def matched_field(matched_pair, circle_system):
     s, f, tr, orbit = circle_system
     return sup_along_orbit([matched_pair], s, orbit, s_max=S_MAX)[0]
@@ -51,12 +65,13 @@ def matched_field(matched_pair, circle_system):
 # -- level function ----------------------------------------------------------
 
 
-def test_level_zero_on_core_one_on_avoiders(matched_pair, circle_system):
-    s = circle_system[0]
-    l = level_function(matched_pair, s)
-    assert np.all(l[matched_pair.B] == 0)
-    assert np.all(l[matched_pair.B_star] == 1)
-    assert np.all((0 <= l) & (l <= 1))
+def test_level_zero_on_core_one_on_avoiders(matched_pair, circle_system,
+                                            square_selected_pair):
+    for pair, s in ((matched_pair, circle_system[0]), square_selected_pair):
+        l = level_function(pair, s)
+        assert np.all(l[pair.B] == 0)
+        assert np.all(l[pair.B_star] == 1)
+        assert np.all((0 <= l) & (l <= 1))
 
 
 def test_level_linear_in_distance(matched_pair, circle_system):

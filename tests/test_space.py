@@ -14,6 +14,11 @@ def roof12():
     return build_grid("roof", 12)
 
 
+def _direct_distances(pts, grid):
+    """(k, n) distances by the textbook difference formula, no kernel."""
+    return np.sqrt(((pts[:, None, :] - grid[None, :, :]) ** 2).sum(-1))
+
+
 def test_circle_grid_basics():
     s = build_grid("circle", 8)
     assert s.n == 8
@@ -45,6 +50,15 @@ def test_square_metric_is_euclidean():
     s = build_grid("unit-square", 8)
     assert s.coord_distance((0, 0), (1, 1)) == pytest.approx(np.sqrt(2))
     assert s.distance(0, s.n - 1) == pytest.approx(np.sqrt(2) * (7 / 8))
+    # single distances and grid queries are the direct formula, bit for bit
+    s = build_grid("unit-square", 24)
+    rng = np.random.default_rng(24)
+    queries = np.concatenate([rng.uniform(0, 1, (40, 2)), s.points[::37]])
+    full = s.dist_coords_to_grid(queries)
+    assert full.tobytes() == _direct_distances(queries, s.points).tobytes()
+    for q, row in zip(queries, full):
+        for j in range(0, s.n, 11):
+            assert s.coord_distance(q, s.points[j]) == row[j]
 
 
 def test_rejects_too_coarse():
@@ -138,6 +152,30 @@ def test_circle_nearest_matches_brute_force(n):
     pts = theta[:, None]
     brute = circle_gap(pts, s.points[None, :, 0]).argmin(axis=1)
     assert np.array_equal(s.nearest(pts), brute)
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_square_nearest_ties_break_toward_lowest_id(n):
+    s = build_grid("unit-square", n)
+    ids = np.arange(s.n).reshape(n, n)            # ids[i, j]: x cell i, y cell j
+    pairs = np.concatenate([
+        np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),        # x neighbours
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),  # y neighbours
+    ])
+    mid = (s.points[pairs[:, 0]] + s.points[pairs[:, 1]]) / 2       # half-cell midpoints
+    brute = _direct_distances(mid, s.points).argmin(axis=1)         # first minimum
+    assert np.array_equal(s.nearest(mid), brute)
+
+
+@pytest.mark.parametrize("domain,n", [("roof", 16), ("unit-square", 24)])
+def test_distances_do_not_depend_on_query_shape(domain, n):
+    s = build_grid(domain, n)
+    full = s.dist_coords_to_grid(s.points)
+    for i in range(s.n):
+        row = s.dist_coords_to_grid(s.points[i:i + 1])
+        assert row.tobytes() == full[i:i + 1].tobytes(), i
+        assert s.dist_coords_to_subset(s.points[[i]], [i])[0] == 0.0
+    assert np.all(np.diag(full) == 0.0)
 
 
 def test_thicken_is_metric_ball():

@@ -25,16 +25,20 @@ every trajectory can be evaluated in closed form (no ODE stepping):
   different periods, which is what destroys uniform-in-time Lipschitz
   continuity of this flow.  Outside the strip there is a horizontal
   drift toward the strip with speed min(5 * gap, 1/2), so outer
-  trajectories wind inward onto the strip's boundary column.  The time of
-  each wrap is found by bisection.  :meth:`FlowModel.march` steps a whole
-  lattice of times at once, wrap event by wrap event rather than row by
-  row, with the same doubles as :meth:`FlowModel.evaluate` applied to
-  each row in turn; roof ``evaluate`` is that march over ``[0, t]``.
+  trajectories wind inward onto the strip's boundary column.  Each
+  trajectory is a function of its start point and the absolute time:
+  x in closed form, and the height from one list of wrap events per
+  point, bisected in brackets that do not depend on the query time.  A
+  wrap that lands in the strip settles the point there, periodic from
+  then on.
 
 * ``identity``: every point fixed, on the circle domain.
 
 All evaluators are pure, vectorized over points, and reject negative
-times (the theory only ever flows forward).
+times (the theory only ever flows forward).  They also take a 1-D array
+of times, one output row per time, each bit for bit the single-time
+call; the orbit table and the transitions are such calls from the grid
+points.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import CIRCLE, ROOF, ROOF_RIDGE, UNIT_SQUARE, GridSpace, circle_gap, roof_height
+from .space import CIRCLE, ROOF, UNIT_SQUARE, GridSpace, circle_gap, roof_height
 
 CIRCLE_MARKERS = {"B": 0.0, "C": 0.375, "D": 0.625, "A": 0.875, "E": 0.9375}
 
@@ -63,35 +67,30 @@ class FlowModel:
     domain: str
     params: dict = field(default_factory=dict)
 
-    def evaluate(self, pts: np.ndarray, t: float) -> np.ndarray:
-        """phi_t applied to an array of points, t >= 0."""
-        if t < 0:
-            raise ValueError(f"negative flow time t={t}; this is a semiflow")
+    def evaluate(self, pts: np.ndarray, t) -> np.ndarray:
+        """phi_t applied to an array of points, t >= 0.
+
+        ``t`` may also be a 1-D array of times; row j of the result is
+        then bit for bit ``evaluate(pts, t[j])``.
+        """
+        times = np.asarray(t, dtype=float)
+        if np.any(times < 0):
+            raise ValueError(f"negative flow time t={np.min(times)}; this is a semiflow")
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self.kind == "roof":
+            return _roof_flow(pts, times.reshape(-1)).reshape(times.shape + pts.shape)
+        if times.ndim:
+            out = np.empty(times.shape + pts.shape)
+            for row, s in zip(out, times):
+                row[...] = self.evaluate(pts, s)
+            return out
         if self.kind == "identity":
             return pts.copy()
         if self.kind == "circle-arc":
             return _circle_flow(pts, t, self.params)
         if self.kind == "north-south-square":
             return _square_flow(pts, t)
-        if self.kind == "roof":
-            coords = np.empty((2,) + pts.shape)
-            coords[0] = pts
-            _roof_march(coords, np.array([t], dtype=float))
-            return coords[1]
         raise ValueError(f"flow kind {self.kind!r} has no continuous evaluator")
-
-    def march(self, coords: np.ndarray, steps: np.ndarray) -> None:
-        """Fill ``coords[1:]`` in place: ``coords[j]`` is phi_{steps[j-1]}
-        applied to ``coords[j-1]``, the same doubles as :meth:`evaluate`
-        row by row."""
-        if np.any(steps < 0):
-            raise ValueError(f"negative flow time t={np.min(steps)}; this is a semiflow")
-        if self.kind == "roof":
-            _roof_march(coords, steps)
-            return
-        for j, dt in enumerate(steps, 1):
-            coords[j] = self.evaluate(coords[j - 1], dt)
 
     def describe(self) -> dict:
         """Speed-profile metadata recorded with every run."""
@@ -224,13 +223,11 @@ def _square_flow(pts: np.ndarray, t: float) -> np.ndarray:
 
 
 def _roof_drift(x0: np.ndarray) -> tuple:
-    """Time-independent terms of the horizontal drift of points x0."""
-    s = np.sign(x0 - 0.5)
-    r0 = np.maximum(np.abs(x0 - 0.5) - ROOF_STRIP_HALF_WIDTH, 0.0)
+    """Time-independent terms of the horizontal drift of points x0 outside the strip."""
+    r0 = np.abs(x0 - 0.5) - ROOF_STRIP_HALF_WIDTH
     knee = ROOF_DRIFT_CAP / ROOF_DRIFT_RATE          # gap where regimes meet
     t_lin = np.maximum(r0 - knee, 0.0) / ROOF_DRIFT_CAP
-    still = s * np.abs(x0 - 0.5) * (r0 == 0)
-    return s, r0, t_lin, np.minimum(r0, knee), r0 > 0, still
+    return np.sign(x0 - 0.5), r0, t_lin, np.minimum(r0, knee)
 
 
 def _roof_x_at(drift: tuple, t) -> np.ndarray:
@@ -241,190 +238,87 @@ def _roof_x_at(drift: tuple, t) -> np.ndarray:
     holds the terms of :func:`_roof_drift`, so a bisection over t only
     recomputes the t-dependent part.
     """
-    s, r0, t_lin, r_knee, moving, still = drift
+    s, r0, t_lin, r_knee = drift
     t = np.asarray(t, dtype=float)
     lin = r0 - ROOF_DRIFT_CAP * np.minimum(t, t_lin)
     r = np.where(t <= t_lin, lin, r_knee * np.exp(-ROOF_DRIFT_RATE * (t - t_lin)))
-    return 0.5 + s * (ROOF_STRIP_HALF_WIDTH + r) * moving + still
+    return 0.5 + s * (ROOF_STRIP_HALF_WIDTH + r)
 
 
-def _roof_march(coords: np.ndarray, steps: np.ndarray) -> None:
-    """Fill ``coords[1:]`` in place: ``coords[j]`` is phi_{steps[j-1]} of ``coords[j-1]``.
+_ROW_BLOCK = 32     # query times per pass; bounds the temporaries to 32 rows
 
-    Bit for bit the row-by-row application of the single-step evaluator,
-    without stepping row by row where nothing happens:
 
-    * x never depends on y, so every row of x comes first, from the same
-      :func:`_roof_drift` / :func:`_roof_x_at` calls a single step makes.
-    * A point in the strip keeps its x, and its height steps as
-      ``(y + dt) % tau``.
-    * A drifting point's height steps as ``y + dt`` until a step reaches
-      the roof.  Those sums are sequential, so :func:`_roof_scan` takes them
-      from ``np.add.accumulate`` over a window of rows: the same doubles.
-      The wrap inside that step is then bisected as a single step would,
-      and the bisections of all points are batched into one round
-      (:func:`_roof_wrap_time`), however far apart their rows are.
+def _roof_flow(pts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Rows phi_{times[j]}(pts) of the roof flow, from one list of wrap events per point.
 
-    A drifting height is identified with the floor on the first row only:
-    a single step never ends it at or above its roof.  A strip height is
-    checked on every row, since ``(y + dt) % tau`` rounds to ``tau`` when
-    a height just below the floor takes a tiny step.
+    A point in the strip keeps its x, and its height is ``(y + t) % tau``.
+    A point outside drifts along :func:`_roof_x_at` from its start, and
+    its height is ``y_k + (t - s_k)`` after its k-th wrap at time s_k
+    (y_0 is the start height and s_0 = 0; later y_k are 0).  A query time
+    equal to a wrap time is after that wrap.  A wrap at an x in the strip
+    settles the point: x stays there, and the height is
+    ``(t - s_k) % tau(x(s_k))`` from then on.  No wrap depends on the
+    query times (:func:`_roof_wraps`), so row j is bit for bit the
+    single-time call at ``times[j]``.
     """
-    rows = coords.shape[0]
-    x, y = coords[0, :, 0].copy(), coords[0, :, 1].copy()
-    tau0 = roof_height(x)
-    if np.any((x < -1e-12) | (x > 1 + 1e-12) | (y < -1e-12) | (y > tau0 + 1e-9)):
+    x0, y0 = pts[:, 0], pts[:, 1].copy()
+    tau0 = roof_height(x0)
+    if np.any((x0 < -1e-12) | (x0 > 1 + 1e-12) | (y0 < -1e-12) | (y0 > tau0 + 1e-9)):
         raise ValueError("point outside the roof domain")
-    y[y >= tau0] = 0.0                                 # identified points
-
-    entry = np.full(x.size, rows)                      # first row stepped from the strip
-    for j in range(1, rows):
-        in_strip = np.abs(x - 0.5) <= ROOF_STRIP_HALF_WIDTH
-        entry[in_strip & (entry == rows)] = j
-        x = np.where(in_strip, x, _roof_x_at(_roof_drift(x), steps[j - 1]))
-        coords[j, :, 0] = x
-    _roof_drifting_rows(coords, steps, y, entry)
-    _roof_strip_rows(coords, steps, y, entry)
-
-
-def _roof_strip_rows(coords, steps, y0, entry) -> None:
-    """Heights of points from the row they step from inside the strip on."""
-    ids = np.nonzero(entry < coords.shape[0])[0]
-    if not ids.size:
-        return
-    ids = ids[np.argsort(entry[ids], kind="stable")]
-    first = entry[ids]
-    tau = roof_height(coords[first - 1, ids, 0])       # x stays put in the strip
-    y = np.where(first == 1, y0[ids], coords[first - 1, ids, 1])
-    for j in range(int(first[0]), coords.shape[0]):
-        k = int(np.searchsorted(first, j, side="right"))
-        cur = y[:k]
-        cur[cur >= tau[:k]] = 0.0                      # identified points
-        np.add(cur, steps[j - 1], out=cur)
-        np.remainder(cur, tau[:k], out=cur)
-        coords[j, ids[:k], 1] = cur
+    y0[y0 >= tau0] = 0.0                               # identified points
+    strip = np.abs(x0 - 0.5) <= ROOF_STRIP_HALF_WIDTH
+    ids = np.nonzero(~strip)[0]
+    drift = _roof_drift(x0[ids])
+    starts, settle, x_end = _roof_wraps(drift, y0[ids], np.max(times, initial=0.0))
+    tau_end = roof_height(x_end)
+    out = np.empty((times.size,) + pts.shape)
+    for a in range(0, times.size, _ROW_BLOCK):
+        t = times[a:a + _ROW_BLOCK, None]
+        rows = out[a:a + _ROW_BLOCK]
+        rows[:, strip, 0] = x0[strip]
+        rows[:, strip, 1] = (y0[strip] + t) % tau0[strip]
+        k = (starts[1:, None] <= t).sum(axis=0)       # phase: wraps at or before t
+        y = np.where(k == 0, y0[ids], 0.0) + (t - np.take_along_axis(starts, k, axis=0))
+        settled = k >= settle
+        rows[:, ids, 0] = np.where(settled, x_end, _roof_x_at(drift, t))
+        rows[:, ids, 1] = np.where(settled, y % tau_end, np.maximum(y, 0.0))
+    return out
 
 
-def _roof_drifting_rows(coords, steps, y0, entry) -> None:
-    """Heights of points over the steps they start outside the strip.
+def _roof_wraps(drift: tuple, y0: np.ndarray, t_max: float) -> tuple:
+    """Wrap times of drifting points, each up to its settling wrap or its first past t_max.
 
-    Each round scans every drifting point's steps up to its next wrap and
-    bisects all those wraps at once.  A point's state is the step into
-    ``row`` and its height ``ya`` at time ``sa`` into that step.
+    Wrap k + 1 is the root of ``y_k + (s - s_k) >= tau(x(s))``, bisected
+    in 52 steps on ``[s_k, s_k + 2]``.  The root is unique, because the
+    left side grows at rate 1 while the roof height along the drift
+    changes at rate at most |tau'| * |dx/dt| < 0.8, and it lies in the
+    bracket, because the roof is at most 1 high.  Returns ``starts``,
+    whose row k is s_k (+inf past a point's last wrap), the phase
+    ``settle`` from which each point is periodic (past the last row if
+    never), and the x each settled point keeps.
     """
-    ids = np.nonzero(entry > 1)[0]
-    row = np.ones(ids.size, dtype=np.int64)
-    ya, sa = y0[ids], np.zeros(ids.size)
-    while ids.size:
-        ids, row, ya, sa = _roof_scan(coords, steps, entry, ids, row, ya, sa)
-        sa = _roof_wrap_time(_roof_drift(coords[row - 1, ids, 0]), ya, sa, steps[row - 1])
-        ya = np.zeros(ids.size)
-
-
-_SCAN_ROWS = 16     # rows per scan window; a wrap every 9 rows or fewer at steps T/8, T = 1
-
-
-def _roof_scan(coords, steps, entry, ids, row, ya, sa):
-    """Step drifting heights from their state to the first step that wraps.
-
-    The rest of the current step ends at ``clip(ya + (dt - sa), 0)``, as a
-    single step ends; each later step adds ``dt``, in order, through
-    ``np.add.accumulate`` over a window of rows.  A step wraps when its
-    end height reaches the roof: ``a - b >= 0`` is ``a >= b`` for doubles.
-    Writes the heights of the steps before; returns the state of every
-    point at the start of its wrapping step.
-    """
-    wraps = []
-    k = np.arange(min(_SCAN_ROWS, coords.shape[0] - 1))[:, None]
-    while ids.size:
-        end = entry[ids]
-        r = row + k
-        valid = r < end
-        r = np.minimum(r, end - 1)
-        acc = steps[r - 1]
-        acc[0] = np.clip(ya + (acc[0] - sa), 0.0, None)
-        np.add.accumulate(acc, axis=0, out=acc)
-        hit = (acc >= roof_height(coords[r, ids, 0])) & valid
-        first = hit.argmax(axis=0)
-        found = hit.any(axis=0)
-        write = k < np.where(found, first, valid.sum(axis=0))
-        coords[r[write], np.broadcast_to(ids, r.shape)[write], 1] = acc[write]
-        f = np.nonzero(found)[0]
-        kf, now = first[f], first[f] == 0
-        wraps.append((ids[f], r[kf, f], np.where(now, ya[f], acc[kf - 1, f]),
-                      np.where(now, sa[f], 0.0)))
-        go_on = ~found & (row + k.size < end)
-        ids, row, ya = ids[go_on], row[go_on] + k.size, acc[-1, go_on]
-        sa = np.zeros(ids.size)
-    return tuple(np.concatenate(part) for part in zip(*wraps)) if wraps else (ids, row, ya, sa)
-
-
-def _roof_wrap_time(drift: tuple, ya, sa, t) -> np.ndarray:
-    """Wrap time in [sa, t] of heights ya at time sa, by 52 bisection steps.
-
-    The wrap condition ya + (s - sa) == tau(x(s)) has a unique root
-    because d/ds of the left side is 1 while the roof height along the
-    drift changes at rate at most |tau'| * |dx/dt| < 0.8.  Elements in the
-    exponential drift regime with no earlier wrap in their step take
-    :func:`_roof_wrap_exp`; the rest take the general predicate.
-    """
-    s, _, t_lin, r_knee, _, _ = drift
-    hi = np.array(t, dtype=float)
-    fast = (t_lin == 0) & (sa == 0)
-    slow = np.nonzero(~fast)[0]
-    if slow.size:
-        hi[slow] = _roof_wrap_general(tuple(term[slow] for term in drift),
-                                      ya[slow], sa[slow], hi[slow])
-    fast = np.nonzero(fast)[0]
-    if fast.size:
-        hi[fast] = _roof_wrap_exp(s[fast], r_knee[fast], ya[fast], hi[fast])
-    return hi
-
-
-def _roof_wrap_general(drift: tuple, ya, sa, hi) -> np.ndarray:
-    lo = sa.copy()
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        wrapped = ya + (mid - sa) - roof_height(_roof_x_at(drift, mid)) >= 0
-        hi = np.where(wrapped, mid, hi)
-        lo = np.where(wrapped, lo, mid)
-    return hi
-
-
-def _roof_wrap_exp(s, r_knee, ya, hi) -> np.ndarray:
-    """The general bisection where t_lin == 0 and sa == 0, in place.
-
-    Same doubles with fewer calls.  ``mid - sa`` and ``mid - t_lin`` are
-    ``mid`` exactly, and the drift takes its exponential branch (at
-    mid == 0 both branches give r0).  ``* moving`` multiplies by 1 and
-    ``+ still`` adds a zero, since a drifting point has r0 > 0.  With
-    v = 0.1 + r and c = s / 2, |(0.5 + s * v) - 0.5| is (v + c) - c:
-    rounding commutes with negation, so for s = -1 the two sums are those
-    of (v - 0.5) + 0.5 negated, and the absolute value drops the sign.
-    And ``a - b >= 0`` is ``a >= b``.  Every rounding step of
-    :func:`_roof_x_at` and :func:`roof_height` is kept.
-    """
-    c = 0.5 * s
-    lo = np.zeros_like(hi)
-    mid, h, q = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
-    wrapped = np.empty(hi.shape, dtype=bool)
-    for _ in range(52):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.multiply(mid, -ROOF_DRIFT_RATE, out=h)
-        np.exp(h, out=h)
-        h *= r_knee
-        h += ROOF_STRIP_HALF_WIDTH                     # v = 0.1 + r
-        h += c
-        h -= c                                         # |x(mid) - 0.5|
-        np.sqrt(h, out=h)
-        h += ROOF_RIDGE                                # tau(x(mid))
-        np.add(ya, mid, out=q)
-        np.greater_equal(q, h, out=wrapped)
-        np.copyto(hi, mid, where=wrapped)
-        np.logical_not(wrapped, out=wrapped)
-        np.copyto(lo, mid, where=wrapped)
-    return hi
+    starts = [np.zeros(y0.size)]
+    settle = np.full(y0.size, np.iinfo(np.int64).max)
+    x_end = np.full(y0.size, 0.5)                      # read only where a point settles
+    live, ya = np.arange(y0.size), y0
+    while live.size:
+        d = tuple(term[live] for term in drift)
+        sk = starts[-1][live]
+        lo, hi = sk, sk + 2.0
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            wrapped = ya + (mid - sk) >= roof_height(_roof_x_at(d, mid))
+            hi = np.where(wrapped, mid, hi)
+            lo = np.where(wrapped, lo, mid)
+        x = _roof_x_at(d, hi)
+        done = np.abs(x - 0.5) <= ROOF_STRIP_HALF_WIDTH
+        settle[live[done]] = len(starts)
+        x_end[live[done]] = x[done]
+        starts.append(np.full(y0.size, np.inf))
+        starts[-1][live] = hi
+        live = live[~done & (hi <= t_max)]
+        ya = np.zeros(live.size)
+    return np.array(starts), settle, x_end
 
 
 # -- grid transitions --------------------------------------------------
@@ -457,9 +351,7 @@ def build_transition(flow: FlowModel, space: GridSpace, T: float, m_max: int) ->
         raise ValueError(f"time step T={T} must be positive")
     if m_max < 1:
         raise ValueError(f"m_max={m_max} must be a positive integer")
-    exact = np.empty((m_max, space.n, space.dim))
-    for m in range(1, m_max + 1):
-        exact[m - 1] = flow.evaluate(space.points, m * T)
+    exact = flow.evaluate(space.points, T * np.arange(1, m_max + 1))
     images = np.empty((m_max, space.n), dtype=np.int64)
     for m in range(m_max):
         images[m] = space.nearest(exact[m])

@@ -8,12 +8,11 @@ table once per (flow, grid, T): a fine lattice with step ``T/8`` out to
 ``fine_horizon`` (the quadrature window plus probe slack) and a coarse
 lattice with step ``T/4`` out to ``horizon``.
 
-Each row is the flow of the row before over one lattice step, and
-:meth:`FlowModel.march` computes exactly those doubles.  On the roof the
-march advances every point from one wrap of its orbit to the next: the
-steps between wraps are sequential sums, and all points' wraps are
-bisected in one batch per round, so the number of rounds is the largest
-wrap count of any point rather than the number of rows.
+Row j is phi at ``times[j]`` of every grid point, all rows from one
+:meth:`FlowModel.evaluate` call on the grid points (row 0 is the grid
+itself).  So the table holds the same doubles as the transitions at the
+same times, and on the roof every point's wraps are bisected once for
+all rows.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class OrbitData:
 def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
                      fine_horizon: float, horizon: float,
                      t_steps: int, fine_divisor: int = 8) -> OrbitData:
-    """March all grid points forward and record the sampled orbits."""
+    """Flow all grid points forward and record the sampled orbits."""
     fine = T / fine_divisor
     coarse = T / 4.0
     times = list(np.arange(0.0, fine_horizon + fine / 2, fine))
@@ -65,10 +64,9 @@ def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
     if t_steps * T > times[-1] + 1e-9:
         raise ValueError("t_steps * T exceeds the orbit horizon")
 
-    n, dim = space.n, space.dim
-    coords = np.empty((times.size, n, dim))
-    coords[0] = space.points
-    flow.march(coords, np.diff(times))
+    n = space.n
+    coords = flow.evaluate(space.points, times)
+    coords[0] = space.points        # the roof drift formula at t = 0 can move x by an ulp
 
     t_rows = np.array([int(np.argmin(np.abs(times - i * T))) for i in range(t_steps + 1)])
     t_cells = np.empty((t_steps + 1, n), dtype=np.int64)

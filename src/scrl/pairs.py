@@ -115,10 +115,7 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
     profiles = avoidance_profile(space, orbit, [B for B, *_ in found])
     for (B, B_bullet, T_table, provenance), prof in zip(found, profiles):
         star = find_eta0_and_bstar(space, B, B_bullet, T_table, R, prof)
-        if star is None:
-            eta0, B_star = None, np.empty(0, dtype=np.int64)
-        else:
-            eta0, B_star, _ = star
+        eta0, B_star = (None, np.empty(0, dtype=np.int64)) if star is None else star
         catalog.pairs.append(StablePair(
             B=B, B_bullet=B_bullet, R=R, eta0=eta0, T_table=T_table,
             B_star=B_star, provenance=provenance))

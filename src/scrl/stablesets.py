@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .chaingraph import ChainGraph, omega_budget
+from .chaingraph import ChainGraph, _adjacency, omega_budget
 from .flows import FlowModel, GridTransition
 from .orbits import OrbitData
 from .space import GridSpace
@@ -63,41 +64,21 @@ class StablePair:
         )
 
 
-def _image_cycles(tr: GridTransition) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Terminal cycles of the single-step image map (a functional graph).
+def _image_cycles(tr: GridTransition) -> tuple[np.ndarray, np.ndarray]:
+    """Weak component and on-cycle flag of every node of the single-step image map.
 
-    Returns (cycle_id per node, member arrays per cycle); cached on the
-    transition since the map never changes.
+    The map is a functional graph, so each weak component holds exactly
+    one cycle, and a node is on it iff its strong component has more than
+    one node or it is a fixed point.  Cached on the transition since the
+    map never changes.
     """
-    if tr._cycles is not None:
-        return tr._cycles
-    f = tr.image
-    n = f.size
-    cycle_id = np.full(n, -1, dtype=np.int64)
-    state = np.zeros(n, dtype=np.int8)          # 0 new, 1 on path, 2 resolved
-    cycles: list[np.ndarray] = []
-    for start in range(n):
-        if state[start] == 2:
-            continue
-        path = []
-        node = start
-        while state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = int(f[node])
-        if state[node] == 1:                    # fresh cycle found on this path
-            pos = path.index(node)
-            members = np.asarray(sorted(path[pos:]), dtype=np.int64)
-            cid = len(cycles)
-            cycles.append(members)
-            for p in path[pos:]:
-                cycle_id[p] = cid
-        tail_cid = cycle_id[node]
-        for p in path:
-            if cycle_id[p] == -1:
-                cycle_id[p] = tail_cid
-            state[p] = 2
-    tr._cycles = (cycle_id, cycles)
+    if tr._cycles is None:
+        f = tr.image
+        nodes = np.arange(f.size)
+        graph = _adjacency(f.size, nodes, f, np.ones(f.size))
+        _, weak = connected_components(graph, connection="weak")
+        _, strong = connected_components(graph, connection="strong")
+        tr._cycles = (weak, (np.bincount(strong)[strong] > 1) | (f == nodes))
     return tr._cycles
 
 
@@ -105,17 +86,14 @@ def omega_limit_of_set(tr: GridTransition, U) -> np.ndarray:
     """Union of the image-map cycles reachable from U.
 
     Iterating S to image(S) on a finite grid is eventually periodic and
-    the union over one period is exactly the union of the terminal
-    cycles that points of S fall into.
+    the union over one period is exactly the union of the cycles that
+    points of S fall into: the on-cycle nodes of U's weak components.
     """
-    U = np.asarray(sorted(set(int(u) for u in U)), dtype=np.int64)
+    U = np.asarray(U, dtype=np.int64)
     if U.size == 0:
         raise ValueError("U must be nonempty")
-    cycle_id, cycles = _image_cycles(tr)
-    out: set[int] = set()
-    for cid in np.unique(cycle_id[U]):
-        out.update(cycles[cid].tolist())
-    return np.asarray(sorted(out), dtype=np.int64)
+    weak, on_cycle = _image_cycles(tr)
+    return np.nonzero(on_cycle & np.isin(weak, weak[U]))[0]
 
 
 def omega_limits_all(orbit: OrbitData) -> tuple[list, np.ndarray]:
@@ -264,7 +242,7 @@ def find_eta0_and_bstar(space: GridSpace, B, B_bullet, T_table: dict, R: float,
     keeps distance > R * eta from B for the whole horizon; it is
     intersected with B_bullet so that finite-horizon optimism can never
     claim an avoider whose omega limit actually reaches B.  Returns
-    (eta0, B_star, n_dropped) or None when the hypothesis fails.
+    (eta0, B_star) or None when the hypothesis fails.
     """
     B = np.asarray(sorted(B), dtype=np.int64)
     B_bullet = np.asarray(sorted(B_bullet), dtype=np.int64)
@@ -273,13 +251,11 @@ def find_eta0_and_bstar(space: GridSpace, B, B_bullet, T_table: dict, R: float,
     bullet_mask = np.zeros(space.n, dtype=bool)
     bullet_mask[B_bullet] = True
     for eta in sorted(T_table, reverse=True):
-        raw = min_orbit_dist > R * eta
-        cand = np.nonzero(raw & bullet_mask)[0]
+        cand = np.nonzero((min_orbit_dist > R * eta) & bullet_mask)[0]
         if cand.size:
-            dropped = int(raw.sum() - cand.size)
             if np.any(np.isin(cand, B)):
                 raise AssertionError("avoider set intersects B")
-            return float(eta), cand, dropped
+            return float(eta), cand
     return None
 
 

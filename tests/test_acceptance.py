@@ -190,7 +190,7 @@ def test_criterion_5_circle_profile(circle_run):
                               grid_image_orbit(tr, 200))
     assert not nn["failures"]
     prof = avoidance_profile(space, orbit, [B])[0]
-    eta0, B_star, _ = find_eta0_and_bstar(space, B, B_bullet, nn["T_table"], R, prof)
+    eta0, B_star = find_eta0_and_bstar(space, B, B_bullet, nn["T_table"], R, prof)
     pair = StablePair(B=B, B_bullet=B_bullet, R=R, eta0=eta0,
                       T_table=nn["T_table"], B_star=B_star)
     fld = sup_along_orbit([pair], space, orbit, s_max=S_MAX)[0]

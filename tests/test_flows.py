@@ -275,38 +275,75 @@ def _roof_test_points():
 
 
 @pytest.mark.parametrize("t", [1 / 8, 1 / 4, 1.0, 4.0])
-def test_roof_flow_bit_identical_to_frozen_bisection(roof_flow, t):
-    # t = 4 wraps several times in one call, as the m = 4 transition does
+def test_roof_flow_matches_frozen_bisection(roof_flow, t):
+    # the first evaluator bisected each wrap on [last wrap, t]; the event
+    # rule bisects on [last wrap, last wrap + 2], so wraps move by ulps
     pts = _roof_test_points()
     got = roof_flow.evaluate(pts, t)
     want = _frozen_roof_flow(pts, t)
-    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[:, 0], want[:, 0])
+    dy = np.abs(got[:, 1] - want[:, 1])
+    dy = np.minimum(dy, roof_height(got[:, 0]) - dy)   # wrap-aware vertical gap
+    assert dy.max() <= 1e-12
 
 
-def _frozen_row_loop(pts, steps):
-    """The orbit table as first built: one single-step evaluation per row."""
-    coords = np.empty((len(steps) + 1,) + pts.shape)
-    coords[0] = pts
-    for j, dt in enumerate(steps, 1):
-        coords[j] = _frozen_roof_flow(coords[j - 1], dt)
-    return coords
+def _frozen_roof_events(x0, y0, times):
+    """The roof flow of one point at each of ``times``, wrap event by wrap event.
+
+    Wrap k + 1 is bisected on [s_k, s_k + 2]; a query at a wrap time is
+    after the wrap; a wrap in the strip makes the point periodic there.
+    """
+    x0 = np.float64(x0)
+    tau0 = roof_height(x0)
+    y0 = np.float64(0.0 if y0 >= tau0 else y0)
+    if abs(x0 - 0.5) <= ROOF_STRIP_HALF_WIDTH:
+        return [(x0, (y0 + t) % tau0) for t in times]
+    wraps, y, x_end = [0.0], y0, None
+    while x_end is None and wraps[-1] <= max(times):
+        s_k = wraps[-1]
+        lo, hi = s_k, s_k + 2.0
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            if y + (mid - s_k) - roof_height(_frozen_roof_x_at(x0, mid)) >= 0:
+                hi = mid
+            else:
+                lo = mid
+        wraps.append(hi)
+        y = 0.0
+        x = _frozen_roof_x_at(x0, hi)
+        if abs(x - 0.5) <= ROOF_STRIP_HALF_WIDTH:
+            x_end = x
+    out = []
+    for t in times:
+        k = sum(s <= t for s in wraps[1:])
+        height = (y0 if k == 0 else 0.0) + (t - wraps[k])
+        if x_end is not None and k == len(wraps) - 1:
+            out.append((x_end, height % roof_height(x_end)))
+        else:
+            out.append((_frozen_roof_x_at(x0, t), max(height, 0.0)))
+    return out
 
 
-def test_roof_orbit_table_bit_identical_to_frozen_bisection():
-    # T = 2 has coarse steps of 0.5, fine_divisor 16 has steps of T/16
-    s = build_grid("roof", 12)
-    for T, fine_divisor in ((1.0, 8), (1.0, 16), (2.0, 8)):
-        orbit = build_orbit_data(make_flow("roof"), s, T, fine_horizon=24.0 * T,
-                                 horizon=60.0 * T, t_steps=60, fine_divisor=fine_divisor)
-        want = _frozen_row_loop(s.points, np.diff(orbit.times))
-        assert orbit.coords.tobytes() == want.tobytes(), (T, fine_divisor)
+def _frozen_roof_rows(pts, times):
+    rows = np.empty((len(times),) + pts.shape)
+    for i, (x0, y0) in enumerate(pts):
+        rows[:, i] = _frozen_roof_events(x0, y0, times)
+    return rows
 
 
-def _march(pts, steps):
-    coords = np.empty((len(steps) + 1,) + pts.shape)
-    coords[0] = pts
-    make_flow("roof").march(coords, np.asarray(steps, dtype=float))
-    return coords
+def test_roof_flow_bit_identical_to_frozen_events(roof_flow):
+    pts = _roof_test_points()
+    times = [0.0, 1 / 8, 1 / 4, 1.0, 4.0, 3.3]
+    assert roof_flow.evaluate(pts, times).tobytes() == _frozen_roof_rows(pts, times).tobytes()
+
+
+def test_roof_heights_at_the_floor_and_roof_match_frozen_events(roof_flow):
+    # the domain admits heights down to -1e-12: a drifting height is clipped
+    # to the floor, and a strip height can come back exactly on the roof
+    x = np.array([0.2, 0.5, 0.45, 0.2, 0.5, 0.8])
+    pts = np.column_stack([x, np.concatenate([[-1e-13, -1e-17, -1e-13], roof_height(x[3:])])])
+    times = [0.0, 0.1, 1e-17, 1 / 4, 9.0]
+    assert roof_flow.evaluate(pts, times).tobytes() == _frozen_roof_rows(pts, times).tobytes()
 
 
 _EDGE_X = [0.5 + side * (ROOF_STRIP_HALF_WIDTH + off)
@@ -320,64 +357,50 @@ def _roof_point(draw):
     return x, frac * float(roof_height(x))      # frac 1 is on the roof
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(_roof_point(), min_size=1, max_size=12),
-       st.sampled_from([0.5, 1.0, 2.0]),
-       st.lists(st.sampled_from([1 / 16, 1 / 8, 1 / 4, 1 / 2, 4.0]), min_size=1, max_size=40))
-def test_roof_march_bit_identical_to_frozen_row_loop(points, T, fractions):
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_roof_point(), min_size=1, max_size=8),
+       st.lists(st.one_of(st.floats(0.0, 12.0), st.sampled_from([0.0, 1 / 8, 1 / 4, 4.0])),
+                min_size=1, max_size=12))
+def test_roof_time_lists_bit_identical_to_frozen_events(points, times):
     pts = np.array(points, dtype=float)
-    steps = T * np.array(fractions)
-    assert _march(pts, steps).tobytes() == _frozen_row_loop(pts, steps).tobytes()
+    got = make_flow("roof").evaluate(pts, times)
+    assert got.tobytes() == _frozen_roof_rows(pts, times).tobytes()
 
 
-def test_roof_march_wraps_when_a_step_ends_on_the_roof():
-    # drifting heights that reach the roof exactly at the end of step 1 or 2
-    x0 = np.array([0.2, 0.8])
-    x1 = _frozen_roof_x_at(x0, 1 / 8)
-    tau1, tau2 = roof_height(x1), roof_height(_frozen_roof_x_at(x1, 1 / 8))
-    y_touch1, y_touch2 = tau1 - 1 / 8, tau2 - 1 / 4
-    assert np.all(y_touch1 + 1 / 8 == tau1) and np.all(y_touch2 + 1 / 8 + 1 / 8 == tau2)
-    pts = np.column_stack([np.tile(x0, 2), np.concatenate([y_touch1, y_touch2])])
-    steps = [1 / 8, 1 / 8, 1 / 8]
-    assert _march(pts, steps).tobytes() == _frozen_row_loop(pts, steps).tobytes()
+def test_roof_query_on_a_wrap_is_after_it(roof_flow):
+    pts = np.array([[0.2, 0.3], [0.85, 0.0]])
+    starts, _, _ = flows._roof_wraps(flows._roof_drift(pts[:, 0]), pts[:, 1], 2.0)
+    wrap = starts[1]
+    before = np.nextafter(wrap, 0.0)
+    for i in range(2):
+        got = roof_flow.evaluate(pts[i:i + 1], [before[i], wrap[i]])[:, 0]
+        assert got.tobytes() == _frozen_roof_rows(pts[i:i + 1], [before[i], wrap[i]]).tobytes()
+        assert got[1, 1] == 0.0                      # on the floor at the wrap
+        assert got[0, 1] == pytest.approx(roof_height(got[0, 0]), abs=1e-12)
 
 
-def test_roof_march_heights_at_the_floor_and_roof_match_frozen_row_loop():
-    # the domain admits heights down to -1e-12; zero steps leave them below
-    # the floor, where a single step clips a drifting height and a strip
-    # height can come back exactly on the roof
-    x = np.array([0.2, 0.5, 0.45, 0.2, 0.5, 0.8])
-    y = np.concatenate([[-1e-13, -1e-17, -1e-13], roof_height(x[3:])])
-    pts = np.column_stack([x, y])
-    steps = [0.0, 0.1, 0.0, 1 / 4, 1 / 8]
-    assert _march(pts, steps).tobytes() == _frozen_row_loop(pts, steps).tobytes()
+@pytest.mark.parametrize("system", ["circle", "square", "roof", "identity"])
+def test_evaluate_rows_are_single_time_calls(system):
+    f = make_flow(system)
+    s = build_grid(f.domain, 64 if f.domain == "circle" else 12)
+    times = np.array([0.0, 4.0, 1 / 8, 0.3, 4.0, 17.5, 1e-9, 0.0])
+    rows = f.evaluate(s.points, times)
+    assert rows.shape == (times.size,) + s.points.shape
+    for row, t in zip(rows, times):
+        assert row.tobytes() == f.evaluate(s.points, t).tobytes()
 
 
-def _frozen_wrap_time(x0, ya, sa, t):
-    lo, hi = sa.copy(), t.copy()
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        g = ya + (mid - sa) - roof_height(_frozen_roof_x_at(x0, mid))
-        hi = np.where(g >= 0, mid, hi)
-        lo = np.where(g >= 0, lo, mid)
-    return hi
-
-
-def test_roof_wrap_kernels_choose_the_general_bisection():
-    # elements in the linear regime (t_lin > 0), after an earlier wrap in the
-    # step (sa > 0), and in the exponential regime from the step's start
-    x0 = np.array([0.05, 0.95, 0.25, 0.75, 0.35, 0.65, 0.3, 0.7, 0.39, 0.61])
-    sa = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.0, 0.7])
-    tau = roof_height(x0)
-    ya = np.where(sa > 0, 0.0, tau - 0.1)
-    t = np.where(sa > 0, sa + tau + 0.2, 0.25)
-    drift = flows._roof_drift(x0)
-    fast = (drift[2] == 0) & (sa == 0)
-    assert fast.any() and (drift[2] > 0).any() and (sa > 0).any()
-    got = flows._roof_wrap_time(drift, ya, sa, t)
-    want = _frozen_wrap_time(x0, ya, sa, t)
-    assert got.tobytes() == want.tobytes()
-    assert np.all((got > sa) & (got < t))        # a wrap strictly inside every step
+def test_roof_orbit_rows_are_the_flow_and_settle_in_the_strip(roof_flow):
+    # the analyze orbit of roof 16: rows are phi at their times, and every
+    # point has wound onto the strip by the horizon
+    s = build_grid("roof", 16)
+    orbit = build_orbit_data(roof_flow, s, 1.0, fine_horizon=24.0, horizon=200.0, t_steps=200)
+    assert orbit.coords[0].tobytes() == s.points.tobytes()
+    for j in (1, 9, 200, orbit.times.size - 1):
+        assert orbit.coords[j].tobytes() == roof_flow.evaluate(s.points, orbit.times[j]).tobytes()
+    assert orbit.times[-1] == 200.0
+    outside = np.abs(orbit.coords[-1, :, 0] - 0.5) > ROOF_STRIP_HALF_WIDTH
+    assert outside.sum() == 0
 
 
 # -- transitions ----------------------------------------------------------

@@ -40,7 +40,7 @@ def matched_pair(circle_system):
                               grid_image_orbit(tr, 200))
     assert not nn["failures"]
     prof = avoidance_profile(s, orbit, [B])[0]
-    eta0, B_star, _ = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
+    eta0, B_star = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     return StablePair(B=B, B_bullet=Bb, R=R, eta0=eta0,
                       T_table=nn["T_table"], B_star=B_star)
 

@@ -96,7 +96,7 @@ def test_pairs_match_per_pair_avoidance_profiles(square_parts, square_catalog):
         for j in orbit.t_rows:
             np.minimum(prof, s.dist_coords_to_subset(orbit.coords[j], pair.B), out=prof)
         star = find_eta0_and_bstar(s, pair.B, pair.B_bullet, pair.T_table, pair.R, prof)
-        eta0, B_star = (None, []) if star is None else star[:2]
+        eta0, B_star = (None, []) if star is None else star
         assert pair.eta0 == eta0
         assert np.array_equal(pair.B_star, B_star)
     assert any(p.B_star.size for p in square_catalog.pairs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scrl.chaingraph import build_chain_graph
-from scrl.flows import build_transition, make_flow
+from scrl.flows import GridTransition, build_transition, make_flow
 from scrl.orbits import build_orbit_data
 from scrl.space import build_grid, roof_height
 from scrl.stablesets import (StablePair, avoidance_profile, build_strongly_stable,
@@ -55,6 +55,25 @@ def test_omega_set_square_bottom_half_drains(square16):
     U = np.nonzero(s.points[:, 1] <= 0.5)[0]
     got = omega_limit_of_set(tr, U)
     assert np.array_equal(got, np.nonzero(s.points[:, 1] == s.points[:, 1].min())[0])
+
+
+def test_omega_set_matches_iterated_images_on_random_maps():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 40, 200):
+        for _ in range(20):
+            f = rng.integers(0, n, n)
+            if n > 2 and rng.random() < 0.3:
+                f[: n // 2] = np.arange(n // 2)            # many fixed points
+            tr = GridTransition(T=1.0, m_max=1, images=f[None])
+            U = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            S = set(U.tolist())
+            for _ in range(n):                              # onto the cycles
+                S = {int(f[u]) for u in S}
+            want = set()
+            for _ in range(n):                              # one full period and more
+                want |= S
+                S = {int(f[u]) for u in S}
+            assert omega_limit_of_set(tr, U).tolist() == sorted(want)
 
 
 def test_omega_set_fixed_arc_subset_stays(circle64):
@@ -320,7 +339,7 @@ def test_find_eta0_circle_matched_scale(circle64, circle64_orbit):
                               grid_image_orbit(tr, 100))
     assert not nn["failures"]
     prof = avoidance_profile(s, circle64_orbit, [B])[0]
-    eta0, B_star, dropped = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
+    eta0, B_star = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     assert eta0 == pytest.approx(0.125)
     assert not np.any(np.isin(B_star, B))
     assert np.all(np.isin(B_star, Bb))
@@ -340,7 +359,7 @@ def test_find_eta0_square_origin(square16, square16_orbit):
     prof = avoidance_profile(s, square16_orbit, [B])[0]
     got = find_eta0_and_bstar(s, B, Bb, nn["T_table"], R, prof)
     assert got is not None
-    eta0, B_star, dropped = got
+    eta0, B_star = got
     # avoiders are whole far fibers; the far end of the top fixed segment
     # is among them, and nothing near the origin column qualifies
     pts = s.points[B_star]
@@ -390,7 +409,7 @@ def test_bstar_forward_invariant(circle64, circle64_orbit):
     nn = nested_neighborhoods(s, tr, B, 0.5, list(np.geomspace(0.02, 0.125, 6)),
                               grid_image_orbit(tr, 100))
     prof = avoidance_profile(s, circle64_orbit, [B])[0]
-    _, B_star, _ = find_eta0_and_bstar(s, B, Bb, nn["T_table"], 0.5, prof)
+    _, B_star = find_eta0_and_bstar(s, B, Bb, nn["T_table"], 0.5, prof)
     img = np.unique(tr.image[B_star])
     d = s.dist_coords_to_subset(s.points[img], B_star)
     assert d.max() <= s.resolution + 1e-9

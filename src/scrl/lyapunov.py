@@ -72,18 +72,22 @@ def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
                     s_max: float = 20.0) -> list[LyapunovField]:
     """Build the full summand of each pair: suffix maxima of orbit levels, then the integral.
 
-    The orbit is walked once for all pairs, so each row's distances share
-    one set of seam entry costs.  The per-point truncation certificate
-    looks for a certified nested level eta whose neighborhood contains
-    the whole trailing T(eta) window of the orbit; past the horizon such
-    orbits cannot raise the supremum above eta / eta0.
+    The orbit is walked once for all pairs, and each pair's seam minima
+    are computed once for all rows.  Distances run with cutoff max(scale):
+    one above it clamps every level to 1 whether it is exact or not, so
+    the seam pass skips the samples that cannot bring a point within it.
+    The per-point truncation certificate looks for a certified nested
+    level eta whose neighborhood contains the whole trailing T(eta)
+    window of the orbit; past the horizon such orbits cannot raise the
+    supremum above eta / eta0.
     """
     eta0s = [effective_eta0(pair) for pair in pairs]
     scales = [pair.R * eta0 for pair, eta0 in zip(pairs, eta0s)]
     J = orbit.times.size
     levels = [np.empty((J, space.n)) for _ in pairs]
-    for j in range(J):
-        d = space.dist_coords_to_subsets(orbit.coords[j], [pair.B for pair in pairs])
+    rows = space.dist_rows_to_subsets(orbit.coords, [pair.B for pair in pairs],
+                                      cutoff=max(scales, default=np.inf))
+    for j, d in enumerate(rows):
         for l_series, d_pair, scale in zip(levels, d, scales):
             l_series[j] = np.minimum(d_pair / scale, 1.0)
 

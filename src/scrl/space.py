@@ -97,8 +97,9 @@ class RoofSeam:
 
     def __init__(self, grid_points: np.ndarray, n_samples: int):
         x = np.linspace(0.0, 1.0, n_samples)
-        self.x = x
-        self.top = np.column_stack([x, roof_height(x)])
+        self.x = x                                         # ascending
+        self.tau = roof_height(x)
+        self.top = np.column_stack([x, self.tau])
         self.bot = np.column_stack([x, np.zeros_like(x)])
 
         reps = [self.top, self.bot]
@@ -113,9 +114,58 @@ class RoofSeam:
         self.to_grid_min = self.to_grid.min(axis=1)        # (m,)
         self.to_grid_argmin = self.to_grid.argmin(axis=1)  # (m,)
 
-    def entry_costs(self, pts: np.ndarray) -> np.ndarray:
-        """Euclidean cost from each query point to each seam sample, (k, m)."""
-        return np.minimum(_euclid(pts, self.top), _euclid(pts, self.bot))
+    def entry_costs(self, pts: np.ndarray, start: np.ndarray | None = None,
+                    width: int = 0) -> np.ndarray:
+        """Euclidean cost from each query point to each seam sample, (k, m);
+        with ``start``, (k, width) costs to samples start[p] onward.
+
+        One kernel, sqrt(dx^2 + min((y - tau_i)^2, y^2)) with dx = x - x_i.
+        It equals min(_euclid(pts, top), _euclid(pts, bot)) bit for bit:
+        the top and bottom samples share x_i, the bottom term y - 0 is
+        exact, and rounding and sqrt are monotone, so
+        fl(a + min(b, c)) = min(fl(a + b), fl(a + c)).
+        """
+        if start is None:
+            sx, sy = self.x, self.tau
+        else:
+            sx, sy = _runs(self.x, start, width), _runs(self.tau, start, width)
+        y = pts[:, 1:2]
+        cost = pts[:, :1] - sx
+        cost *= cost
+        dy = y - sy
+        dy *= dy
+        np.minimum(dy, y * y, out=dy)
+        cost += dy
+        return np.sqrt(cost, out=cost)
+
+    def window(self, pts: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry costs to the seam samples within ``reach`` in x of each point.
+
+        Returns (entry, start): row p of the (k, W) ``entry`` holds the
+        costs to samples start[p] .. start[p] + W - 1, an ascending run
+        that contains every sample i with |x_p - x_i| <= reach[p].
+
+        A through-seam cost entry(p, i) + premin[i] is at least
+        |x_p - x_i| + min(premin).  So with reach = bound - min(premin)
+        + 1e-9, every sample outside the run costs more than bound[p] (the
+        slack covers rounding): wherever the minimum over all samples is
+        at most bound[p], the run holds every sample that attains it, and
+        its minimum and lowest minimising sample are those of the full table.
+        """
+        m = self.x.size
+        lo = np.searchsorted(self.x, pts[:, 0] - reach, side="left")
+        hi = np.searchsorted(self.x, pts[:, 0] + reach, side="right")
+        width = max(int((hi - lo).max(initial=0)), 1)
+        start = np.minimum(lo, m - width)
+        return self.entry_costs(pts, start, width), start
+
+
+def _runs(a: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
+    """(k, width) array whose row p is a[start[p]:start[p] + width]."""
+    step = a.strides[0]
+    view = np.lib.stride_tricks.as_strided(a, (a.size - width + 1, width), (step, step),
+                                           writeable=False)
+    return view[start]
 
 
 @dataclass(eq=False)
@@ -197,30 +247,52 @@ class GridSpace:
         """Distances from query coords to the nearest member of a point-id set."""
         return self.dist_coords_to_subsets(pts, [ids])[0]
 
-    def dist_coords_to_subsets(self, pts: np.ndarray, id_sets) -> np.ndarray:
+    def dist_coords_to_subsets(self, pts: np.ndarray, id_sets,
+                               cutoff: float = np.inf) -> np.ndarray:
         """(len(id_sets), k) distances from query coords to each id set.
 
-        On the roof the seam entry costs of ``pts`` are computed once for
-        all the sets, and once per grid when ``pts`` is the grid itself.
+        Same contract as ``dist_rows_to_subsets`` for one query array.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.full((len(id_sets), pts.shape[0]), np.inf)
-        entry = None
-        for d, ids in zip(out, id_sets):
-            ids = np.asarray(sorted(ids), dtype=int)
-            if ids.size == 0:
-                continue
-            if self.domain == CIRCLE:
-                d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
-                continue
-            d[:] = _euclid(pts, self.points[ids]).min(axis=1)
-            if self.domain == ROOF:
-                if entry is None:
-                    entry = (self.seam.grid_entry if pts is self.points
-                             else self.seam.entry_costs(pts))         # (k, m)
-                premin = self.seam.to_grid[:, ids].min(axis=1)     # (m,)
-                np.minimum(d, (entry + premin[None, :]).min(axis=1), out=d)
-        return out
+        return next(self.dist_rows_to_subsets([pts], id_sets, cutoff))
+
+    def dist_rows_to_subsets(self, rows, id_sets, cutoff=np.inf):
+        """Yield the (len(id_sets), k) distances of each query array in ``rows``.
+
+        Each set's sorted ids and, on the roof, its seam minima
+        premin[i] = min over the set of to_grid[i, .] are computed once
+        for all rows.  When a query array is the grid itself, the seam
+        pass reads ``seam.grid_entry``.  Otherwise it evaluates, once for
+        all sets, only the window of seam samples that can bring a point
+        below min(direct, cutoff) for some set (see ``RoofSeam.window``).
+        So a distance at most ``cutoff`` is exact, and one above it is at
+        least the exact distance and above ``cutoff``.  ``cutoff``
+        broadcasts against the (sets, k) result and is read as each row is
+        computed, so a caller may lower it between rows.
+        """
+        sets = [np.asarray(sorted(ids), dtype=int) for ids in id_sets]
+        premins = [(s, self.seam.to_grid[:, ids].min(axis=1)) for s, ids in enumerate(sets)
+                   if self.domain == ROOF and ids.size]
+        for pts in rows:
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            out = np.full((len(sets), pts.shape[0]), np.inf)
+            for d, ids in zip(out, sets):
+                if ids.size == 0:
+                    continue
+                if self.domain == CIRCLE:
+                    d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
+                else:
+                    d[:] = _euclid(pts, self.points[ids]).min(axis=1)
+            if premins and pts is self.points:
+                for s, premin in premins:
+                    np.minimum(out[s], (self.seam.grid_entry + premin).min(axis=1), out=out[s])
+            elif premins:
+                bound = np.minimum(out, cutoff)
+                reach = np.max([bound[s] - premin.min() for s, premin in premins], axis=0)
+                entry, start = self.seam.window(pts, reach + 1e-9)
+                for s, premin in premins:
+                    via = entry + _runs(premin, start, entry.shape[1])
+                    np.minimum(out[s], via.min(axis=1), out=out[s])
+            yield out
 
     def nearest(self, pts: np.ndarray) -> np.ndarray:
         """Grid ids of nearest points; ties break toward the lowest id.
@@ -232,7 +304,10 @@ class GridSpace:
 
         For the roof, the best through-seam target factorizes exactly:
         min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
-        equals min over i of entry(p, i) + to_grid_min[i].
+        equals min over i of entry(p, i) + to_grid_min[i].  Only the window
+        of samples that can beat the best direct distance is evaluated
+        (``RoofSeam.window``); it keeps the strict ``<`` and, being in
+        ascending sample order, the lowest minimising sample.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.domain == CIRCLE:
@@ -248,13 +323,14 @@ class GridSpace:
             d = _euclid(block, self.points)
             best = d.argmin(axis=1)
             if self.domain == ROOF:
-                best_val = d[np.arange(block.shape[0]), best]
-                entry = self.seam.entry_costs(block)
-                via = entry + self.seam.to_grid_min[None, :]
-                i_star = via.argmin(axis=1)
-                via_val = via[np.arange(block.shape[0]), i_star]
-                better = via_val < best_val
-                best[better] = self.seam.to_grid_argmin[i_star[better]]
+                rows = np.arange(block.shape[0])
+                best_val = d[rows, best]
+                premin = self.seam.to_grid_min
+                entry, start = self.seam.window(block, best_val - premin.min() + 1e-9)
+                via = entry + _runs(premin, start, entry.shape[1])
+                pick = via.argmin(axis=1)
+                better = via[rows, pick] < best_val
+                best[better] = self.seam.to_grid_argmin[(start + pick)[better]]
             out[lo:lo + 1024] = best
         return out
 

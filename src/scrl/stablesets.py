@@ -194,25 +194,31 @@ def nested_neighborhoods(space: GridSpace, tr: GridTransition, B, R: float,
         raise ValueError("B must be nonempty")
     if R <= 0:
         raise ValueError("neighborhood scale R must be positive")
-    d2B = space.dist_coords_to_subset(space.points, B)
-    T_table: dict[float, float] = {}
-    failures: dict[float, int] = {}
-    for eta in sorted(float(e) for e in eta_samples):
+    etas = sorted(float(e) for e in eta_samples)
+    for eta in etas:
         if not 0 < eta < 1:
             raise ValueError(f"eta sample {eta} outside (0, 1)")
-        inside_mask = d2B <= R * eta + 1e-12
-        U = np.nonzero(inside_mask)[0]
-        ok = np.array([bool(np.all(inside_mask[row[U]])) for row in grid_orbit])
-        good_from = None
-        for j in range(len(ok) - 1, -1, -1):
-            if not ok[j]:
-                break
-            good_from = j
-        if good_from is None:
+    d2B = space.dist_coords_to_subset(space.points, B)
+    # U_eta is the first count(eta) ids in d2B order, so image^j(U_eta) lies
+    # in U_eta iff the prefix maximum of d2B over the images of those ids
+    # is <= R * eta + 1e-12: the membership test on the same doubles.
+    order = np.argsort(d2B, kind="stable")
+    worst = d2B[grid_orbit[:, order]]                                  # (rows, n)
+    np.maximum.accumulate(worst, axis=1, out=worst)
+    thresholds = [R * eta + 1e-12 for eta in etas]
+    counts = np.searchsorted(d2B[order], thresholds, side="right")
+    T_table: dict[float, float] = {}
+    failures: dict[float, int] = {}
+    for eta, threshold, count in zip(etas, thresholds, counts):
+        ok = worst[:, count - 1] <= threshold     # count >= |B|, as d2B is 0 on B
+        if not ok[-1]:
+            U = np.sort(order[:count])
             bad_row = grid_orbit[-1][U]
-            failures[eta] = int(bad_row[~inside_mask[bad_row]][0])
-        else:
-            T_table[eta] = max(good_from, 1) * tr.T    # certificate times are positive
+            failures[eta] = int(bad_row[d2B[bad_row] > threshold][0])
+            continue
+        bad = np.nonzero(~ok)[0]
+        good_from = int(bad[-1]) + 1 if bad.size else 0
+        T_table[eta] = max(good_from, 1) * tr.T    # certificate times are positive
     return {"T_table": T_table, "failures": failures}
 
 
@@ -229,8 +235,10 @@ def avoidance_profile(space: GridSpace, orbit: OrbitData, Bs) -> np.ndarray:
     """(len(Bs), n) per-point minimum distance to each set B along the
     T-lattice samples of the exact orbit, in one pass over them."""
     out = np.full((len(Bs), space.n), np.inf)
-    for j in orbit.t_rows:
-        np.minimum(out, space.dist_coords_to_subsets(orbit.coords[j], Bs), out=out)
+    # the running minimum is the cutoff: a larger value cannot lower it
+    rows = (orbit.coords[j] for j in orbit.t_rows)
+    for d in space.dist_rows_to_subsets(rows, Bs, cutoff=out):
+        np.minimum(out, d, out=out)
     return out
 
 

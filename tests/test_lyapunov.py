@@ -338,3 +338,33 @@ def test_batched_sup_along_orbit_matches_single_pairs_circle(matched_pair, circl
         single.pair_index = rank
         _assert_same_fields(fld, single)
     assert sup_along_orbit([], s, orbit, s_max=S_MAX) == []
+
+
+def test_sup_along_orbit_cutoff_keeps_roof16_fields(monkeypatch):
+    # the selected pairs of roof 16 analyze, on its orbit table
+    bundle = build_bundle(RunConfig(system="roof", grid_n=16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scr = stage_scr(bundle, [bundle.cfg.epsilon])[0]
+    catalog = stage_pairs(bundle, scr)
+    pairs = [catalog.pairs[i] for i in catalog.selected]
+    assert pairs
+    s, orbit = bundle.space, bundle.ensure_orbit()
+    widths = []
+    window = s.seam.window
+
+    def counted_window(pts, reach):
+        entry, start = window(pts, reach)
+        widths.append(entry.size)
+        return entry, start
+
+    monkeypatch.setattr(s.seam, "window", counted_window)
+    fast = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    pruned, widths[:] = sum(widths), []
+    rows = s.dist_rows_to_subsets
+    monkeypatch.setattr(s, "dist_rows_to_subsets",
+                        lambda pts, id_sets, cutoff=np.inf: rows(pts, id_sets))
+    full = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    assert pruned < sum(widths)                 # the cutoff did narrow the windows
+    for got, want in zip(fast, full):
+        _assert_same_fields(got, want)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,17 +233,146 @@ def test_roof_ridge_value():
     assert roof_height(0.5) == pytest.approx(ROOF_RIDGE)
 
 
+def _two_table_entry_costs(seam, pts):
+    """Seam entry costs as the smaller of two Euclidean tables, top and bottom."""
+    return np.minimum(_euclid(pts, seam.top), _euclid(pts, seam.bot))
+
+
 def _fresh_dist_to_subset(space, pts, ids):
-    """Per-set distance with fresh seam entry costs on every call."""
+    """Per-set distance over the full table of fresh seam entry costs."""
     ids = np.asarray(sorted(ids), dtype=int)
     if space.domain == "circle":
         return circle_gap(pts[:, :1], space.points[None, ids, 0]).min(axis=1)
     d = _euclid(pts, space.points[ids]).min(axis=1)
     if space.domain == ROOF:
         premin = space.seam.to_grid[:, ids].min(axis=1)
-        entry = space.seam.entry_costs(pts)
+        entry = _two_table_entry_costs(space.seam, pts)
         np.minimum(d, (entry + premin[None, :]).min(axis=1), out=d)
     return d
+
+
+def _seam_probe_points(space, rng):
+    """Roof queries where the seam entry kernel and its windows are tight."""
+    seam = space.seam
+    xs = rng.uniform(0, 1, 300)
+    sx = seam.x[::3]
+    ends = np.array([0.0, 1.0])
+    return np.concatenate([
+        np.column_stack([xs, rng.uniform(0, 1, 300) * roof_height(xs)]),   # inside
+        np.column_stack([xs, np.zeros_like(xs)]),                          # on y = 0
+        np.column_stack([xs, roof_height(xs)]),                            # on the top
+        np.column_stack([np.repeat(ends, 3), np.tile([0.0, 0.5, 1.0], 2)]),  # x in {0, 1}
+        np.column_stack([sx, rng.uniform(0, 1, sx.size) * roof_height(sx)]),
+        seam.top[::5], seam.bot[::5],                                      # the samples
+        space.points,
+    ])
+
+
+@pytest.mark.parametrize("n", [12, 72])
+def test_fused_entry_costs_match_two_tables(n):
+    s = build_grid("roof", n)
+    assert s.seam.x.size == max(257, 4 * n + 1)
+    pts = _seam_probe_points(s, np.random.default_rng(n))
+    got = s.seam.entry_costs(pts)
+    assert got.tobytes() == _two_table_entry_costs(s.seam, pts).tobytes()
+    assert s.seam.grid_entry.tobytes() == _two_table_entry_costs(s.seam, s.points).tobytes()
+    start = np.arange(pts.shape[0]) % (s.seam.x.size - 40)
+    run = s.seam.entry_costs(pts, start, 40)           # a run of samples per point
+    assert run.tobytes() == got[np.arange(pts.shape[0])[:, None],
+                                start[:, None] + np.arange(40)].tobytes()
+
+
+def _window_edge_points(space, ids, cutoff):
+    """Points on y = 0 whose window for ``ids`` under ``cutoff`` ends exactly
+    at a seam sample, and the points one ulp to either side of them."""
+    premin = space.seam.to_grid[:, ids].min(axis=1)
+    reach = (cutoff - premin.min()) + 1e-9
+    xs = []
+    for xi in space.seam.x[40:-40:23]:
+        for sign in (1.0, -1.0):                   # left and right window edges
+            x = xi + sign * reach
+            for _ in range(64):                    # x - sign * reach grows with x
+                if x - sign * reach == xi:
+                    xs += [np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)]
+                    break
+                x = np.nextafter(x, -1.0 if x - sign * reach > xi else 2.0)
+    assert len(xs) >= 3 * 6
+    return np.column_stack([xs, np.zeros(len(xs))])
+
+
+def test_seam_window_keeps_every_sample_that_can_win(roof12):
+    # one cheap sample i0 sets min(premin), so on y = 0 the through-seam
+    # minimum |x_p - x_i0| + premin[i0] sits exactly at the window edge
+    seam = roof12.seam
+    m = seam.x.size
+    rng = np.random.default_rng(5)
+    for i0 in (0, 37, m // 2, m - 1):
+        premin = rng.uniform(0.3, 0.6, m)
+        premin[i0] = 0.01
+        xs = rng.uniform(0, 1, 200)
+        pts = np.concatenate([np.column_stack([xs, np.zeros_like(xs)]),
+                              np.column_stack([xs, rng.uniform(0, 1, 200) * roof_height(xs)])])
+        full = seam.entry_costs(pts) + premin
+        exact = full[:, i0]
+        for bound in (exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0),
+                      rng.uniform(0, 0.5, exact.size)):
+            reach = bound - premin.min() + 1e-9
+            # all points at once (one run width for all), and one at a time
+            windows = [(slice(None), *seam.window(pts, reach))]
+            windows += [(p, *seam.window(pts[p:p + 1], reach[p:p + 1]))
+                        for p in range(0, pts.shape[0], 9)]
+            for rows, entry, start in windows:
+                rows = np.arange(pts.shape[0])[rows].reshape(-1)
+                cols = start[:, None] + np.arange(entry.shape[1])
+                via = entry + premin[cols]
+                assert via.tobytes() == full[rows[:, None], cols].tobytes()
+                best = via.min(axis=1)
+                won = full[rows].min(axis=1) <= bound[rows]
+                assert np.array_equal(best[won], full[rows].min(axis=1)[won])
+                first = start + via.argmin(axis=1)
+                assert np.array_equal(first[won], full[rows].argmin(axis=1)[won])
+                assert np.all(best[~won] > bound[rows][~won])
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_windowed_subset_distances_match_full_table(n):
+    s = build_grid("roof", n)
+    orbit = build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=2.0,
+                             horizon=8.0, t_steps=8)
+    rng = np.random.default_rng(n)
+    middle = np.nonzero(np.abs(s.points[:, 0] - 0.5) < 0.1)[0]
+    id_sets = [middle, [0], rng.choice(s.n, 5, replace=False), np.arange(s.n)[::7]]
+    probes = _seam_probe_points(s, rng)
+    queries = [s.points, s.points.copy(), orbit.coords[1], orbit.coords[-1], probes]
+    for cutoff in (0.05, 0.15):
+        queries.append(_window_edge_points(s, middle, cutoff))
+    # all sets share one window per row; ``middle`` alone has its own
+    for pts, sets in itertools.product(queries, (id_sets, [middle])):
+        want = np.array([_fresh_dist_to_subset(s, pts, ids) for ids in sets])
+        assert s.dist_coords_to_subsets(pts, sets).tobytes() == want.tobytes()
+        per_point = rng.uniform(0, 0.3, want.shape)
+        # a cutoff equal to the distance itself leaves no room in any window
+        for cutoff in (0.0, 0.05, 0.15, per_point, want, np.nextafter(want, -1.0)):
+            got = s.dist_coords_to_subsets(pts, sets, cutoff=cutoff)
+            near = want <= cutoff
+            assert got[near].tobytes() == want[near].tobytes()
+            assert np.all(got[~near] >= want[~near])
+            assert np.all(got[~near] > np.broadcast_to(cutoff, want.shape)[~near])
+    rows = list(s.dist_rows_to_subsets(orbit.coords, id_sets, cutoff=0.1))
+    for pts, got in zip(orbit.coords, rows):
+        assert got.tobytes() == s.dist_coords_to_subsets(pts, id_sets, cutoff=0.1).tobytes()
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_windowed_nearest_matches_full_grid_argmin(n):
+    s = build_grid("roof", n)
+    orbit = build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=2.0,
+                             horizon=8.0, t_steps=8)
+    rng = np.random.default_rng(n)
+    middle = np.nonzero(np.abs(s.points[:, 0] - 0.5) < 0.1)[0]
+    pts = np.concatenate([_seam_probe_points(s, rng), *orbit.coords[1::2],
+                          _window_edge_points(s, middle, 0.05)])
+    assert np.array_equal(s.nearest(pts), s.dist_coords_to_grid(pts).argmin(axis=1))
 
 
 @pytest.mark.parametrize("system,domain,n", [("roof", "roof", 12),

@@ -41,6 +41,27 @@ def circle64_orbit(circle64):
     return build_orbit_data(f, s, 1.0, fine_horizon=24.0, horizon=100.0, t_steps=100)
 
 
+def _nested_by_rows(space, tr, B, R, eta_samples, grid_orbit):
+    """nested_neighborhoods as one membership test per level and orbit row."""
+    d2B = space.dist_coords_to_subset(space.points, B)
+    T_table, failures = {}, {}
+    for eta in sorted(float(e) for e in eta_samples):
+        inside_mask = d2B <= R * eta + 1e-12
+        U = np.nonzero(inside_mask)[0]
+        ok = np.array([bool(np.all(inside_mask[row[U]])) for row in grid_orbit])
+        good_from = None
+        for j in range(len(ok) - 1, -1, -1):
+            if not ok[j]:
+                break
+            good_from = j
+        if good_from is None:
+            bad_row = grid_orbit[-1][U]
+            failures[eta] = int(bad_row[~inside_mask[bad_row]][0])
+        else:
+            T_table[eta] = max(good_from, 1) * tr.T
+    return {"T_table": T_table, "failures": failures}
+
+
 # -- omega limits -----------------------------------------------------------
 
 
@@ -435,3 +456,45 @@ def test_stable_pair_json_round_trip():
     assert back.T_table == pair.T_table
     assert np.array_equal(back.B_star, pair.B_star)
     assert back.provenance == pair.provenance
+
+
+def _levels_at(d, R):
+    """Levels eta with R * eta + 1e-12 equal to each distance in d, where one exists."""
+    etas = []
+    for target in d:
+        eta = (target - 1e-12) / R
+        for _ in range(8):
+            if R * eta + 1e-12 == target:
+                etas.append(eta)
+                break
+            eta = np.nextafter(eta, -1.0 if R * eta + 1e-12 > target else 2.0)
+    return etas
+
+
+@pytest.mark.parametrize("domain,n", [("unit-square", 8), ("circle", 64), ("roof", 12)])
+def test_nested_prefix_maxima_match_row_loop_on_random_maps(domain, n):
+    s = build_grid(domain, n)
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for trial in range(12):
+        # random functional graph: a permutation (long cycles, many distinct
+        # witnesses) with a share of the points sent into a small core
+        core = rng.choice(s.n, 1 + trial % 4, replace=False)
+        f = rng.permutation(s.n)
+        drop = rng.uniform(size=s.n) < 0.1 * (trial % 6)
+        f[drop] = rng.choice(core, drop.sum())
+        f[core] = core[rng.integers(0, core.size, core.size)]
+        tr = GridTransition(T=0.5 + trial, m_max=1, images=f[None])
+        B = np.unique(np.concatenate([core, rng.choice(s.n, trial % 3)]))
+        R = float(rng.uniform(0.2, 1.5))
+        d2B = s.dist_coords_to_subset(s.points, B)
+        ties = _levels_at(rng.choice(d2B[(d2B > 0.02 * R) & (d2B < 0.98 * R)], 6), R)
+        assert ties
+        etas = np.concatenate([rng.uniform(0.01, 0.99, 12), ties])
+        grid_orbit = grid_image_orbit(tr, 30)
+        got = nested_neighborhoods(s, tr, B, R, etas, grid_orbit)
+        want = _nested_by_rows(s, tr, B, R, etas, grid_orbit)
+        assert got == want
+        assert list(got["T_table"]) == list(want["T_table"])   # same key order
+        outcomes.update(["T"] * bool(got["T_table"]) + ["fail"] * bool(got["failures"]))
+    assert outcomes == {"T", "fail"}

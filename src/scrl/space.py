@@ -138,26 +138,29 @@ class RoofSeam:
         cost += dy
         return np.sqrt(cost, out=cost)
 
-    def window(self, pts: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Entry costs to the seam samples within ``reach`` in x of each point.
-
-        Returns (entry, start): row p of the (k, W) ``entry`` holds the
-        costs to samples start[p] .. start[p] + W - 1, an ascending run
-        that contains every sample i with |x_p - x_i| <= reach[p].
+    def via(self, pts: np.ndarray, bounds, premins):
+        """Yield (via, start) per seam-minimum array in ``premins``: row p of
+        the (k, W) ``via`` holds entry(p, i) + premin[i] for the ascending
+        run of samples i = start[p] .. start[p] + W - 1, one run for all.
 
         A through-seam cost entry(p, i) + premin[i] is at least
-        |x_p - x_i| + min(premin).  So with reach = bound - min(premin)
-        + 1e-9, every sample outside the run costs more than bound[p] (the
-        slack covers rounding): wherever the minimum over all samples is
-        at most bound[p], the run holds every sample that attains it, and
-        its minimum and lowest minimising sample are those of the full table.
+        |x_p - x_i| + min(premin).  So the run holds every sample with
+        |x_p - x_i| <= max over the arrays of bound[p] - min(premin) + 1e-9,
+        ``bounds`` giving one (k,) bound per array, and every sample outside
+        it costs more than its bound (the slack covers rounding): wherever
+        the minimum over all samples is at most bound[p], the run holds every
+        sample that attains it, and its minimum and lowest minimising sample
+        are those of the full table.
         """
+        reach = np.max([b - premin.min() for b, premin in zip(bounds, premins)], axis=0) + 1e-9
         m = self.x.size
         lo = np.searchsorted(self.x, pts[:, 0] - reach, side="left")
         hi = np.searchsorted(self.x, pts[:, 0] + reach, side="right")
         width = max(int((hi - lo).max(initial=0)), 1)
         start = np.minimum(lo, m - width)
-        return self.entry_costs(pts, start, width), start
+        entry = self.entry_costs(pts, start, width)
+        for premin in premins:
+            yield entry + _runs(premin, start, width), start
 
 
 def _runs(a: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
@@ -245,15 +248,7 @@ class GridSpace:
 
     def dist_coords_to_subset(self, pts: np.ndarray, ids) -> np.ndarray:
         """Distances from query coords to the nearest member of a point-id set."""
-        return self.dist_coords_to_subsets(pts, [ids])[0]
-
-    def dist_coords_to_subsets(self, pts: np.ndarray, id_sets,
-                               cutoff: float = np.inf) -> np.ndarray:
-        """(len(id_sets), k) distances from query coords to each id set.
-
-        Same contract as ``dist_rows_to_subsets`` for one query array.
-        """
-        return next(self.dist_rows_to_subsets([pts], id_sets, cutoff))
+        return next(self.dist_rows_to_subsets([pts], [ids]))[0]
 
     def dist_rows_to_subsets(self, rows, id_sets, cutoff=np.inf):
         """Yield the (len(id_sets), k) distances of each query array in ``rows``.
@@ -263,15 +258,15 @@ class GridSpace:
         for all rows.  When a query array is the grid itself, the seam
         pass reads ``seam.grid_entry``.  Otherwise it evaluates, once for
         all sets, only the window of seam samples that can bring a point
-        below min(direct, cutoff) for some set (see ``RoofSeam.window``).
+        below min(direct, cutoff) for some set (see ``RoofSeam.via``).
         So a distance at most ``cutoff`` is exact, and one above it is at
         least the exact distance and above ``cutoff``.  ``cutoff``
         broadcasts against the (sets, k) result and is read as each row is
         computed, so a caller may lower it between rows.
         """
         sets = [np.asarray(sorted(ids), dtype=int) for ids in id_sets]
-        premins = [(s, self.seam.to_grid[:, ids].min(axis=1)) for s, ids in enumerate(sets)
-                   if self.domain == ROOF and ids.size]
+        live = [s for s, ids in enumerate(sets) if self.domain == ROOF and ids.size]
+        premins = [self.seam.to_grid[:, sets[s]].min(axis=1) for s in live]
         for pts in rows:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             out = np.full((len(sets), pts.shape[0]), np.inf)
@@ -282,15 +277,12 @@ class GridSpace:
                     d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
                 else:
                     d[:] = _euclid(pts, self.points[ids]).min(axis=1)
-            if premins and pts is self.points:
-                for s, premin in premins:
+            if live and pts is self.points:
+                for s, premin in zip(live, premins):
                     np.minimum(out[s], (self.seam.grid_entry + premin).min(axis=1), out=out[s])
-            elif premins:
-                bound = np.minimum(out, cutoff)
-                reach = np.max([bound[s] - premin.min() for s, premin in premins], axis=0)
-                entry, start = self.seam.window(pts, reach + 1e-9)
-                for s, premin in premins:
-                    via = entry + _runs(premin, start, entry.shape[1])
+            elif live:
+                bounds = np.minimum(out, cutoff)[live]
+                for s, (via, _) in zip(live, self.seam.via(pts, bounds, premins)):
                     np.minimum(out[s], via.min(axis=1), out=out[s])
             yield out
 
@@ -306,7 +298,7 @@ class GridSpace:
         min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
         equals min over i of entry(p, i) + to_grid_min[i].  Only the window
         of samples that can beat the best direct distance is evaluated
-        (``RoofSeam.window``); it keeps the strict ``<`` and, being in
+        (``RoofSeam.via``); it keeps the strict ``<`` and, being in
         ascending sample order, the lowest minimising sample.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -325,9 +317,7 @@ class GridSpace:
             if self.domain == ROOF:
                 rows = np.arange(block.shape[0])
                 best_val = d[rows, best]
-                premin = self.seam.to_grid_min
-                entry, start = self.seam.window(block, best_val - premin.min() + 1e-9)
-                via = entry + _runs(premin, start, entry.shape[1])
+                via, start = next(self.seam.via(block, [best_val], [self.seam.to_grid_min]))
                 pick = via.argmin(axis=1)
                 better = via[rows, pick] < best_val
                 best[better] = self.seam.to_grid_argmin[(start + pick)[better]]

@@ -351,14 +351,14 @@ def test_sup_along_orbit_cutoff_keeps_roof16_fields(monkeypatch):
     assert pairs
     s, orbit = bundle.space, bundle.ensure_orbit()
     widths = []
-    window = s.seam.window
+    via = s.seam.via
 
-    def counted_window(pts, reach):
-        entry, start = window(pts, reach)
-        widths.append(entry.size)
-        return entry, start
+    def counted_via(pts, bounds, premins):
+        for table, start in via(pts, bounds, premins):
+            widths.append(table.size)
+            yield table, start
 
-    monkeypatch.setattr(s.seam, "window", counted_window)
+    monkeypatch.setattr(s.seam, "via", counted_via)
     fast = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
     pruned, widths[:] = sum(widths), []
     rows = s.dist_rows_to_subsets

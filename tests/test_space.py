@@ -316,15 +316,13 @@ def test_seam_window_keeps_every_sample_that_can_win(roof12):
         exact = full[:, i0]
         for bound in (exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0),
                       rng.uniform(0, 0.5, exact.size)):
-            reach = bound - premin.min() + 1e-9
             # all points at once (one run width for all), and one at a time
-            windows = [(slice(None), *seam.window(pts, reach))]
-            windows += [(p, *seam.window(pts[p:p + 1], reach[p:p + 1]))
+            windows = [(slice(None), *next(seam.via(pts, [bound], [premin])))]
+            windows += [(p, *next(seam.via(pts[p:p + 1], [bound[p:p + 1]], [premin])))
                         for p in range(0, pts.shape[0], 9)]
-            for rows, entry, start in windows:
+            for rows, via, start in windows:
                 rows = np.arange(pts.shape[0])[rows].reshape(-1)
-                cols = start[:, None] + np.arange(entry.shape[1])
-                via = entry + premin[cols]
+                cols = start[:, None] + np.arange(via.shape[1])
                 assert via.tobytes() == full[rows[:, None], cols].tobytes()
                 best = via.min(axis=1)
                 won = full[rows].min(axis=1) <= bound[rows]
@@ -349,18 +347,18 @@ def test_windowed_subset_distances_match_full_table(n):
     # all sets share one window per row; ``middle`` alone has its own
     for pts, sets in itertools.product(queries, (id_sets, [middle])):
         want = np.array([_fresh_dist_to_subset(s, pts, ids) for ids in sets])
-        assert s.dist_coords_to_subsets(pts, sets).tobytes() == want.tobytes()
+        assert next(s.dist_rows_to_subsets([pts], sets)).tobytes() == want.tobytes()
         per_point = rng.uniform(0, 0.3, want.shape)
         # a cutoff equal to the distance itself leaves no room in any window
         for cutoff in (0.0, 0.05, 0.15, per_point, want, np.nextafter(want, -1.0)):
-            got = s.dist_coords_to_subsets(pts, sets, cutoff=cutoff)
+            got = next(s.dist_rows_to_subsets([pts], sets, cutoff))
             near = want <= cutoff
             assert got[near].tobytes() == want[near].tobytes()
             assert np.all(got[~near] >= want[~near])
             assert np.all(got[~near] > np.broadcast_to(cutoff, want.shape)[~near])
     rows = list(s.dist_rows_to_subsets(orbit.coords, id_sets, cutoff=0.1))
     for pts, got in zip(orbit.coords, rows):
-        assert got.tobytes() == s.dist_coords_to_subsets(pts, id_sets, cutoff=0.1).tobytes()
+        assert got.tobytes() == next(s.dist_rows_to_subsets([pts], id_sets, 0.1)).tobytes()
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -387,7 +385,7 @@ def test_multi_set_distance_matches_per_set(system, domain, n):
                np.empty(0, dtype=int), [s.n - 1, 1]]
     # the grid itself (cached entry costs), a copy of it, and orbit rows
     for pts in (s.points, s.points.copy(), orbit.coords[3], orbit.coords[-1]):
-        got = s.dist_coords_to_subsets(pts, id_sets)
+        got = next(s.dist_rows_to_subsets([pts], id_sets))
         assert got.shape == (len(id_sets), pts.shape[0])
         for row, ids in zip(got, id_sets):
             single = s.dist_coords_to_subset(pts, ids)

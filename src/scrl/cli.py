@@ -30,7 +30,7 @@ from .chaingraph import (ChainGraph, ScrResult, build_chain_graph, compute_cr, c
 from .flows import FlowModel, GridTransition, build_transition, load_sampled_transition, make_flow
 from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
                        sup_along_orbit, verify_lyapunov)
-from .orbits import OrbitData, build_orbit_data
+from .orbits import FINE_DIVISOR, OrbitData, build_orbit_data
 from .pairs import PairCatalog, default_radii, default_seed_stride, enumerate_pairs, select_cover
 from .space import DOMAINS, GridSpace, _fw_closure, build_grid
 from .stablesets import default_eta_samples
@@ -103,13 +103,13 @@ class RunConfig:
                 f"radius {min(self.radii)} < 2 * resolution {2 * resolution:.4g}")
 
     def check_orbit_times(self) -> None:
-        """Times the orbit must sample: its fine lattice has step T/8 and
-        reaches s_max + 4T."""
-        fine = self.T / 8
+        """Times the orbit must sample: its fine lattice has step
+        T / FINE_DIVISOR and reaches s_max + 4T."""
+        fine = self.T / FINE_DIVISOR
         for name in ("s_max", "t_probe"):
             value = getattr(self, name)
             if abs(round(value / fine) * fine - value) > 1e-9:
-                raise ConfigError(f"{name} {value} is not a multiple of T/8 = {fine}")
+                raise ConfigError(f"{name} {value} is not a multiple of T/{FINE_DIVISOR} = {fine}")
         if not self.T <= self.t_probe <= 4 * self.T:
             raise ConfigError(f"t_probe {self.t_probe} outside [T, 4T] for T = {self.T}")
 
@@ -405,10 +405,12 @@ def oracle_check(seeds: int, rng_seed: int = 0) -> dict:
     return costs are also checked under finite cost limits that some
     cycles cost exactly, and the circle and square grid graphs under the
     limit of the scr stage, where self-loops, 2-cycles and landmark
-    bounds set the search depths.
+    bounds set the search depths.  Each graph's omega_budget is checked
+    strict and closed (<=, as the pipeline calls it) at a budget that
+    some reach cost equals, where the two differ.
     """
     rng = np.random.default_rng(rng_seed)
-    trials = []                         # (exact, exact under limits) per graph
+    trials = []                 # (exact, exact under limits, exact at a tied budget) per graph
     for trial in range(seeds):
         n = int(rng.integers(4, 40))
         density = rng.uniform(0.05, 0.4)
@@ -425,10 +427,11 @@ def oracle_check(seeds: int, rng_seed: int = 0) -> dict:
         limit = scr_cost_limit(bundle, [bundle.cfg.epsilon])
         grid[f"grid_{system}_limited_exact"] = np.array_equal(
             min_return_cost_all(gq, limit), np.where(mrc_ref <= limit, mrc_ref, np.inf))
-    mismatches = sum(not (exact and limited) for exact, limited in trials)
+    mismatches = sum(not all(trial) for trial in trials)
     return {"trials": seeds, "mismatches": mismatches + sum(not ok for ok in grid.values()),
             "wide_graph_exact": trials[-1][0],
-            "limited_return_costs_exact": all(limited for _, limited in trials), **grid}
+            "limited_return_costs_exact": all(limited for _, limited, _ in trials),
+            "tied_budgets_exact": all(ties for _, _, ties in trials), **grid}
 
 
 def return_cost_reference(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, **kwargs):
@@ -441,10 +444,12 @@ def return_cost_reference(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, *
     return graph_from_edges(n, edges, **kwargs), ref, mrc_ref
 
 
-def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool]:
+def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool, bool]:
     """One random dyadic digraph: do both fast paths match the reference,
-    and do the return costs under two limits, each the cost of some
-    cycle, match it with the entries above the limit set to +inf?"""
+    do the return costs under two limits, each the cost of some cycle,
+    match it with the entries above the limit set to +inf, and do the
+    strict and the closed (<=) budget match it at a budget that some
+    reach cost equals, where the two differ?"""
     u = rng.integers(0, n, n_edges)
     v = rng.integers(0, n, n_edges)
     w = rng.integers(1, 2 ** 20, n_edges) / 2.0 ** 20
@@ -454,14 +459,19 @@ def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool]:
     limited = all(np.array_equal(min_return_cost_all(g, float(c)),
                                  np.where(mrc_ref <= c, mrc_ref, np.inf)) for c in limits)
     if not np.array_equal(min_return_cost_all(g), mrc_ref):
-        return False, limited
+        return False, limited, False
     eps = float(rng.uniform(0.1, 2.0))
     Y = sorted(set(rng.integers(0, n, 3).tolist()))
     seed_cost = np.full(n, np.inf)
     out_of_Y = np.isin(u, Y)
     np.minimum.at(seed_cost, v[out_of_Y], w[out_of_Y])
     reach_ref = (seed_cost[:, None] + ref).min(axis=0)
-    return np.array_equal(omega_budget(g, Y, eps), np.nonzero(reach_ref < eps)[0]), limited
+    reached = np.unique(reach_ref[np.isfinite(reach_ref)])
+    ties = all(np.array_equal(omega_budget(g, Y, float(c), closed=closed),
+                              np.nonzero(reach_ref <= c if closed else reach_ref < c)[0])
+               for c in reached[reached.size // 2:][:1] for closed in (False, True))
+    exact = np.array_equal(omega_budget(g, Y, eps), np.nonzero(reach_ref < eps)[0])
+    return exact, limited, ties
 
 
 # -- argument parsing --------------------------------------------------------

@@ -4,9 +4,10 @@ Several stages sample the same forward orbits of every grid point: the
 orbit supremum and the discounted integral in :mod:`scrl.lyapunov`, the
 avoidance scan and per-point omega limits in :mod:`scrl.stablesets`, and
 the flowed-point evaluation in verification.  This module computes the
-table once per (flow, grid, T): a fine lattice with step ``T/8`` out to
-``fine_horizon`` (the quadrature window plus probe slack) and a coarse
-lattice with step ``T/4`` out to ``horizon``.
+table once per (flow, grid, T): a fine lattice with step
+``T / FINE_DIVISOR`` (T/8) out to ``fine_horizon`` (the quadrature window
+plus probe slack) and a coarse lattice with step ``T/4`` out to
+``horizon``.
 
 Row j is phi at ``times[j]`` of every grid point, all rows from one
 :meth:`FlowModel.evaluate` call on the grid points (row 0 is the grid
@@ -23,6 +24,8 @@ import numpy as np
 
 from .flows import FlowModel
 from .space import GridSpace
+
+FINE_DIVISOR = 8        # the fine lattice has step T / FINE_DIVISOR
 
 
 @dataclass(eq=False)
@@ -50,7 +53,7 @@ class OrbitData:
 
 def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
                      fine_horizon: float, horizon: float,
-                     t_steps: int, fine_divisor: int = 8) -> OrbitData:
+                     t_steps: int, fine_divisor: int = FINE_DIVISOR) -> OrbitData:
     """Flow all grid points forward and record the sampled orbits."""
     fine = T / fine_divisor
     coarse = T / 4.0

@@ -50,11 +50,13 @@ def circle_gap(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus product of (p, m) and (m, q), looping over the middle axis."""
+def _min_plus(a: np.ndarray, b: np.ndarray, start=0) -> np.ndarray:
+    """Min-plus product of (p, w) and rows of (m, q), looping over the
+    middle axis: row r is the minimum over k of a[r, k] + b[start[r] + k]."""
     out = np.full((a.shape[0], b.shape[1]), np.inf)
+    start = start if np.any(start) else 0       # every run at sample 0: broadcast rows of b
     for k in range(a.shape[1]):
-        np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
+        np.minimum(out, a[:, k, None] + b[start + k], out=out)
     return out
 
 
@@ -92,7 +94,7 @@ class RoofSeam:
     (x_i, tau(x_i)) == (x_i, 0).  ``closure`` holds seam-to-seam shortest
     quotient distances, ``grid_entry`` the (n, m) direct costs from each
     grid point to each seam sample and ``to_grid`` seam-to-grid-point
-    distances.
+    distances.  Every query reads them inside a window of ``via``.
     """
 
     def __init__(self, grid_points: np.ndarray, n_samples: int):
@@ -109,6 +111,7 @@ class RoofSeam:
                 np.minimum(base, _euclid(a, b), out=base)
         self.closure = _fw_closure(base)
 
+        self.points = grid_points
         self.grid_entry = self.entry_costs(grid_points)    # (n, m)
         self.to_grid = _min_plus(self.closure, np.ascontiguousarray(self.grid_entry.T))  # (m, n)
         self.to_grid_min = self.to_grid.min(axis=1)        # (m,)
@@ -139,18 +142,19 @@ class RoofSeam:
         return np.sqrt(cost, out=cost)
 
     def via(self, pts: np.ndarray, bounds, premins):
-        """Yield (via, start) per seam-minimum array in ``premins``: row p of
-        the (k, W) ``via`` holds entry(p, i) + premin[i] for the ascending
-        run of samples i = start[p] .. start[p] + W - 1, one run for all.
+        """The window of seam samples that can bring each query point to or
+        below its bound, as (start, entry, sums): row p of the (k, W)
+        ``entry`` is entry(p, i) over the ascending run i = start[p] ..
+        start[p] + W - 1 (one W for all points; gathered from ``grid_entry``
+        when ``pts`` is the grid), and ``sums`` yields entry + premin over
+        the same runs for each array in ``premins``.
 
-        A through-seam cost entry(p, i) + premin[i] is at least
-        |x_p - x_i| + min(premin).  So the run holds every sample with
-        |x_p - x_i| <= max over the arrays of bound[p] - min(premin) + 1e-9,
-        ``bounds`` giving one (k,) bound per array, and every sample outside
-        it costs more than its bound (the slack covers rounding): wherever
-        the minimum over all samples is at most bound[p], the run holds every
-        sample that attains it, and its minimum and lowest minimising sample
-        are those of the full table.
+        As entry(p, i) + premin[i] >= |x_p - x_i| + min(premin), the run
+        holds every sample with |x_p - x_i| <= max over the arrays of
+        bound[p] - min(premin) + 1e-9 (one (k,) or scalar bound per array;
+        the slack covers rounding), and every sample outside it costs more
+        than its bound.  So wherever the full minimum is at most bound[p],
+        the run's minimum and lowest minimising sample are the full table's.
         """
         reach = np.max([b - premin.min() for b, premin in zip(bounds, premins)], axis=0) + 1e-9
         m = self.x.size
@@ -158,9 +162,11 @@ class RoofSeam:
         hi = np.searchsorted(self.x, pts[:, 0] + reach, side="right")
         width = max(int((hi - lo).max(initial=0)), 1)
         start = np.minimum(lo, m - width)
-        entry = self.entry_costs(pts, start, width)
-        for premin in premins:
-            yield entry + _runs(premin, start, width), start
+        if pts is self.points:
+            entry = _runs(self.grid_entry.ravel(), start + m * np.arange(start.size), width)
+        else:
+            entry = self.entry_costs(pts, start, width)
+        return start, entry, (entry + _runs(premin, start, width) for premin in premins)
 
 
 def _runs(a: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
@@ -231,19 +237,20 @@ class GridSpace:
     def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
         """Dense (k, n) matrix of distances from query coords to all grid points.
 
-        With a finite ``cutoff``, entries above it may be Euclidean
-        overestimates (only values <= cutoff are guaranteed exact); this
-        prunes the through-seam pass to points near the seam.
+        A distance at most ``cutoff`` is exact; one above it is at least the
+        exact one and above ``cutoff``.  On the roof, the seam pass runs only
+        over the window of samples i whose entry(p, i) + to_grid_min[i] can
+        reach the cutoff (``RoofSeam.via``): the min-plus product of that
+        window with the same rows of ``to_grid``, for each row it reaches.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.domain == CIRCLE:
             return circle_gap(pts[:, :1], self.points[None, :, 0])
         d = _euclid(pts, self.points)
         if self.domain == ROOF:
-            entry = self.seam.entry_costs(pts)              # (k, m)
-            refine = np.nonzero(entry.min(axis=1) <= cutoff)[0]
-            if refine.size:
-                d[refine] = np.minimum(d[refine], _min_plus(entry[refine], self.seam.to_grid))
+            start, entry, (via,) = self.seam.via(pts, [cutoff], [self.seam.to_grid_min])
+            rows = np.nonzero(via.min(axis=1) <= cutoff)[0]
+            d[rows] = np.minimum(d[rows], _min_plus(entry[rows], self.seam.to_grid, start[rows]))
         return d
 
     def dist_coords_to_subset(self, pts: np.ndarray, ids) -> np.ndarray:
@@ -254,15 +261,13 @@ class GridSpace:
         """Yield the (len(id_sets), k) distances of each query array in ``rows``.
 
         Each set's sorted ids and, on the roof, its seam minima
-        premin[i] = min over the set of to_grid[i, .] are computed once
-        for all rows.  When a query array is the grid itself, the seam
-        pass reads ``seam.grid_entry``.  Otherwise it evaluates, once for
-        all sets, only the window of seam samples that can bring a point
-        below min(direct, cutoff) for some set (see ``RoofSeam.via``).
-        So a distance at most ``cutoff`` is exact, and one above it is at
-        least the exact distance and above ``cutoff``.  ``cutoff``
-        broadcasts against the (sets, k) result and is read as each row is
-        computed, so a caller may lower it between rows.
+        premin[i] = min over the set of to_grid[i, .] are computed once for
+        all rows; each row's seam pass runs, once for all sets, over the
+        window of samples that can bring a point below min(direct, cutoff)
+        for some set (``RoofSeam.via``).  Distances keep the ``cutoff``
+        contract of ``dist_coords_to_grid``; ``cutoff`` broadcasts against
+        the (sets, k) result and is read as each row is computed, so a
+        caller may lower it between rows.
         """
         sets = [np.asarray(sorted(ids), dtype=int) for ids in id_sets]
         live = [s for s, ids in enumerate(sets) if self.domain == ROOF and ids.size]
@@ -277,12 +282,9 @@ class GridSpace:
                     d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
                 else:
                     d[:] = _euclid(pts, self.points[ids]).min(axis=1)
-            if live and pts is self.points:
-                for s, premin in zip(live, premins):
-                    np.minimum(out[s], (self.seam.grid_entry + premin).min(axis=1), out=out[s])
-            elif live:
-                bounds = np.minimum(out, cutoff)[live]
-                for s, (via, _) in zip(live, self.seam.via(pts, bounds, premins)):
+            if live:
+                _, _, sums = self.seam.via(pts, np.minimum(out, cutoff)[live], premins)
+                for s, via in zip(live, sums):
                     np.minimum(out[s], via.min(axis=1), out=out[s])
             yield out
 
@@ -315,19 +317,19 @@ class GridSpace:
             d = _euclid(block, self.points)
             best = d.argmin(axis=1)
             if self.domain == ROOF:
-                rows = np.arange(block.shape[0])
-                best_val = d[rows, best]
-                via, start = next(self.seam.via(block, [best_val], [self.seam.to_grid_min]))
+                best_val = d.min(axis=1)
+                start, _, (via,) = self.seam.via(block, [best_val], [self.seam.to_grid_min])
                 pick = via.argmin(axis=1)
-                better = via[rows, pick] < best_val
+                better = via.min(axis=1) < best_val
                 best[better] = self.seam.to_grid_argmin[(start + pick)[better]]
             out[lo:lo + 1024] = best
         return out
 
     def thicken(self, ids, radius: float) -> np.ndarray:
         """Sorted ids of all grid points within ``radius`` of the id set."""
-        d = self.dist_coords_to_subset(self.points, ids)
-        return np.nonzero(d <= radius + 1e-12)[0]
+        cutoff = radius + 1e-12
+        d = next(self.dist_rows_to_subsets([self.points], [ids], cutoff))[0]
+        return np.nonzero(d <= cutoff)[0]
 
     def _check_id(self, p: PointId) -> None:
         if not 0 <= p < self.n:
@@ -373,8 +375,5 @@ def _sampled_resolution(space: GridSpace) -> float:
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     pts = pts[pts[:, 1] <= roof_height(pts[:, 0])]
-    worst = 0.0
-    for lo in range(0, pts.shape[0], 4096):
-        d = space.dist_coords_to_subset(pts[lo:lo + 4096], np.arange(space.n))
-        worst = max(worst, float(d.max()))
-    return worst
+    blocks = (pts[lo:lo + 4096] for lo in range(0, pts.shape[0], 4096))
+    return max(float(d.max()) for d in space.dist_rows_to_subsets(blocks, [np.arange(space.n)]))

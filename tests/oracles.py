@@ -141,6 +141,44 @@ def max_projection_gap(space, samples):
     return worst
 
 
+def direct_distances(pts, grid):
+    """(k, n) Euclidean distances by the textbook difference formula."""
+    return np.sqrt(((pts[:, None, :] - grid[None, :, :]) ** 2).sum(-1))
+
+
+def _full_min_plus(a, b, rows=16):
+    """min over k of a[r, k] + b[k, c], as one reduction over every k."""
+    return np.concatenate([(a[lo:lo + rows, :, None] + b[None]).min(axis=1)
+                           for lo in range(0, a.shape[0], rows)])
+
+
+def through_seam(space, pts):
+    """(k, n) roof distances that cross the seam, over full tables: every
+    seam sample enters every minimum, with entry costs the nearer of the
+    sample's top and bottom copies and seam-to-grid costs closed over
+    every sample."""
+    seam = space.seam
+
+    def entry(q):
+        return np.minimum(direct_distances(q, seam.top), direct_distances(q, seam.bot))
+
+    to_grid = _full_min_plus(seam.closure, entry(space.points).T)
+    return _full_min_plus(entry(np.atleast_2d(pts)), to_grid)
+
+
+def grid_distances(space, pts):
+    """(k, n) distances from query coords to every grid point, from full
+    tables (``through_seam`` on the roof)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if space.domain == "circle":
+        gap = np.abs(pts[:, :1] % 1.0 - space.points[None, :, 0] % 1.0)
+        return np.minimum(gap, 1.0 - gap)
+    d = direct_distances(pts, space.points)
+    if space.domain == "roof":
+        np.minimum(d, through_seam(space, pts), out=d)
+    return d
+
+
 def random_digraph(rng, max_nodes=200):
     n = int(rng.integers(4, max_nodes + 1))
     n_edges = max(1, int(n * rng.uniform(1.0, 6.0)))

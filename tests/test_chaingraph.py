@@ -12,8 +12,8 @@ from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr, cycle_e
 from scrl.flows import build_transition, make_flow
 from scrl.space import build_grid
 
-from oracles import (chain_enumeration_oracle, cr_oracle, min_return_cost_oracle,
-                     omega_oracle, random_digraph)
+from oracles import (chain_enumeration_oracle, cr_oracle, grid_distances,
+                     min_return_cost_oracle, omega_oracle, random_digraph)
 
 
 @pytest.fixture(scope="module")
@@ -284,15 +284,14 @@ def test_graph_from_edges_keeps_cheapest_edge_per_pair():
 
 
 def _per_m_reference(space, tr, prune):
-    """One dense distance matrix per multiplier, then per (u, v) the least
-    weight and the lowest m achieving it, in (u, v) order."""
+    """One full-table distance matrix per multiplier, then per (u, v) the
+    least weight and the lowest m achieving it, in (u, v) order."""
     us, vs, ms, ws = [], [], [], []
     for m in range(1, tr.m_max + 1):
         if tr.exact_images is not None:
-            dmat = space.dist_coords_to_grid(tr.exact_images[m - 1], cutoff=prune)
+            dmat = grid_distances(space, tr.exact_images[m - 1])
         else:
-            dmat = space.dist_coords_to_grid(space.points[tr.images[m - 1]], cutoff=prune)
-            dmat = dmat + space.resolution
+            dmat = grid_distances(space, space.points[tr.images[m - 1]]) + space.resolution
         uu, vv = np.nonzero(dmat <= prune)
         us.append(uu)
         vs.append(vv)

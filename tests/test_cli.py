@@ -258,6 +258,7 @@ def test_oracle_check_clean(tmp_path, capsys):
     assert report["grid_circle_exact"] and report["grid_square_exact"]
     assert report["grid_circle_limited_exact"] and report["grid_square_limited_exact"]
     assert report["wide_graph_exact"] and report["limited_return_costs_exact"]
+    assert report["tied_budgets_exact"]
 
 
 def test_custom_flow_end_to_end(tmp_path):

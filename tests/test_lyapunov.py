@@ -354,9 +354,9 @@ def test_sup_along_orbit_cutoff_keeps_roof16_fields(monkeypatch):
     via = s.seam.via
 
     def counted_via(pts, bounds, premins):
-        for table, start in via(pts, bounds, premins):
-            widths.append(table.size)
-            yield table, start
+        start, entry, sums = via(pts, bounds, premins)
+        widths.append(entry.size * len(premins))
+        return start, entry, sums
 
     monkeypatch.setattr(s.seam, "via", counted_via)
     fast = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)

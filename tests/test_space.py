@@ -1,24 +1,22 @@
+import copy
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrl.flows import make_flow
+from scrl.cli import RunConfig, default_prune_radius
+from scrl.flows import build_transition, make_flow
 from scrl.orbits import build_orbit_data
 from scrl.space import ROOF, ROOF_RIDGE, _euclid, build_grid, circle_gap, roof_height
 
-from oracles import max_projection_gap
+from oracles import direct_distances, grid_distances, max_projection_gap, through_seam
 
 
 @pytest.fixture(scope="module")
 def roof12():
     return build_grid("roof", 12)
-
-
-def _direct_distances(pts, grid):
-    """(k, n) distances by the textbook difference formula, no kernel."""
-    return np.sqrt(((pts[:, None, :] - grid[None, :, :]) ** 2).sum(-1))
 
 
 def test_circle_grid_basics():
@@ -57,7 +55,7 @@ def test_square_metric_is_euclidean():
     rng = np.random.default_rng(24)
     queries = np.concatenate([rng.uniform(0, 1, (40, 2)), s.points[::37]])
     full = s.dist_coords_to_grid(queries)
-    assert full.tobytes() == _direct_distances(queries, s.points).tobytes()
+    assert full.tobytes() == direct_distances(queries, s.points).tobytes()
     for q, row in zip(queries, full):
         for j in range(0, s.n, 11):
             assert s.coord_distance(q, s.points[j]) == row[j]
@@ -165,7 +163,7 @@ def test_square_nearest_ties_break_toward_lowest_id(n):
         np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),  # y neighbours
     ])
     mid = (s.points[pairs[:, 0]] + s.points[pairs[:, 1]]) / 2       # half-cell midpoints
-    brute = _direct_distances(mid, s.points).argmin(axis=1)         # first minimum
+    brute = direct_distances(mid, s.points).argmin(axis=1)         # first minimum
     assert np.array_equal(s.nearest(mid), brute)
 
 
@@ -312,18 +310,20 @@ def test_seam_window_keeps_every_sample_that_can_win(roof12):
         xs = rng.uniform(0, 1, 200)
         pts = np.concatenate([np.column_stack([xs, np.zeros_like(xs)]),
                               np.column_stack([xs, rng.uniform(0, 1, 200) * roof_height(xs)])])
-        full = seam.entry_costs(pts) + premin
+        table = seam.entry_costs(pts)
+        full = table + premin
         exact = full[:, i0]
         for bound in (exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0),
                       rng.uniform(0, 0.5, exact.size)):
             # all points at once (one run width for all), and one at a time
-            windows = [(slice(None), *next(seam.via(pts, [bound], [premin])))]
-            windows += [(p, *next(seam.via(pts[p:p + 1], [bound[p:p + 1]], [premin])))
+            windows = [(slice(None), seam.via(pts, [bound], [premin]))]
+            windows += [(p, seam.via(pts[p:p + 1], [bound[p:p + 1]], [premin]))
                         for p in range(0, pts.shape[0], 9)]
-            for rows, via, start in windows:
+            for rows, (start, entry, (via,)) in windows:
                 rows = np.arange(pts.shape[0])[rows].reshape(-1)
                 cols = start[:, None] + np.arange(via.shape[1])
                 assert via.tobytes() == full[rows[:, None], cols].tobytes()
+                assert entry.tobytes() == table[rows[:, None], cols].tobytes()
                 best = via.min(axis=1)
                 won = full[rows].min(axis=1) <= bound[rows]
                 assert np.array_equal(best[won], full[rows].min(axis=1)[won])
@@ -394,3 +394,98 @@ def test_multi_set_distance_matches_per_set(system, domain, n):
                 assert row.tobytes() == _fresh_dist_to_subset(s, pts, ids).tobytes()
             else:
                 assert np.all(np.isinf(row))
+
+
+def _attained_cutoffs(direct, through, count=4):
+    """Through-seam distances that beat the direct one, among them each
+    sampled row's least, at spread quantiles."""
+    won = through < direct
+    rows = np.nonzero(won.any(axis=1))[0]
+    least = through[rows].min(axis=1)
+    least = least[least < direct[rows].min(axis=1)]
+    values = [np.unique(through[won]), np.unique(least)]
+    return [float(v[int(q * (v.size - 1))]) for v in values for q in np.linspace(0, 1, count)]
+
+
+def _seam_edge_rows(space):
+    """Points on y = 0 around the seam sample closest to the grid, and
+    each point's through-seam distance to that sample's nearest grid
+    point: a cutoff that the point's row attains, along the seam."""
+    i0 = space.seam.to_grid_min.argmin()
+    xs = np.clip(space.seam.x[i0] + np.linspace(-0.4, 0.4, 81), 0.0, 1.0)
+    pts = np.column_stack([xs, np.zeros_like(xs)])
+    return pts, through_seam(space, pts)[:, space.seam.to_grid_argmin[i0]]
+
+
+def _check_cutoff(space, pts, want, cutoff):
+    got = space.dist_coords_to_grid(pts, cutoff)
+    near = want <= cutoff
+    assert got[near].tobytes() == want[near].tobytes(), cutoff
+    assert np.all(got[~near] > cutoff), cutoff
+    assert np.all(got[~near] >= want[~near]), cutoff
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_cutoff_grid_distances_match_full_tables(n):
+    s = build_grid("roof", n)
+    tr = build_transition(make_flow("roof"), s, 1.0, 2)
+    prune = default_prune_radius(RunConfig(system="roof", grid_n=n), s)
+    for pts in (_seam_probe_points(s, np.random.default_rng(n)), tr.exact_images.reshape(-1, 2)):
+        direct = direct_distances(pts, s.points)
+        through = through_seam(s, pts)
+        want = np.minimum(direct, through)
+        for c in [np.inf, prune, 0.0, *_attained_cutoffs(direct, through)]:
+            for cutoff in {c, float(np.nextafter(c, -1.0)) if c > 0 else c}:
+                _check_cutoff(s, pts, want, cutoff)
+    edge, cuts = _seam_edge_rows(s)
+    want = grid_distances(s, edge)
+    for row, c in enumerate(cuts):              # one query row per cutoff
+        for cutoff in (c, np.nextafter(c, -1.0)):
+            _check_cutoff(s, edge[row:row + 1], want[row:row + 1], cutoff)
+
+
+def test_cutoff_grid_distances_at_window_edges(roof12):
+    # synthetic seam-to-grid costs with one cheap entry (i0, g0): on y = 0
+    # the through-seam distance to g0 is |x_p - x_i0| + 0.01, reached only
+    # through i0, and a cutoff equal to it puts i0 on the window's edge
+    m, n = roof12.seam.x.size, roof12.n
+    rng = np.random.default_rng(12)
+    for i0, g0 in ((0, 5), (37, n // 2), (m // 2, n - 1), (m - 1, 0)):
+        seam = copy.copy(roof12.seam)
+        seam.to_grid = rng.uniform(0.3, 0.6, (m, n))
+        seam.to_grid[i0, g0] = 0.01
+        seam.to_grid_min = seam.to_grid.min(axis=1)
+        s = dataclasses.replace(roof12, seam=seam)
+        xs = np.clip(seam.x[i0] + rng.uniform(-0.28, 0.28, 100), 0.0, 1.0)
+        pts = np.column_stack([xs, np.zeros_like(xs)])
+        entry = np.minimum(direct_distances(pts, seam.top), direct_distances(pts, seam.bot))
+        through = (entry[:, :, None] + seam.to_grid[None]).min(axis=1)
+        want = np.minimum(direct_distances(pts, s.points), through)
+        for row, c in enumerate(through[:, g0]):
+            for cutoff in (c, np.nextafter(c, -1.0)):
+                _check_cutoff(s, pts[row:row + 1], want[row:row + 1], cutoff)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_thicken_at_attained_radii(n):
+    s = build_grid("roof", n)
+    rng = np.random.default_rng(n)
+    ref = grid_distances(s, s.points)
+    seam_side = np.nonzero(s.points[:, 1] < s.pitch)[0]     # the bottom row
+    id_sets = [[int(seam_side[0])], [int(seam_side[-1])], rng.choice(s.n, 5, replace=False),
+               np.nonzero(np.abs(s.points[:, 0] - 0.5) < 0.1)[0]]
+    for ids in id_sets:
+        ids = np.asarray(ids)
+        direct = direct_distances(s.points, s.points[ids]).min(axis=1)
+        want = ref[:, ids].min(axis=1)
+        won = np.unique(want[want < direct])
+        for D in won[np.linspace(0, won.size - 1, 4).astype(int)]:
+            r = D - 1e-12                              # so that r + 1e-12 lands on D
+            for _ in range(64):
+                if r + 1e-12 == D:
+                    break
+                r = np.nextafter(r, 2.0 if r + 1e-12 < D else -1.0)
+            assert r + 1e-12 == D
+            for radius in (D, r, np.nextafter(r, -1.0), np.nextafter(r, 2.0)):
+                got = s.thicken(ids, radius)
+                assert np.array_equal(got, np.nonzero(want <= radius + 1e-12)[0]), radius

@@ -5,9 +5,11 @@ grid point u for time m*T and then jumping to v costs w = d(phi_{mT}(u), v).
 A path through this graph whose weights sum below a budget is a strong
 chain at that budget with all flow times in {T, ..., m_max*T}; cycle
 costs therefore decide strong chain recurrence, per-edge thresholds plus
-strong connectivity decide classical chain recurrence, and multi-source
-shortest paths realize the budgeted reachability operator.  All of these
-read only the cheapest edge per (u, v), so the graph keeps just that one.
+strong connectivity decide classical chain recurrence, and one
+budget-limited Dijkstra from a whole seed set, summing each chain in chain
+order, realizes the budgeted reachability operator with no n x n matrix.
+All of these read only the cheapest edge per (u, v), so the graph keeps
+just that one.
 
 Return costs search a smaller graph: an edge (x, y, w) is kept iff
 w + LB <= limit + 1e-9, where LB is a landmark lower bound on the return
@@ -46,8 +48,8 @@ from .space import GridSpace
 @dataclass(eq=False)
 class ChainGraph:
     """Immutable edge set with one edge per (u, v), sorted by (u, v): its
-    least weight and the lowest multiplier m achieving it.  Adjacency,
-    shortest-path and return-cost results are cached lazily."""
+    least weight and the lowest multiplier m achieving it.  Adjacency and
+    return-cost results are cached lazily."""
 
     n: int
     T: float
@@ -59,7 +61,6 @@ class ChainGraph:
     edge_m: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
     _csr: tuple | None = field(default=None, repr=False)      # (limit, adjacency)
-    _apsp: dict = field(default_factory=dict, repr=False)     # limit -> D
     _costs: dict = field(default_factory=dict, repr=False)    # limit -> return costs
 
     @property
@@ -77,28 +78,11 @@ class ChainGraph:
             self._csr = (limit, _adjacency(self.n, u, v, w))
         return self._csr[1]
 
-    def all_pairs(self, limit: float | None = None, sources=None,
-                  adjacency: sp.csr_matrix | None = None) -> np.ndarray:
-        """Shortest path costs D[s, v] from each of ``sources`` (every node
-        by default), optionally cost-limited.
-
-        Entries above ``limit`` come back as +inf.  Edges heavier than the
-        limit lie on no path within it, so the search runs without them.
-        The full matrix is cached, and a cached full matrix whose limit
-        dominates the request is reused (its entries above the requested
-        limit may then be finite).  A search from ``sources`` may run on
-        another ``adjacency`` instead, such as a subgraph or a transpose.
-        """
-        want = np.inf if limit is None else float(limit)
-        if sources is not None:
-            adj = self.csr(want) if adjacency is None else adjacency
-            return dijkstra(adj, directed=True, indices=sources, limit=want)
-        for have, mat in self._apsp.items():
-            if have >= want:
-                return mat
-        mat = dijkstra(self.csr(want), directed=True, limit=want)
-        self._apsp[want] = mat
-        return mat
+    def all_pairs(self, limit: float, sources, adjacency: sp.csr_matrix) -> np.ndarray:
+        """Shortest path costs D[s, v] from each of ``sources`` on
+        ``adjacency`` (this graph's ``csr``, a subgraph or a transpose);
+        entries above ``limit`` come back as +inf."""
+        return dijkstra(adjacency, directed=True, indices=sources, limit=limit)
 
 
 def _adjacency(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
@@ -383,23 +367,26 @@ def compute_cr(g: ChainGraph, epsilon: float) -> np.ndarray:
 def omega_budget(g: ChainGraph, Y, epsilon: float, closed: bool = False) -> np.ndarray:
     """Budgeted reachability: endpoints of chains from Y with >= 1 step.
 
-    Every chain starts by flowing some point of Y for at least T and then
-    jumping, so sources are the out-edges of Y, not Y itself.  ``closed``
-    switches the strict budget to <= epsilon, the grid realization of the
-    closure-in-budget variant.
+    One epsilon-limited Dijkstra from all of Y gives reach[u], the least
+    cost of a chain of zero or more steps from Y to u; every chain starts
+    by flowing a point of Y for at least T and then jumping, so an endpoint
+    x costs the least reach[u] + w over the edges (u, x, w) out of reached
+    nodes.  Costs are summed in chain order, first jump first, and no
+    n x n matrix is held.  ``closed`` switches the strict budget to
+    <= epsilon, the grid realization of the closure-in-budget variant.
     """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon {epsilon} must be positive")
     Y = np.asarray(sorted(set(int(y) for y in Y)), dtype=np.int64)
     if Y.size == 0:
         raise ValueError("seed set Y must be nonempty")
-    rows = zip(np.searchsorted(g.edge_u, Y), np.searchsorted(g.edge_u, Y, side="right"))
-    sel = np.concatenate([np.arange(lo, hi) for lo, hi in rows])
-    if sel.size == 0:
-        return np.empty(0, dtype=np.int64)
-    seed = np.full(g.n, np.inf)
-    np.minimum.at(seed, g.edge_v[sel], g.edge_w[sel])
-    starts = np.nonzero(np.isfinite(seed))[0]
-    dist = g.all_pairs(epsilon)[starts]
-    total = (seed[starts][:, None] + dist).min(axis=0)
+    adj = g.csr(epsilon)
+    reach = dijkstra(adj, directed=True, indices=Y, limit=epsilon, min_only=True)
+    u = np.flatnonzero(np.isfinite(reach))
+    first, count = adj.indptr[u], adj.indptr[u + 1] - adj.indptr[u]     # u's out-edges
+    e = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    total = np.full(g.n, np.inf)
+    np.minimum.at(total, adj.indices[e], np.repeat(reach[u], count) + adj.data[e])
     hit = total <= epsilon if closed else total < epsilon
     return np.nonzero(hit)[0]
 

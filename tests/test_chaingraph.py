@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr, cycle_edges,
                              export_graph_csv, graph_from_edges, import_graph_csv,
                              min_return_cost_all, omega_budget)
+from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
 from scrl.space import build_grid
 
@@ -200,6 +201,8 @@ def test_guards():
         compute_cr(g, -1.0)
     with pytest.raises(ValueError):
         omega_budget(g, [], 0.1)
+    with pytest.raises(ValueError):
+        omega_budget(g, [0], 0.0, closed=True)
 
 
 def test_scr_warns_near_noise_floor(identity_circle8):
@@ -647,9 +650,72 @@ def test_all_pairs_limit_matches_unpruned_search():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n, edges = random_digraph(rng, max_nodes=60)
-        full = graph_from_edges(n, edges).all_pairs()
+        g = graph_from_edges(n, edges)
+        every = np.arange(n)
+        full = g.all_pairs(np.inf, sources=every, adjacency=g.csr())
         limit = float(rng.uniform(0.05, 1.5))
-        got = graph_from_edges(n, edges).all_pairs(limit)
+        got = g.all_pairs(limit, sources=every, adjacency=g.csr(limit))
         within = full <= limit
         assert np.array_equal(got[within], full[within])
         assert np.all(np.isinf(got[~within]))
+
+
+# -- budgeted reachability without an n x n matrix ----------------------------
+
+
+def test_reach_cost_is_summed_in_chain_order():
+    # (0.1 + 0.2) + 0.3 == 0.6000000000000001, while 0.1 + (0.2 + 0.3) == 0.6:
+    # the chain 0 -> 1 -> 2 -> 3 costs just over a closed budget of 0.6
+    g = graph_from_edges(4, [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3)])
+    assert omega_budget(g, [0], 0.6, closed=True).tolist() == [1, 2]
+    assert omega_budget(g, [0], 0.6000000000000001, closed=True).tolist() == [1, 2, 3]
+
+
+@pytest.fixture(scope="module", params=["square", "roof"])
+def grid16_searches(request):
+    """stage_scr and stage_pairs at grid 16, recording the rows of every
+    array that Dijkstra returns (a 1-D array is one row) and every
+    omega_budget call of the seed balls with its result."""
+    import scrl.chaingraph
+    import scrl.stablesets
+    rows, calls = [], []
+
+    def dijkstra_spy(*args, **kwargs):
+        out = dijkstra(*args, **kwargs)
+        rows.append(1 if out.ndim == 1 else out.shape[0])
+        return out
+
+    def omega_spy(g, Y, epsilon, closed=False):
+        W = omega_budget(g, Y, epsilon, closed=closed)
+        calls.append((np.asarray(Y), epsilon, closed, W))
+        return W
+
+    bundle = build_bundle(RunConfig(system=request.param, grid_n=16))
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(scrl.chaingraph, "dijkstra", dijkstra_spy)
+        mp.setattr(scrl.stablesets, "omega_budget", omega_spy)
+        stage_pairs(bundle, stage_scr(bundle, [bundle.cfg.epsilon])[0])
+    return bundle.graph, rows, calls
+
+
+def test_pipeline_searches_never_hold_more_than_64_rows(grid16_searches):
+    g, rows, calls = grid16_searches
+    assert g.n > 64 and calls
+    assert max(rows) <= 64
+
+
+def test_seed_ball_reach_matches_first_jump_plus_distance_rows(grid16_searches):
+    """Each W equals the least first jump out of the seed ball plus a row
+    of the full budget-limited distance matrix."""
+    g, _, calls = grid16_searches
+    dist = {}
+    for Y, eps, closed, W in calls:
+        if eps not in dist:
+            dist[eps] = dijkstra(g.csr(eps), directed=True, limit=eps)
+        first = np.isin(g.edge_u, Y)
+        seed = np.full(g.n, np.inf)
+        np.minimum.at(seed, g.edge_v[first], g.edge_w[first])
+        starts = np.flatnonzero(np.isfinite(seed))
+        total = (seed[starts, None] + dist[eps][starts]).min(axis=0, initial=np.inf)
+        assert np.array_equal(W, np.flatnonzero(total <= eps if closed else total < eps))

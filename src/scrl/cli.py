@@ -91,6 +91,15 @@ class RunConfig:
             raise ConfigError("custom system needs --flow-csv")
         if self.grid_domain and self.grid_domain not in DOMAINS:
             raise ConfigError(f"unknown grid domain {self.grid_domain!r}")
+        if self.grid_domain and self.system != "custom":
+            raise ConfigError(f"grid domain applies to custom flows only; "
+                              f"{self.system} runs on {DOMAIN_OF[self.system]}")
+        for name in ("eta_lo", "eta_hi"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1)")
+        for name in ("neighborhood_scale", "seed_stride", "margin"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative (0 = default)")
 
     def check_resolution(self, resolution: float) -> None:
         """Radii the grid cannot resolve: too small to hold their edges or balls."""

@@ -14,6 +14,11 @@ Row j is phi at ``times[j]`` of every grid point, all rows from one
 itself).  So the table holds the same doubles as the transitions at the
 same times, and on the roof every point's wraps are bisected once for
 all rows.
+
+The table holds coordinates only.  ``t_rows`` names the rows of the
+T-lattice (step T); the one reader that needs grid cells there,
+:func:`scrl.stablesets.omega_limits_all`, projects the rows after its
+burn-in itself.
 """
 
 from __future__ import annotations
@@ -30,18 +35,16 @@ FINE_DIVISOR = 8        # the fine lattice has step T / FINE_DIVISOR
 
 @dataclass(eq=False)
 class OrbitData:
-    """Sampled forward orbits of all grid points.
+    """Sampled forward orbits of all grid points, as coordinates.
 
-    ``coords[j]`` holds phi_{times[j]} of every grid point; ``cells[i]``
-    holds nearest grid ids along the T-lattice (step T, for omega limits).
+    ``coords[j]`` holds phi_{times[j]} of every grid point, and
+    ``coords[t_rows[i]]`` is the sample at time i * T.
     """
 
     T: float
     times: np.ndarray = field(repr=False)            # (J,)
     coords: np.ndarray = field(repr=False)           # (J, n, dim)
-    t_cells: np.ndarray = field(repr=False, default=None)   # (steps+1, n) int
-    t_rows: np.ndarray = field(repr=False, default=None)    # (steps+1,) lattice rows
-    t_steps: int = 0
+    t_rows: np.ndarray = field(repr=False)           # (steps+1,) lattice rows
 
     def index_at(self, t: float) -> int:
         """Lattice row of an exactly representable sample time."""
@@ -67,14 +70,8 @@ def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
     if t_steps * T > times[-1] + 1e-9:
         raise ValueError("t_steps * T exceeds the orbit horizon")
 
-    n = space.n
     coords = flow.evaluate(space.points, times)
     coords[0] = space.points        # the roof drift formula at t = 0 can move x by an ulp
 
     t_rows = np.array([int(np.argmin(np.abs(times - i * T))) for i in range(t_steps + 1)])
-    t_cells = np.empty((t_steps + 1, n), dtype=np.int64)
-    t_cells[0] = np.arange(n)
-    for i in range(1, t_steps + 1):
-        t_cells[i] = space.nearest(coords[t_rows[i]])
-    return OrbitData(T=T, times=times, coords=coords, t_cells=t_cells,
-                     t_rows=t_rows, t_steps=t_steps)
+    return OrbitData(T=T, times=times, coords=coords, t_rows=t_rows)

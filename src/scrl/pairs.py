@@ -74,7 +74,7 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
 
     seeds = np.setdiff1d(np.arange(space.n), scr.members)[::seed_stride]
 
-    omega_cells, nonconv = omega_limits_all(orbit)
+    tails, nonconv = omega_limits_all(space, orbit)
     grid_orbit = grid_image_orbit(tr, t_cap_steps)
 
     catalog = PairCatalog()
@@ -94,10 +94,8 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
             if b_key in seen_B:
                 continue          # same settled set, same pair
             seen_B.add(b_key)
-            try:
-                B_bullet = complementary(space, tr, B, omega_cells, nonconv)
-            except ValueError:
-                continue          # settled set not invariant at tolerance
+            # B is a union of image-map cycles, so its invariance check holds
+            B_bullet = complementary(space, tr, B, tails, nonconv)
             closed = space.thicken(np.union1d(B, B_bullet), space.pitch)
             key = hashlib.sha1(closed.astype(np.int64).tobytes()).hexdigest()
             if key in seen:

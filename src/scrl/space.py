@@ -266,8 +266,7 @@ class GridSpace:
         window of samples that can bring a point below min(direct, cutoff)
         for some set (``RoofSeam.via``).  Distances keep the ``cutoff``
         contract of ``dist_coords_to_grid``; ``cutoff`` broadcasts against
-        the (sets, k) result and is read as each row is computed, so a
-        caller may lower it between rows.
+        the (sets, k) result.
         """
         sets = [np.asarray(sorted(ids), dtype=int) for ids in id_sets]
         live = [s for s, ids in enumerate(sets) if self.domain == ROOF and ids.size]

@@ -96,20 +96,25 @@ def omega_limit_of_set(tr: GridTransition, U) -> np.ndarray:
     return np.nonzero(on_cycle & np.isin(weak, weak[U]))[0]
 
 
-def omega_limits_all(orbit: OrbitData) -> tuple[list, np.ndarray]:
+def omega_limits_all(space: GridSpace, orbit: OrbitData
+                     ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Recurring tail cells of each grid point's exact orbit.
 
-    Follows the T-lattice cells after a burn-in of half the steps, keeps
-    cells that are visited at least twice, and flags points whose tails
-    are still discovering new cells near the horizon (reported, not
-    fatal).  Each point's tail is sorted stably, so a run of equal cells
-    starts at the cell's first visit.
+    The burn-in lives here: of the T-lattice rows ``orbit.t_rows`` only
+    the last ``steps - steps // 2 + 1`` are read, each projected to grid
+    cells by one ``space.nearest`` call.  A tail cell recurs when it is
+    visited at least twice; points whose tails are still discovering new
+    cells near the horizon are flagged (reported, not fatal).  Each
+    point's tail is sorted stably, so a run of equal cells starts at the
+    cell's first visit.
+
+    Returns ``((owner, cell), nonconv)``: flat arrays with one entry per
+    (point, recurring cell), ascending in owner and, per owner, in cell.
     """
-    cells = orbit.t_cells
-    steps = cells.shape[0] - 1
-    burn = steps // 2
+    steps = orbit.t_rows.size - 1
     probe = max(1, steps // 8)
-    tail = cells[burn:].T                                   # (n, L)
+    tail = np.stack([space.nearest(orbit.coords[j]) for j in orbit.t_rows[steps // 2:]],
+                    axis=1)                                 # (n, L)
     order = np.argsort(tail, axis=1, kind="stable")
     ranked = np.take_along_axis(tail, order, axis=1)
     starts = np.ones(ranked.shape, dtype=bool)
@@ -119,8 +124,7 @@ def omega_limits_all(orbit: OrbitData) -> tuple[list, np.ndarray]:
     repeated = starts.copy()
     repeated[:, :-1] &= ~starts[:, 1:]                      # run of length >= 2
     repeated[:, -1] = False
-    tails = np.split(ranked[repeated], np.cumsum(repeated.sum(axis=1))[:-1])
-    return tails, nonconv
+    return (np.nonzero(repeated)[0], ranked[repeated]), nonconv
 
 
 def check_forward_invariant(space: GridSpace, tr: GridTransition, B) -> None:
@@ -136,22 +140,22 @@ def check_forward_invariant(space: GridSpace, tr: GridTransition, B) -> None:
 
 
 def complementary(space: GridSpace, tr: GridTransition, B,
-                  omega_cells: list, nonconv: np.ndarray) -> np.ndarray:
+                  tails: tuple[np.ndarray, np.ndarray], nonconv: np.ndarray) -> np.ndarray:
     """Points whose omega limit misses the resolution thickening of B.
 
-    Non-convergent points are conservatively excluded (they cannot be
-    certified to stay away from B).
+    ``tails`` and ``nonconv`` are as :func:`omega_limits_all` returns
+    them: the flat (owner, cell) arrays of recurring tail cells, read
+    after its burn-in.  Non-convergent points are conservatively
+    excluded (they cannot be certified to stay away from B).
     """
     B = np.asarray(sorted(B), dtype=np.int64)
     check_forward_invariant(space, tr, B)
-    thick = set(space.thicken(B, space.resolution).tolist())
-    out = []
-    for p in range(space.n):
-        if nonconv[p]:
-            continue
-        if not any(int(c) in thick for c in omega_cells[p]):
-            out.append(p)
-    return np.asarray(out, dtype=np.int64)
+    owner, cell = tails
+    thick = np.zeros(space.n, dtype=bool)
+    thick[space.thicken(B, space.resolution)] = True
+    excluded = nonconv.copy()
+    excluded[owner[thick[cell]]] = True
+    return np.nonzero(~excluded)[0]
 
 
 def build_strongly_stable(g: ChainGraph, tr: GridTransition, space: GridSpace,
@@ -235,9 +239,7 @@ def avoidance_profile(space: GridSpace, orbit: OrbitData, Bs) -> np.ndarray:
     """(len(Bs), n) per-point minimum distance to each set B along the
     T-lattice samples of the exact orbit, in one pass over them."""
     out = np.full((len(Bs), space.n), np.inf)
-    # the running minimum is the cutoff: a larger value cannot lower it
-    rows = (orbit.coords[j] for j in orbit.t_rows)
-    for d in space.dist_rows_to_subsets(rows, Bs, cutoff=out):
+    for d in space.dist_rows_to_subsets((orbit.coords[j] for j in orbit.t_rows), Bs):
         np.minimum(out, d, out=out)
     return out
 

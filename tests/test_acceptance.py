@@ -158,9 +158,9 @@ def test_criterion_4_square_complementary(square_run):
     bundle = result["bundle"]
     space, tr = bundle.space, bundle.tr
     orbit = bundle.ensure_orbit()
-    cells, flags = omega_limits_all(orbit)
+    tails, flags = omega_limits_all(space, orbit)
     origin = int(space.nearest(np.array([[0.0, 0.0]]))[0])
-    got = set(complementary(space, tr, [origin], cells, flags).tolist())
+    got = set(complementary(space, tr, [origin], tails, flags).tolist())
 
     x = space.points[:, 0]
     col = np.rint(x / space.pitch - 0.5).astype(int)
@@ -183,8 +183,8 @@ def test_criterion_5_circle_profile(circle_run):
     theta = space.points[:, 0]
 
     B = np.nonzero((theta >= 0.875 - 1e-12) & (theta <= 0.9375 + 1e-12))[0]
-    cells, flags = omega_limits_all(orbit)
-    B_bullet = complementary(space, tr, B, cells, flags)
+    tails, flags = omega_limits_all(space, orbit)
+    B_bullet = complementary(space, tr, B, tails, flags)
     R = 0.5
     nn = nested_neighborhoods(space, tr, B, R, list(np.geomspace(0.02, 0.125, 8)),
                               grid_image_orbit(tr, 200))

@@ -127,16 +127,14 @@ def _run_configs(draw):
     system = draw(st.sampled_from(["circle", "square", "identity"]))
     grid_n = draw(st.integers(8, 10) if system == "square" else st.integers(8, 40))
     res = build_grid(DOMAIN_OF[system], grid_n).resolution
-    unit = st.floats(0.0, 1.0)
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     # no sweep, or a sweep of one to three budgets whose smallest is epsilon
     epsilons = draw(st.just([]) | st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
     epsilon = min(epsilons) if epsilons else draw(st.floats(0.01, 0.3))
     prune = draw(st.just(0.0) | st.floats(0.0, 0.2).map(
         lambda x: max(3 * res, epsilon, *epsilons) + x))
     return RunConfig(
-        system=system, grid_n=grid_n,
-        grid_domain=draw(st.sampled_from(["", "circle", "unit-square", "roof"])),
-        epsilon=epsilon, epsilons=epsilons, prune_radius=prune,
+        system=system, grid_n=grid_n, epsilon=epsilon, epsilons=epsilons, prune_radius=prune,
         T=draw(st.floats(0.1, 2.0)), m_max=draw(st.integers(1, 4)),
         radii=draw(st.lists(st.floats(2 * res, 1.0), max_size=3)),
         seed_stride=draw(st.integers(0, 5)),
@@ -207,7 +205,13 @@ def test_config_errors_exit_one(tmp_path, capsys):
                            (["--epsilon", "0.01", "--prune-radius", "0.02"], "prune radius"),
                            (["--radius", "0.01"], "radius 0.01"),
                            (["--t-probe", "4.125"], "t_probe"),
-                           (["--s-max", "20.3"], "s_max")):
+                           (["--s-max", "20.3"], "s_max"),
+                           # negative values that would run and weaken the gate
+                           (["--scale", "-1"], "neighborhood_scale"),
+                           (["--seed-stride", "-1"], "seed_stride"),
+                           (["--margin", "-0.01"], "margin"),
+                           # a built-in system has its own domain
+                           (["--grid-domain", "unit-square"], "custom flows only")):
         argv = ["analyze", "--system", "circle", "--grid", "64", *flags]
         assert run(argv + ["--out", str(tmp_path / "v")]) == 1
         assert message in capsys.readouterr().err
@@ -228,6 +232,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
                            "not the smallest"),
                           ({"system": "circle", "radii": [0.1, "x"]}, "radii"),
                           ({"system": 3}, "system"),
+                          ({"system": "circle", "eta_lo": 0.0}, "eta_lo"),
+                          ({"system": "circle", "eta_hi": 1.0}, "eta_hi"),
                           ({"system": "circle", "horizon_steps": True}, "horizon_steps"),
                           ([1, 2], "JSON object"),
                           # keys that are not RunConfig fields, misspelled or retired
@@ -236,6 +242,42 @@ def test_config_errors_exit_one(tmp_path, capsys):
         cfg_file.write_text(json.dumps(body))
         assert run(["scr", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_lyapunov_and_verify_project_no_orbit_row(tmp_path, monkeypatch):
+    # from cached artifacts these stages build the orbit table, but only
+    # omega limits read it as grid cells: past setup, whose transition
+    # projects the images, no point is projected to the grid
+    import scrl.cli
+    from scrl.space import GridSpace
+
+    argv = ["--system", "square", "--grid", "12", "--out", str(tmp_path)]
+    assert run(["analyze", *argv]) == 0
+    set_up, projected, orbits = [False], [], []
+    build_bundle, build_orbit_data = scrl.cli.build_bundle, scrl.cli.build_orbit_data
+    nearest = GridSpace.nearest
+
+    def spy_bundle(cfg):
+        set_up[0] = False
+        bundle = build_bundle(cfg)
+        set_up[0] = True
+        return bundle
+
+    def spy_orbit(*args, **kwargs):
+        orbits.append(build_orbit_data(*args, **kwargs))
+        return orbits[-1]
+
+    def spy_nearest(self, pts):
+        if set_up[0]:
+            projected.append(pts)
+        return nearest(self, pts)
+
+    monkeypatch.setattr(scrl.cli, "build_bundle", spy_bundle)
+    monkeypatch.setattr(scrl.cli, "build_orbit_data", spy_orbit)
+    monkeypatch.setattr(GridSpace, "nearest", spy_nearest)
+    for stage in ("lyapunov", "verify"):
+        assert run([stage, *argv]) == 0
+    assert len(orbits) == 2 and projected == []
 
 
 def test_internal_value_error_exits_two(tmp_path, monkeypatch, capsys):

@@ -33,8 +33,8 @@ def matched_pair(circle_system):
     s, f, tr, orbit = circle_system
     theta = s.points[:, 0]
     B = np.nonzero((theta >= 0.875 - 1e-12) & (theta <= 0.9375 + 1e-12))[0]
-    cells, flags = omega_limits_all(orbit)
-    Bb = complementary(s, tr, B, cells, flags)
+    tails, flags = omega_limits_all(s, orbit)
+    Bb = complementary(s, tr, B, tails, flags)
     R = 0.5
     nn = nested_neighborhoods(s, tr, B, R, list(np.geomspace(0.02, 0.125, 6)),
                               grid_image_orbit(tr, 200))

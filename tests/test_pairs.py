@@ -8,7 +8,7 @@ from scrl.flows import build_transition, make_flow
 from scrl.orbits import build_orbit_data
 from scrl.pairs import PairCatalog, default_radii, enumerate_pairs, select_cover
 from scrl.space import build_grid
-from scrl.stablesets import default_eta_samples, find_eta0_and_bstar
+from scrl.stablesets import build_strongly_stable, default_eta_samples, find_eta0_and_bstar
 
 
 def build_all(system, domain, n, epsilon, prune=None, m_max=4):
@@ -182,3 +182,21 @@ def test_catalog_json_round_trip(square_catalog):
     for pa, pb in zip(back.pairs, square_catalog.pairs):
         assert np.array_equal(pa.B, pb.B)
         assert pa.T_table == pb.T_table
+
+
+@pytest.mark.parametrize("system,domain,n", [("roof", "roof", 12), ("square", "unit-square", 16)])
+def test_settled_sets_are_image_invariant(system, domain, n):
+    # B is a union of image-map cycles, so image(B) lies in B itself and
+    # complementary's invariance check never rejects a settled set
+    s, f, tr, g, scr, _ = build_all(system, domain, n, 0.05)
+    seeds = np.setdiff1d(np.arange(s.n), scr.members)
+    settled = 0
+    for radius in default_radii(s.resolution):
+        for seed in seeds:
+            try:
+                B, _, _ = build_strongly_stable(g, tr, s, s.thicken([seed], radius), 0.05)
+            except ValueError:
+                continue
+            assert np.all(np.isin(tr.image[B], B))
+            settled += 1
+    assert settled > 0

@@ -3,8 +3,8 @@ import pytest
 
 from scrl.chaingraph import build_chain_graph
 from scrl.flows import GridTransition, build_transition, make_flow
-from scrl.orbits import build_orbit_data
-from scrl.space import build_grid, roof_height
+from scrl.orbits import OrbitData, build_orbit_data
+from scrl.space import GridSpace, build_grid, roof_height
 from scrl.stablesets import (StablePair, avoidance_profile, build_strongly_stable,
                              complementary, default_eta_samples, find_eta0_and_bstar,
                              grid_image_orbit, nested_neighborhoods, omega_limit_of_set,
@@ -103,39 +103,60 @@ def test_omega_set_fixed_arc_subset_stays(circle64):
     assert np.array_equal(omega_limit_of_set(tr, arc), arc)
 
 
+def _tail(tails, p):
+    """Recurring tail cells of point p, from the flat (owner, cell) arrays."""
+    owner, cell = tails
+    return cell[owner == p]
+
+
+class _CellTable:
+    """Stand-in space for a table of cells: an orbit row's first coordinate
+    is its cell.  Records the rows it projects."""
+
+    def __init__(self):
+        self.rows = []
+
+    def nearest(self, pts):
+        self.rows.append(pts)
+        return pts[:, 0].astype(np.int64)
+
+
+def _table_orbit(t_cells):
+    """An orbit whose T-lattice row i projects to the cells t_cells[i]."""
+    steps = t_cells.shape[0] - 1
+    return OrbitData(T=1.0, times=np.arange(steps + 1, dtype=float),
+                     coords=t_cells[:, :, None].astype(float), t_rows=np.arange(steps + 1))
+
+
 def test_omega_point_fixed_is_self(circle64, circle64_orbit):
     s, _, _, _ = circle64
     c_id = int(s.nearest(np.array([[0.375]]))[0])
-    cells, flags = omega_limits_all(circle64_orbit)
-    assert cells[c_id].tolist() == [c_id]
+    tails, flags = omega_limits_all(s, circle64_orbit)
+    assert _tail(tails, c_id).tolist() == [c_id]
     assert not flags[c_id]
 
 
 def test_omega_point_square_interior(square16, square16_orbit):
     s, _, _, _ = square16
     p = int(s.nearest(np.array([[0.3, 0.7]]))[0])
-    cells, flags = omega_limits_all(square16_orbit)
+    tails, flags = omega_limits_all(s, square16_orbit)
     bottom = int(s.nearest(np.array([[0.3, 0.0]]))[0])
-    assert cells[p].tolist() == [bottom]
+    assert _tail(tails, p).tolist() == [bottom]
     assert not flags[p]
 
 
 def test_omega_nonconvergence_flagged():
     # a tail that keeps discovering new cells through the horizon is
     # flagged; a tail that settles is not
-    from scrl.orbits import OrbitData
     steps, n = 40, 64
     t_cells = np.empty((steps + 1, n), dtype=np.int64)
     for i in range(steps + 1):
         t_cells[i, 0] = i % n              # rotation: always a fresh cell
         t_cells[i, 1:] = np.arange(1, n)   # fixed points
-    orbit = OrbitData(T=1.0, times=np.arange(steps + 1, dtype=float),
-                      coords=np.zeros((steps + 1, n, 1)), t_cells=t_cells,
-                      t_steps=steps)
-    cells, flags = omega_limits_all(orbit)
+    tails, flags = omega_limits_all(_CellTable(), _table_orbit(t_cells))
     assert flags[0]
     assert not np.any(flags[1:])
-    assert all(cells[p].tolist() == [p] for p in range(1, n))
+    assert all(_tail(tails, p).tolist() == [p] for p in range(1, n))
 
 
 def test_omega_point_roof_periodic_column():
@@ -143,16 +164,17 @@ def test_omega_point_roof_periodic_column():
     f = make_flow("roof")
     orbit = build_orbit_data(f, s, 1.0, fine_horizon=24.0, horizon=100.0, t_steps=100)
     p = int(s.nearest(np.array([[0.5, 0.1]]))[0])
-    cells, flags = omega_limits_all(orbit)
+    tails, flags = omega_limits_all(s, orbit)
     assert not flags[p]
     # the recurring cells live in the point's own periodic column
-    assert np.all(np.abs(s.points[cells[p], 0] - s.points[p, 0]) < 1e-9)
-    assert len(cells[p]) >= 2
+    cells = _tail(tails, p)
+    assert np.all(np.abs(s.points[cells, 0] - s.points[p, 0]) < 1e-9)
+    assert len(cells) >= 2
 
 
-def _loop_omega_limits_all(orbit, burn_frac=0.5):
-    """Point-by-point reference for omega_limits_all."""
-    cells = orbit.t_cells
+def _loop_omega_limits_all(cells, burn_frac=0.5):
+    """Point-by-point reference for omega_limits_all on the (steps + 1, n)
+    table of every T-lattice row's cells."""
     steps, n = cells.shape[0] - 1, cells.shape[1]
     burn = int(steps * burn_frac)
     probe = max(1, steps // 8)
@@ -168,27 +190,27 @@ def _loop_omega_limits_all(orbit, burn_frac=0.5):
     return tails, nonconv
 
 
-def _assert_same_omega_limits(orbit):
-    got_tails, got_flags = omega_limits_all(orbit)
-    want_tails, want_flags = _loop_omega_limits_all(orbit)
+def _assert_same_omega_limits(space, orbit, cells):
+    (owner, cell), got_flags = omega_limits_all(space, orbit)
+    want_tails, want_flags = _loop_omega_limits_all(cells)
     assert np.array_equal(got_flags, want_flags)
-    assert len(got_tails) == len(want_tails)
-    for got, want in zip(got_tails, want_tails):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    want_owner = np.repeat(np.arange(cells.shape[1]), [t.size for t in want_tails])
+    want_cell = np.concatenate(want_tails)
+    assert owner.dtype == want_owner.dtype and np.array_equal(owner, want_owner)
+    assert cell.dtype == want_cell.dtype and np.array_equal(cell, want_cell)
 
 
 @pytest.mark.parametrize("steps,n,cells", [(0, 5, 3), (1, 4, 2), (7, 30, 4),
                                            (40, 50, 12), (200, 40, 300)])
 def test_omega_limits_all_matches_loop_on_random_tables(steps, n, cells):
-    from scrl.orbits import OrbitData
     rng = np.random.default_rng(steps * 1000 + n)
     t_cells = rng.integers(0, cells, (steps + 1, n)).astype(np.int64)
     t_cells[:, 0] = 7                      # constant tail
     t_cells[:, -1] = np.arange(steps + 1)  # never repeats
-    orbit = OrbitData(T=1.0, times=np.arange(steps + 1, dtype=float),
-                      coords=np.zeros((steps + 1, n, 1)), t_cells=t_cells,
-                      t_steps=steps)
-    _assert_same_omega_limits(orbit)
+    table = _CellTable()
+    _assert_same_omega_limits(table, _table_orbit(t_cells), t_cells)
+    # only the rows after the burn-in are projected, one call per row
+    assert len(table.rows) == steps - steps // 2 + 1
 
 
 @pytest.mark.parametrize("system,domain", [("roof", "roof"), ("square", "unit-square")])
@@ -196,7 +218,27 @@ def test_omega_limits_all_matches_loop_on_orbits(system, domain):
     s = build_grid(domain, 12)
     orbit = build_orbit_data(make_flow(system), s, 1.0, fine_horizon=24.0,
                              horizon=100.0, t_steps=100)
-    _assert_same_omega_limits(orbit)
+    cells = np.stack([s.nearest(orbit.coords[j]) for j in orbit.t_rows])
+    _assert_same_omega_limits(s, orbit, cells)
+
+
+def test_orbit_rows_are_projected_only_after_the_burn_in(monkeypatch):
+    # build_orbit_data projects nothing; omega_limits_all projects each
+    # T-lattice row after its burn-in once, and no other row
+    s = build_grid("roof", 12)
+    projected = []
+    nearest = GridSpace.nearest
+    monkeypatch.setattr(GridSpace, "nearest",
+                        lambda self, pts: projected.append(pts) or nearest(self, pts))
+    steps = 101
+    orbit = build_orbit_data(make_flow("roof"), s, 1.0, fine_horizon=24.0,
+                             horizon=float(steps), t_steps=steps)
+    assert projected == []
+    omega_limits_all(s, orbit)
+    rows = orbit.t_rows[steps // 2:]
+    assert len(projected) == rows.size == steps - steps // 2 + 1
+    for pts, j in zip(projected, rows):
+        assert np.array_equal(pts, orbit.coords[j])
 
 
 # -- complementary -----------------------------------------------------------
@@ -204,8 +246,8 @@ def test_omega_limits_all_matches_loop_on_orbits(system, domain):
 
 def test_complementary_of_everything_is_empty(square16, square16_orbit):
     s, f, tr, g = square16
-    cells, flags = omega_limits_all(square16_orbit)
-    got = complementary(s, tr, np.arange(s.n), cells, flags)
+    tails, flags = omega_limits_all(s, square16_orbit)
+    got = complementary(s, tr, np.arange(s.n), tails, flags)
     assert got.size == 0
 
 
@@ -213,9 +255,9 @@ def test_complementary_square_origin_cell(square16, square16_orbit):
     # B = the grid cell at the origin corner; its complementary is every
     # column except the first, plus nothing else at grid precision
     s, f, tr, g = square16
-    cells, flags = omega_limits_all(square16_orbit)
+    tails, flags = omega_limits_all(s, square16_orbit)
     origin = int(s.nearest(np.array([[0.0, 0.0]]))[0])
-    got = complementary(s, tr, [origin], cells, flags)
+    got = complementary(s, tr, [origin], tails, flags)
     got_mask = np.zeros(s.n, dtype=bool)
     got_mask[got] = True
     x_col = s.points[:, 0]
@@ -231,8 +273,8 @@ def test_complementary_circle_fixed_arc(circle64, circle64_orbit):
     s, f, tr, g = circle64
     theta = s.points[:, 0]
     B = np.nonzero((theta >= 0.875 - 1e-12) & (theta <= 0.9375 + 1e-12))[0]
-    cells, flags = omega_limits_all(circle64_orbit)
-    got = complementary(s, tr, B, cells, flags)
+    tails, flags = omega_limits_all(s, circle64_orbit)
+    got = complementary(s, tr, B, tails, flags)
     got_set = set(got.tolist())
     inside = np.nonzero((theta > 0.9375 + s.resolution) | (theta <= 0.625))[0]
     expected = set(inside.tolist())
@@ -243,10 +285,31 @@ def test_complementary_circle_fixed_arc(circle64, circle64_orbit):
 
 def test_complementary_requires_invariance(square16, square16_orbit):
     s, f, tr, g = square16
-    cells, flags = omega_limits_all(square16_orbit)
+    tails, flags = omega_limits_all(s, square16_orbit)
     drifting = int(s.nearest(np.array([[0.5, 0.5]]))[0])
     with pytest.raises(ValueError, match="not forward invariant"):
-        complementary(s, tr, [drifting], cells, flags)
+        complementary(s, tr, [drifting], tails, flags)
+
+
+def test_complementary_matches_point_loop(square16, square16_orbit):
+    # the mask lookup over the flat tails agrees with a scan of each
+    # point's own tail, on invariant sets from seeds across the grid;
+    # every fifth point is flagged non-convergent, so the flags count too
+    s, f, tr, g = square16
+    tails, flags = omega_limits_all(s, square16_orbit)
+    flags = flags | (np.arange(s.n) % 5 == 0)
+    cells = np.stack([s.nearest(square16_orbit.coords[j]) for j in square16_orbit.t_rows])
+    loop_tails, _ = _loop_omega_limits_all(cells)
+    sizes = set()
+    for seed in range(0, s.n, 17):
+        B = omega_limit_of_set(tr, s.thicken([seed], 4 * s.resolution))
+        thick = set(s.thicken(B, s.resolution).tolist())
+        want = [p for p in range(s.n)
+                if not flags[p] and not thick.intersection(loop_tails[p].tolist())]
+        got = complementary(s, tr, B, tails, flags)
+        assert got.dtype == np.int64 and got.tolist() == want
+        sizes.add(len(want))
+    assert len(sizes) > 1
 
 
 # -- strongly stable construction --------------------------------------------
@@ -353,8 +416,8 @@ def test_find_eta0_circle_matched_scale(circle64, circle64_orbit):
     s, f, tr, g = circle64
     theta = s.points[:, 0]
     B = np.nonzero((theta >= 0.875 - 1e-12) & (theta <= 0.9375 + 1e-12))[0]
-    cells, flags = omega_limits_all(circle64_orbit)
-    Bb = complementary(s, tr, B, cells, flags)
+    tails, flags = omega_limits_all(s, circle64_orbit)
+    Bb = complementary(s, tr, B, tails, flags)
     R = 0.5
     nn = nested_neighborhoods(s, tr, B, R, list(np.geomspace(0.02, 0.125, 6)),
                               grid_image_orbit(tr, 100))
@@ -371,10 +434,10 @@ def test_find_eta0_circle_matched_scale(circle64, circle64_orbit):
 
 def test_find_eta0_square_origin(square16, square16_orbit):
     s, f, tr, g = square16
-    cells, flags = omega_limits_all(square16_orbit)
+    tails, flags = omega_limits_all(s, square16_orbit)
     origin = int(s.nearest(np.array([[0.0, 0.0]]))[0])
     B = np.asarray([origin])
-    Bb = complementary(s, tr, B, cells, flags)
+    Bb = complementary(s, tr, B, tails, flags)
     R = np.sqrt(2)
     nn = nested_neighborhoods(s, tr, B, R, default_eta_samples(16), grid_image_orbit(tr, 100))
     prof = avoidance_profile(s, square16_orbit, [B])[0]
@@ -425,8 +488,8 @@ def test_bstar_forward_invariant(circle64, circle64_orbit):
     s, f, tr, g = circle64
     theta = s.points[:, 0]
     B = np.nonzero((theta >= 0.875 - 1e-12) & (theta <= 0.9375 + 1e-12))[0]
-    cells, flags = omega_limits_all(circle64_orbit)
-    Bb = complementary(s, tr, B, cells, flags)
+    tails, flags = omega_limits_all(s, circle64_orbit)
+    Bb = complementary(s, tr, B, tails, flags)
     nn = nested_neighborhoods(s, tr, B, 0.5, list(np.geomspace(0.02, 0.125, 6)),
                               grid_image_orbit(tr, 100))
     prof = avoidance_profile(s, circle64_orbit, [B])[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orbits import OrbitData
-from .space import GridSpace
+from .space import QUERY_BLOCK, GridSpace
 from .stablesets import StablePair
 
 
@@ -73,7 +73,10 @@ def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
     """Build the full summand of each pair: suffix maxima of orbit levels, then the integral.
 
     The orbit is walked once for all pairs, and each pair's seam minima
-    are computed once for all rows.  Distances run with cutoff max(scale):
+    are computed once for all rows.  Whole orbit rows are stacked into
+    query arrays of max(1, QUERY_BLOCK // n) rows, so no array holds more
+    than QUERY_BLOCK points unless one row alone does; the last array
+    takes the remaining rows.  Distances run with cutoff max(scale):
     one above it clamps every level to 1 whether it is exact or not, so
     the seam pass skips the samples that cannot bring a point within it.
     The per-point truncation certificate looks for a certified nested
@@ -85,11 +88,14 @@ def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
     scales = [pair.R * eta0 for pair, eta0 in zip(pairs, eta0s)]
     J = orbit.times.size
     levels = [np.empty((J, space.n)) for _ in pairs]
-    rows = space.dist_rows_to_subsets(orbit.coords, [pair.B for pair in pairs],
+    per = max(1, QUERY_BLOCK // space.n)
+    starts = range(0, J, per)
+    blocks = (orbit.coords[j:j + per].reshape(-1, space.dim) for j in starts)
+    rows = space.dist_rows_to_subsets(blocks, [pair.B for pair in pairs],
                                       cutoff=max(scales, default=np.inf))
-    for j, d in enumerate(rows):
+    for j, d in zip(starts, rows):
         for l_series, d_pair, scale in zip(levels, d, scales):
-            l_series[j] = np.minimum(d_pair / scale, 1.0)
+            l_series[j:j + per] = np.minimum(d_pair / scale, 1.0).reshape(-1, space.n)
 
     fields = []
     horizon = orbit.times[-1]

@@ -30,6 +30,8 @@ DOMAINS = (CIRCLE, UNIT_SQUARE, ROOF)
 
 ROOF_RIDGE = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 
+QUERY_BLOCK = 4096      # query points per stacked distance call
+
 PointId = int
 
 
@@ -94,7 +96,8 @@ class RoofSeam:
     (x_i, tau(x_i)) == (x_i, 0).  ``closure`` holds seam-to-seam shortest
     quotient distances, ``grid_entry`` the (n, m) direct costs from each
     grid point to each seam sample and ``to_grid`` seam-to-grid-point
-    distances.  Every query reads them inside a window of ``via``.
+    distances.  Every query reads them only over the hull of seam samples
+    that can bring it to its bound (``window``).
     """
 
     def __init__(self, grid_points: np.ndarray, n_samples: int):
@@ -116,6 +119,7 @@ class RoofSeam:
         self.to_grid = _min_plus(self.closure, np.ascontiguousarray(self.grid_entry.T))  # (m, n)
         self.to_grid_min = self.to_grid.min(axis=1)        # (m,)
         self.to_grid_argmin = self.to_grid.argmin(axis=1)  # (m,)
+        self.grid_env = self.envelope(self.to_grid_min)
 
     def entry_costs(self, pts: np.ndarray, start: np.ndarray | None = None,
                     width: int = 0) -> np.ndarray:
@@ -141,32 +145,49 @@ class RoofSeam:
         cost += dy
         return np.sqrt(cost, out=cost)
 
-    def via(self, pts: np.ndarray, bounds, premins):
-        """The window of seam samples that can bring each query point to or
-        below its bound, as (start, entry, sums): row p of the (k, W)
-        ``entry`` is entry(p, i) over the ascending run i = start[p] ..
-        start[p] + W - 1 (one W for all points; gathered from ``grid_entry``
-        when ``pts`` is the grid), and ``sums`` yields entry + premin over
-        the same runs for each array in ``premins``.
+    def envelope(self, premin: np.ndarray):
+        """Search keys of the 1-Lipschitz lower envelope of seam minima
+        ``premin``, as (premin, left, right): left[i] = max over j <= i of
+        x_j - premin[j] and right[i] = min over j >= i of premin[j] + x_j,
+        both ascending.  Built once per array, read by ``window``."""
+        left = np.maximum.accumulate(self.x - premin)
+        right = np.minimum.accumulate((premin + self.x)[::-1])[::-1]
+        return premin, left, right
 
-        As entry(p, i) + premin[i] >= |x_p - x_i| + min(premin), the run
-        holds every sample with |x_p - x_i| <= max over the arrays of
-        bound[p] - min(premin) + 1e-9 (one (k,) or scalar bound per array;
-        the slack covers rounding), and every sample outside it costs more
-        than its bound.  So wherever the full minimum is at most bound[p],
-        the run's minimum and lowest minimising sample are the full table's.
+    def window(self, pts: np.ndarray, bound, env):
+        """The seam samples that can bring each query point to or below its
+        ``bound`` (scalar or (k,)) through the seam minima of ``env``, as
+        (rows, start, entry, via): ``rows`` are the query points that have
+        such samples, and row r of the (len(rows), W) ``entry`` is
+        entry(p, i), p = rows[r], over the ascending run i = start[r] ..
+        start[r] + W - 1 (one W for all rows; gathered from ``grid_entry``
+        when ``pts`` is the grid); ``via`` is entry + premin over the runs.
+
+        A roof path keeps x through the gluing, so entry(p, i) + premin[i]
+        >= |x_p - x_i| + premin[i].  With reach = bound + 1e-9 (the slack
+        covers rounding), a sample i can bring p to its bound only if
+        x_i - premin[i] >= x_p - reach and premin[i] + x_i <= x_p + reach,
+        so every such sample lies in the hull [lo, hi): lo is the first i
+        with left[i] >= x_p - reach, hi the first i with right[i] >
+        x_p + reach.  Points with an empty hull are dropped.  Wherever the
+        full minimum is at most bound[p], the run's minimum and lowest
+        minimising sample are the full table's.
         """
-        reach = np.max([b - premin.min() for b, premin in zip(bounds, premins)], axis=0) + 1e-9
+        premin, left, right = env
+        reach = np.asarray(bound) + 1e-9
+        x = pts[:, 0]
+        lo = np.searchsorted(left, x - reach, side="left")
+        hi = np.searchsorted(right, x + reach, side="right")
+        rows = np.nonzero(hi > lo)[0]
+        lo = lo[rows]
         m = self.x.size
-        lo = np.searchsorted(self.x, pts[:, 0] - reach, side="left")
-        hi = np.searchsorted(self.x, pts[:, 0] + reach, side="right")
-        width = max(int((hi - lo).max(initial=0)), 1)
+        width = max(int((hi[rows] - lo).max(initial=0)), 1)
         start = np.minimum(lo, m - width)
         if pts is self.points:
-            entry = _runs(self.grid_entry.ravel(), start + m * np.arange(start.size), width)
+            entry = _runs(self.grid_entry.ravel(), start + m * rows, width)
         else:
-            entry = self.entry_costs(pts, start, width)
-        return start, entry, (entry + _runs(premin, start, width) for premin in premins)
+            entry = self.entry_costs(pts[rows], start, width)
+        return rows, start, entry, entry + _runs(premin, start, width)
 
 
 def _runs(a: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
@@ -240,7 +261,7 @@ class GridSpace:
         A distance at most ``cutoff`` is exact; one above it is at least the
         exact one and above ``cutoff``.  On the roof, the seam pass runs only
         over the window of samples i whose entry(p, i) + to_grid_min[i] can
-        reach the cutoff (``RoofSeam.via``): the min-plus product of that
+        reach the cutoff (``RoofSeam.window``): the min-plus product of that
         window with the same rows of ``to_grid``, for each row it reaches.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -248,9 +269,10 @@ class GridSpace:
             return circle_gap(pts[:, :1], self.points[None, :, 0])
         d = _euclid(pts, self.points)
         if self.domain == ROOF:
-            start, entry, (via,) = self.seam.via(pts, [cutoff], [self.seam.to_grid_min])
-            rows = np.nonzero(via.min(axis=1) <= cutoff)[0]
-            d[rows] = np.minimum(d[rows], _min_plus(entry[rows], self.seam.to_grid, start[rows]))
+            rows, start, entry, via = self.seam.window(pts, cutoff, self.seam.grid_env)
+            near = via.min(axis=1) <= cutoff
+            rows = rows[near]
+            d[rows] = np.minimum(d[rows], _min_plus(entry[near], self.seam.to_grid, start[near]))
         return d
 
     def dist_coords_to_subset(self, pts: np.ndarray, ids) -> np.ndarray:
@@ -260,17 +282,17 @@ class GridSpace:
     def dist_rows_to_subsets(self, rows, id_sets, cutoff=np.inf):
         """Yield the (len(id_sets), k) distances of each query array in ``rows``.
 
-        Each set's sorted ids and, on the roof, its seam minima
-        premin[i] = min over the set of to_grid[i, .] are computed once for
-        all rows; each row's seam pass runs, once for all sets, over the
-        window of samples that can bring a point below min(direct, cutoff)
-        for some set (``RoofSeam.via``).  Distances keep the ``cutoff``
-        contract of ``dist_coords_to_grid``; ``cutoff`` broadcasts against
-        the (sets, k) result.
+        Each set's sorted ids and, on the roof, the envelope of its seam
+        minima premin[i] = min over the set of to_grid[i, .] are computed
+        once for all rows; each row's seam pass runs, set by set, over the
+        window of samples that can bring a point to min(direct, cutoff)
+        (``RoofSeam.window``).  Distances keep the ``cutoff`` contract of
+        ``dist_coords_to_grid``; ``cutoff`` broadcasts against the (sets, k)
+        result.
         """
         sets = [np.asarray(sorted(ids), dtype=int) for ids in id_sets]
         live = [s for s, ids in enumerate(sets) if self.domain == ROOF and ids.size]
-        premins = [self.seam.to_grid[:, sets[s]].min(axis=1) for s in live]
+        envs = [self.seam.envelope(self.seam.to_grid[:, sets[s]].min(axis=1)) for s in live]
         for pts in rows:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             out = np.full((len(sets), pts.shape[0]), np.inf)
@@ -281,10 +303,10 @@ class GridSpace:
                     d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
                 else:
                     d[:] = _euclid(pts, self.points[ids]).min(axis=1)
-            if live:
-                _, _, sums = self.seam.via(pts, np.minimum(out, cutoff)[live], premins)
-                for s, via in zip(live, sums):
-                    np.minimum(out[s], via.min(axis=1), out=out[s])
+            bounds = np.minimum(out, cutoff)
+            for s, env in zip(live, envs):
+                kept, _, _, via = self.seam.window(pts, bounds[s], env)
+                out[s, kept] = np.minimum(out[s, kept], via.min(axis=1))
             yield out
 
     def nearest(self, pts: np.ndarray) -> np.ndarray:
@@ -299,7 +321,7 @@ class GridSpace:
         min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
         equals min over i of entry(p, i) + to_grid_min[i].  Only the window
         of samples that can beat the best direct distance is evaluated
-        (``RoofSeam.via``); it keeps the strict ``<`` and, being in
+        (``RoofSeam.window``); it keeps the strict ``<`` and, being in
         ascending sample order, the lowest minimising sample.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -317,10 +339,10 @@ class GridSpace:
             best = d.argmin(axis=1)
             if self.domain == ROOF:
                 best_val = d.min(axis=1)
-                start, _, (via,) = self.seam.via(block, [best_val], [self.seam.to_grid_min])
-                pick = via.argmin(axis=1)
-                better = via.min(axis=1) < best_val
-                best[better] = self.seam.to_grid_argmin[(start + pick)[better]]
+                rows, start, _, via = self.seam.window(block, best_val, self.seam.grid_env)
+                pick = start + via.argmin(axis=1)
+                better = via.min(axis=1) < best_val[rows]
+                best[rows[better]] = self.seam.to_grid_argmin[pick[better]]
             out[lo:lo + 1024] = best
         return out
 
@@ -374,5 +396,5 @@ def _sampled_resolution(space: GridSpace) -> float:
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     pts = pts[pts[:, 1] <= roof_height(pts[:, 0])]
-    blocks = (pts[lo:lo + 4096] for lo in range(0, pts.shape[0], 4096))
+    blocks = (pts[lo:lo + QUERY_BLOCK] for lo in range(0, pts.shape[0], QUERY_BLOCK))
     return max(float(d.max()) for d in space.dist_rows_to_subsets(blocks, [np.arange(space.n)]))

@@ -1,4 +1,4 @@
-"""Byte-identity pins: the SHA-256 of every artifact of four small runs.
+"""Byte-identity pins: the SHA-256 of every artifact of five small runs.
 
 A change that alters any of these bytes must update the digests here and
 say why in CHANGES.md; a change that only restructures the code must
@@ -13,6 +13,7 @@ from scrl.cli import main
 
 RUNS = {
     "roof12": ["analyze", "--system", "roof", "--grid", "12"],
+    "roof16": ["analyze", "--system", "roof", "--grid", "16"],
     "square12": ["analyze", "--system", "square", "--grid", "12"],
     "circle64": ["analyze", "--system", "circle", "--grid", "64"],
     "compare64": ["compare", "--system", "circle", "--grid", "64",
@@ -29,6 +30,16 @@ DIGESTS = {
         "pairs.json": "6e123722cedeb0b0fca152b6a7e04c58c58b3d87f10959e98617b06fbab33cc5",
         "scr.json": "49c0558424a710d6e5c46b209d2d112236646d97e783744cd0a85a4f3649236b",
         "verify_report.json": "05681560df678985dab82217fadb53d2ab148881a6c70de75ca7d107a38542bb",
+    },
+    "roof16": {
+        "cr.json": "e751b64ca12ce6ce9da0b77ae49c81e8421d56bbcb4fc176ed9e822298cc1d02",
+        "lyapunov_combined.csv": "558a3975f514898049897a2bb347a1adcfa00769077fbe22316e0c957edf1a02",
+        "lyapunov_pair_0.csv": "02544963f940a2a2afe1662b55a7de1ad46f2e6e477f1a8893c00194e6131983",
+        "lyapunov_pair_1.csv": "c2f97026c022e157a64f144edf1e10fb09577876fb204d6401d6f467e2576351",
+        "metadata.json": "2bafbd2c91192afdc01a1952009d6be06f8f8f6bc02d21e221d1db4c346c69da",
+        "pairs.json": "f1241c292bf65d2051866e35d26885aeb60e11d530b38f88a19b0b9fa7eb5b33",
+        "scr.json": "193a4ac01bdaf7c995b567118219cc00cf596e9492508236bf1df9c6db8561af",
+        "verify_report.json": "122277caeef17030366593f64584aad4b8c6724f7db4b09bd7032b1d65bb55ab",
     },
     "square12": {
         "cr.json": "4b59f8d04647b567a599bc23159e0608cc9feaaa888aa92e70c5e9ecf432c8ac",

@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from scrl import lyapunov
 from scrl.chaingraph import ScrResult, build_chain_graph
 from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
 from scrl.lyapunov import (combine_pairs, combined_at_shift, discounted_integral,
                            level_function, sup_along_orbit, verify_lyapunov)
 from scrl.orbits import build_orbit_data
-from scrl.space import build_grid, circle_gap
+from scrl.space import QUERY_BLOCK, build_grid, circle_gap
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
                              find_eta0_and_bstar, grid_image_orbit,
                              nested_neighborhoods, omega_limits_all)
@@ -350,21 +351,60 @@ def test_sup_along_orbit_cutoff_keeps_roof16_fields(monkeypatch):
     pairs = [catalog.pairs[i] for i in catalog.selected]
     assert pairs
     s, orbit = bundle.space, bundle.ensure_orbit()
-    widths = []
-    via = s.seam.via
+    evaluated = []                              # seam entries each window evaluates
+    window = s.seam.window
 
-    def counted_via(pts, bounds, premins):
-        start, entry, sums = via(pts, bounds, premins)
-        widths.append(entry.size * len(premins))
-        return start, entry, sums
+    def counted_window(pts, bound, env):
+        rows, start, entry, via = window(pts, bound, env)
+        evaluated.append(entry.size)
+        return rows, start, entry, via
 
-    monkeypatch.setattr(s.seam, "via", counted_via)
+    monkeypatch.setattr(s.seam, "window", counted_window)
     fast = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
-    pruned, widths[:] = sum(widths), []
+    pruned, evaluated[:] = sum(evaluated), []
     rows = s.dist_rows_to_subsets
     monkeypatch.setattr(s, "dist_rows_to_subsets",
                         lambda pts, id_sets, cutoff=np.inf: rows(pts, id_sets))
     full = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
-    assert pruned < sum(widths)                 # the cutoff did narrow the windows
+    assert pruned < sum(evaluated)              # the cutoff did narrow the windows
     for got, want in zip(fast, full):
+        _assert_same_fields(got, want)
+
+
+@pytest.mark.parametrize("system,domain,n", [("roof", "roof", 12),
+                                             ("square", "unit-square", 10),
+                                             ("circle", "circle", 96)])
+def test_sup_along_orbit_stacks_whole_rows(system, domain, n, monkeypatch):
+    s = build_grid(domain, n)
+    orbit = build_orbit_data(make_flow(system), s, 1.0, fine_horizon=S_MAX + 4.0,
+                             horizon=60.0, t_steps=60)
+    x = s.points[:, 0]
+    empty = np.empty(0, dtype=np.int64)
+    pairs = [StablePair(B=np.nonzero(x < 0.3)[0], B_bullet=empty, R=1.0, eta0=0.5,
+                        T_table={0.1: 4.0, 0.5: 1.0}, B_star=empty),
+             StablePair(B=np.array([0, s.n // 2]), B_bullet=empty, R=0.6, eta0=None,
+                        T_table={0.2: 3.0}, B_star=empty)]
+    sizes = []
+    rows = s.dist_rows_to_subsets
+
+    def counted_rows(blocks, id_sets, cutoff=np.inf):
+        def seen():
+            for pts in blocks:
+                sizes.append(pts.shape[0])
+                yield pts
+        return rows(seen(), id_sets, cutoff)
+
+    monkeypatch.setattr(s, "dist_rows_to_subsets", counted_rows)
+    J = orbit.times.size
+    per = QUERY_BLOCK // s.n
+    assert J % per                               # the last block is a remainder
+    stacked = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    assert sizes == [per * s.n] * (J // per) + [J % per * s.n]
+    assert max(sizes) <= QUERY_BLOCK
+    assert sup_along_orbit([], s, orbit, s_max=S_MAX) == []
+    monkeypatch.setattr(lyapunov, "QUERY_BLOCK", 1)      # one orbit row per call
+    sizes[:] = []
+    single = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    assert sizes == [s.n] * J
+    for got, want in zip(stacked, single):
         _assert_same_fields(got, want)

@@ -282,25 +282,75 @@ def test_fused_entry_costs_match_two_tables(n):
 
 def _window_edge_points(space, ids, cutoff):
     """Points on y = 0 whose window for ``ids`` under ``cutoff`` ends exactly
-    at a seam sample, and the points one ulp to either side of them."""
-    premin = space.seam.to_grid[:, ids].min(axis=1)
-    reach = (cutoff - premin.min()) + 1e-9
+    on a key of the set's seam envelope (x - reach == left[i] or
+    x + reach == right[i]), and the points one ulp to either side of them."""
+    _, left, right = space.seam.envelope(space.seam.to_grid[:, ids].min(axis=1))
+    reach = cutoff + 1e-9
     xs = []
-    for xi in space.seam.x[40:-40:23]:
-        for sign in (1.0, -1.0):                   # left and right window edges
-            x = xi + sign * reach
-            for _ in range(64):                    # x - sign * reach grows with x
-                if x - sign * reach == xi:
-                    xs += [np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)]
+    for keys, sign in ((left, 1.0), (right, -1.0)):    # the hull's low and high edges
+        for key in keys[40:-40:23]:
+            x = key + sign * reach
+            for _ in range(64):                        # x - sign * reach grows with x
+                if x - sign * reach == key:
+                    if 0.0 < x < 1.0:
+                        xs += [np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)]
                     break
-                x = np.nextafter(x, -1.0 if x - sign * reach > xi else 2.0)
+                x = np.nextafter(x, -1.0 if x - sign * reach > key else 2.0)
     assert len(xs) >= 3 * 6
     return np.column_stack([xs, np.zeros(len(xs))])
 
 
+def _brute_hull(seam, premin, pts, bound):
+    """Per point, the first sample i with x_i - premin[i] >= x_p - reach and
+    one past the last with premin[i] + x_i <= x_p + reach (reach = bound +
+    1e-9), taken sample by sample."""
+    reach = (np.asarray(bound) + 1e-9)[:, None]
+    x = pts[:, :1]
+    up = (seam.x - premin) >= x - reach
+    down = (premin + seam.x) <= x + reach
+    m = seam.x.size
+    lo = np.where(up.any(axis=1), up.argmax(axis=1), m)
+    hi = np.where(down.any(axis=1), m - down[:, ::-1].argmax(axis=1), 0)
+    return lo, hi
+
+
+def _check_seam_window(seam, premin, pts, bound, single=slice(None)):
+    """``seam.window`` on all points at once (one run width for all) and on
+    the ``single`` points one at a time, against the full entry table."""
+    env = seam.envelope(premin)
+    table = seam.entry_costs(pts)
+    full = table + premin
+    lo, hi = _brute_hull(seam, premin, pts, bound)
+    calls = [(np.arange(pts.shape[0]), seam.window(pts, bound, env))]
+    calls += [(np.array([p]), seam.window(pts[p:p + 1], bound[p:p + 1], env))
+              for p in np.arange(pts.shape[0])[single]]
+    for idx, (rows, start, entry, via) in calls:
+        assert np.array_equal(rows, np.nonzero(hi[idx] > lo[idx])[0])
+        p = idx[rows]
+        width = via.shape[1]
+        assert np.all(start <= lo[p]) and np.all(start + width >= hi[p])
+        if idx.size == 1 and p.size:                    # alone, the run is the hull
+            assert (start[0], start[0] + width) == (lo[p[0]], hi[p[0]])
+        cols = start[:, None] + np.arange(width)
+        assert via.tobytes() == full[p[:, None], cols].tobytes()
+        assert entry.tobytes() == table[p[:, None], cols].tobytes()
+        least = full[idx].min(axis=1)
+        won = least <= bound[idx]
+        dropped = np.ones(idx.size, dtype=bool)
+        dropped[rows] = False
+        assert np.all(least[dropped] > bound[idx][dropped])
+        best = via.min(axis=1)
+        kept = won[rows]
+        assert np.array_equal(best[kept], least[rows][kept])
+        first = start + via.argmin(axis=1)
+        assert np.array_equal(first[kept], full[p].argmin(axis=1)[kept])
+        assert np.all(best[~kept] > bound[p][~kept])
+    return lo, hi
+
+
 def test_seam_window_keeps_every_sample_that_can_win(roof12):
-    # one cheap sample i0 sets min(premin), so on y = 0 the through-seam
-    # minimum |x_p - x_i0| + premin[i0] sits exactly at the window edge
+    # one cheap sample i0 among flat seam minima, so on y = 0 the through-seam
+    # minimum |x_p - x_i0| + premin[i0] sits exactly at the bound
     seam = roof12.seam
     m = seam.x.size
     rng = np.random.default_rng(5)
@@ -310,26 +360,62 @@ def test_seam_window_keeps_every_sample_that_can_win(roof12):
         xs = rng.uniform(0, 1, 200)
         pts = np.concatenate([np.column_stack([xs, np.zeros_like(xs)]),
                               np.column_stack([xs, rng.uniform(0, 1, 200) * roof_height(xs)])])
-        table = seam.entry_costs(pts)
-        full = table + premin
-        exact = full[:, i0]
+        exact = (seam.entry_costs(pts) + premin)[:, i0]
         for bound in (exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0),
                       rng.uniform(0, 0.5, exact.size)):
-            # all points at once (one run width for all), and one at a time
-            windows = [(slice(None), seam.via(pts, [bound], [premin]))]
-            windows += [(p, seam.via(pts[p:p + 1], [bound[p:p + 1]], [premin]))
-                        for p in range(0, pts.shape[0], 9)]
-            for rows, (start, entry, (via,)) in windows:
-                rows = np.arange(pts.shape[0])[rows].reshape(-1)
-                cols = start[:, None] + np.arange(via.shape[1])
-                assert via.tobytes() == full[rows[:, None], cols].tobytes()
-                assert entry.tobytes() == table[rows[:, None], cols].tobytes()
-                best = via.min(axis=1)
-                won = full[rows].min(axis=1) <= bound[rows]
-                assert np.array_equal(best[won], full[rows].min(axis=1)[won])
-                first = start + via.argmin(axis=1)
-                assert np.array_equal(first[won], full[rows].argmin(axis=1)[won])
-                assert np.all(best[~won] > bound[rows][~won])
+            _check_seam_window(seam, premin, pts, bound, single=slice(None, None, 9))
+
+
+def _tie_bound(x, key, sign):
+    """A bound b whose reach r = b + 1e-9 puts x - sign * r exactly on
+    ``key``, or None when no double does."""
+    r = sign * (x - key)
+    if x - sign * r != key:
+        return None
+    b = r - 1e-9
+    for _ in range(64):
+        if b + 1e-9 == r:
+            return b
+        b = np.nextafter(b, 2.0 if b + 1e-9 < r else -1.0)
+    return None
+
+
+def test_seam_window_edge_is_the_only_winner(roof12):
+    # steep seam minima, premin = 0.01 + 3 |x - x_i0|: on y = 0 sample i0
+    # alone reaches the bound |x_p - x_i0| + premin[i0], and it is the
+    # hull's low edge for points right of it and its high edge left of it
+    seam = roof12.seam
+    m = seam.x.size
+    rng = np.random.default_rng(7)
+    for i0 in (0, 37, m // 2, m - 1):
+        premin = 0.01 + 3.0 * np.abs(seam.x - seam.x[i0])
+        xs = rng.uniform(0, 1, 120)
+        pts = np.column_stack([xs, np.zeros_like(xs)])
+        exact = (seam.entry_costs(pts) + premin)[:, i0]
+        for bound in (exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0)):
+            lo, hi = _check_seam_window(seam, premin, pts, bound)
+        right = xs > seam.x[i0]
+        assert np.all(lo[right] == i0) and np.all(hi[~right] == i0 + 1)
+        # bounds whose reach lands exactly on an envelope key: the sample of
+        # that key is the hull's edge, kept by the non-strict comparisons
+        _, left, right = seam.envelope(premin)
+        ties, tie_bounds, edges = [], [], []
+        for sign, keys, samples, span in (
+                (1.0, left, range(max(0, i0 - 20), i0 + 1), (seam.x[i0], 1.0)),
+                (-1.0, right, range(i0, min(m, i0 + 21)), (0.0, seam.x[i0]))):
+            for i in samples:
+                for x in rng.uniform(*span, 4):
+                    b = _tie_bound(x, keys[i], sign)
+                    if b is not None:
+                        ties.append(x)
+                        tie_bounds.append(b)
+                        edges.append((i, sign))
+        assert len(ties) >= 20
+        pts = np.column_stack([ties, np.zeros(len(ties))])
+        lo, hi = _check_seam_window(seam, premin, pts, np.array(tie_bounds))
+        for p, (i, sign) in enumerate(edges):
+            assert (lo[p] if sign > 0 else hi[p] - 1) == i
+        assert np.sum(hi > lo) >= 10
 
 
 @pytest.mark.parametrize("n", [12, 16])
@@ -455,6 +541,7 @@ def test_cutoff_grid_distances_at_window_edges(roof12):
         seam.to_grid = rng.uniform(0.3, 0.6, (m, n))
         seam.to_grid[i0, g0] = 0.01
         seam.to_grid_min = seam.to_grid.min(axis=1)
+        seam.grid_env = seam.envelope(seam.to_grid_min)
         s = dataclasses.replace(roof12, seam=seam)
         xs = np.clip(seam.x[i0] + rng.uniform(-0.28, 0.28, 100), 0.0, 1.0)
         pts = np.column_stack([xs, np.zeros_like(xs)])

@@ -377,7 +377,7 @@ def omega_budget(g: ChainGraph, Y, epsilon: float, closed: bool = False) -> np.n
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon {epsilon} must be positive")
-    Y = np.asarray(sorted(set(int(y) for y in Y)), dtype=np.int64)
+    Y = np.unique(np.asarray(Y, dtype=np.int64))
     if Y.size == 0:
         raise ValueError("seed set Y must be nonempty")
     adj = g.csr(epsilon)

@@ -7,6 +7,14 @@ without a separation certificate are dropped, survivors are deduplicated
 on the one-cell closure of B union B_bullet, and a greedy cover then
 picks a small subcollection whose joint exclusions account for every
 non-recurrent grid point, reporting the residual when they cannot.
+
+The sweep reads every seed ball from one table (``seed_balls``) and
+tries the radii in ascending order, dropping a seed from every larger
+radius once its certificate fails.  That drop is exact: a budgeted
+reach set is the union of its points' reach sets, W(C) = union of
+W({c}) over c in C (path costs are summed by monotone float additions
+and combined by min), so a ball C inside C' gives C & W(C) inside
+C' & W(C'): a ball that meets its reach set keeps meeting it as it grows.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from .chaingraph import ChainGraph, ScrResult
 from .flows import GridTransition
 from .orbits import OrbitData
-from .space import GridSpace
+from .space import TABLE_BLOCK, GridSpace
 from .stablesets import (StablePair, avoidance_profile, build_strongly_stable,
                          complementary, find_eta0_and_bstar, grid_image_orbit,
                          nested_neighborhoods, omega_limits_all)
@@ -61,11 +69,33 @@ def default_seed_stride(n: int) -> int:
     return 1 if n <= 1000 else 4
 
 
+def seed_balls(space: GridSpace, seeds, radii) -> list[list[np.ndarray]]:
+    """balls[k][i]: the sorted ids within radii[k] of seeds[i].
+
+    One distance table per block of seeds, with cutoff max(radii) +
+    1e-12.  A distance at most the cutoff is exact, so reading each ball
+    as d <= r + 1e-12 gives, at every radius, the same doubles and the
+    same rule as ``space.thicken([seed], r)``.
+    """
+    cutoffs = [float(r) + 1e-12 for r in radii]
+    balls = [[] for _ in cutoffs]
+    per = max(1, TABLE_BLOCK // space.n)
+    for lo in range(0, len(seeds), per):
+        block = [[s] for s in seeds[lo:lo + per]]
+        d = next(space.dist_rows_to_subsets([space.points], block, max(cutoffs)))
+        for ball, cutoff in zip(balls, cutoffs):
+            ball.extend(np.nonzero(row <= cutoff)[0] for row in d)
+    return balls
+
+
 def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
                     epsilon: float, radii, seed_stride: int, scr: ScrResult,
                     orbit: OrbitData, R: float, eta_samples,
                     t_cap_steps: int = 200) -> PairCatalog:
-    """Seed balls around non-recurrent points; keep certified, unique pairs."""
+    """Seed balls around non-recurrent points; keep certified, unique pairs.
+
+    A seed whose certificate fails at one radius is not tried at the
+    larger ones, where it would fail too (see the module docstring)."""
     if not radii:
         raise ValueError("radii must be nonempty")
     radii = sorted(float(r) for r in radii)
@@ -81,14 +111,16 @@ def enumerate_pairs(g: ChainGraph, tr: GridTransition, space: GridSpace,
     seen: set[str] = set()
     seen_B: set[str] = set()
     found = []              # (B, B_bullet, T_table, provenance) per pair
-    for radius in radii:
-        for seed in seeds:
-            C = space.thicken([seed], radius)
+    live = np.ones(seeds.size, dtype=bool)      # no failed certificate yet
+    for radius, balls in zip(radii, seed_balls(space, seeds, radii)):
+        for i in np.flatnonzero(live):
+            seed = seeds[i]
             try:
-                B, certificate, W = build_strongly_stable(g, tr, space, C, epsilon)
+                B, certificate, W = build_strongly_stable(g, tr, space, balls[i], epsilon)
             except ValueError:
                 continue
             if not certificate:
+                live[i] = False
                 continue
             b_key = hashlib.sha1(B.astype(np.int64).tobytes()).hexdigest()
             if b_key in seen_B:

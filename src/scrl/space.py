@@ -31,6 +31,7 @@ DOMAINS = (CIRCLE, UNIT_SQUARE, ROOF)
 ROOF_RIDGE = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 
 QUERY_BLOCK = 4096      # query points per stacked distance call
+TABLE_BLOCK = 128 * QUERY_BLOCK     # entries per dense direct-distance table (4 MiB)
 
 PointId = int
 
@@ -284,11 +285,14 @@ class GridSpace:
 
         Each set's sorted ids and, on the roof, the envelope of its seam
         minima premin[i] = min over the set of to_grid[i, .] are computed
-        once for all rows; each row's seam pass runs, set by set, over the
-        window of samples that can bring a point to min(direct, cutoff)
-        (``RoofSeam.window``).  Distances keep the ``cutoff`` contract of
-        ``dist_coords_to_grid``; ``cutoff`` broadcasts against the (sets, k)
-        result.
+        once for all rows.  The direct pass holds at most ``TABLE_BLOCK``
+        distances at once, taking the set's ids in column blocks; every
+        entry is the same double whatever the block, so the minimum over
+        blocks is the full table's.  Each row's seam pass then runs, set by
+        set, over the window of samples that can bring a point to
+        min(direct, cutoff) (``RoofSeam.window``).  Distances keep the
+        ``cutoff`` contract of ``dist_coords_to_grid``; ``cutoff``
+        broadcasts against the (sets, k) result.
         """
         sets = [np.asarray(sorted(ids), dtype=int) for ids in id_sets]
         live = [s for s, ids in enumerate(sets) if self.domain == ROOF and ids.size]
@@ -296,13 +300,16 @@ class GridSpace:
         for pts in rows:
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             out = np.full((len(sets), pts.shape[0]), np.inf)
+            step = max(1, TABLE_BLOCK // max(1, pts.shape[0]))
             for d, ids in zip(out, sets):
-                if ids.size == 0:
-                    continue
-                if self.domain == CIRCLE:
-                    d[:] = circle_gap(pts[:, :1], self.points[None, ids, 0]).min(axis=1)
-                else:
-                    d[:] = _euclid(pts, self.points[ids]).min(axis=1)
+                for lo in range(0, ids.size, step):
+                    part = ids[lo:lo + step]
+                    if self.domain == CIRCLE:
+                        table = circle_gap(pts[:, :1], self.points[None, part, 0])
+                    else:
+                        table = _euclid(pts, self.points[part])
+                    np.minimum(d, table.min(axis=1), out=d)
+                    del table           # not held while the generator is suspended
             bounds = np.minimum(out, cutoff)
             for s, env in zip(live, envs):
                 kept, _, _, via = self.seam.window(pts, bounds[s], env)

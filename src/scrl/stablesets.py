@@ -93,7 +93,9 @@ def omega_limit_of_set(tr: GridTransition, U) -> np.ndarray:
     if U.size == 0:
         raise ValueError("U must be nonempty")
     weak, on_cycle = _image_cycles(tr)
-    return np.nonzero(on_cycle & np.isin(weak, weak[U]))[0]
+    hit = np.zeros(weak.size, dtype=bool)       # weak labels are below the node count
+    hit[weak[U]] = True
+    return np.nonzero(on_cycle & hit[weak])[0]
 
 
 def omega_limits_all(space: GridSpace, orbit: OrbitData
@@ -168,17 +170,22 @@ def build_strongly_stable(g: ChainGraph, tr: GridTransition, space: GridSpace,
     (grid projection can spill one cell per step; the containment is
     exact in the continuum); a seed whose settled set escapes it yields
     no candidate, so this raises ValueError like the other rejections.
+    The escape query covers only the points of B outside W: members of
+    W are at distance exactly 0 from it.
     """
-    C = np.asarray(sorted(set(int(c) for c in C)), dtype=np.int64)
+    C = np.unique(np.asarray(C, dtype=np.int64))
     if C.size == 0:
         raise ValueError("seed set C must be nonempty")
     W = omega_budget(g, C, epsilon, closed=True)
     if W.size == 0:
         raise ValueError("closed-budget reachable set is empty; cannot settle")
     B = omega_limit_of_set(tr, W)
-    certificate = not np.any(np.isin(C, W))
-    d = space.dist_coords_to_subset(space.points[B], W)
-    if np.any(d > space.resolution + 1e-9):
+    in_W = np.zeros(space.n, dtype=bool)
+    in_W[W] = True
+    certificate = not in_W[C].any()
+    off = B[~in_W[B]]
+    if off.size and np.any(space.dist_coords_to_subset(space.points[off], W)
+                           > space.resolution + 1e-9):
         raise ValueError(
             "settled set escapes the resolution thickening of its reachable set")
     return B, certificate, W

@@ -186,3 +186,77 @@ def random_digraph(rng, max_nodes=200):
     v = rng.integers(0, n, n_edges)
     w = rng.integers(1, 2 ** 20, n_edges) / 2.0 ** 20
     return n, list(zip(u.tolist(), v.tolist(), w.tolist()))
+
+
+def settle_reference(g, tr, space, C, epsilon):
+    """``build_strongly_stable`` with the escape query over all of B."""
+    from scrl.chaingraph import omega_budget
+    from scrl.stablesets import omega_limit_of_set
+
+    C = np.asarray(sorted(set(int(c) for c in C)), dtype=np.int64)
+    if C.size == 0:
+        raise ValueError("seed set C must be nonempty")
+    W = omega_budget(g, C, epsilon, closed=True)
+    if W.size == 0:
+        raise ValueError("closed-budget reachable set is empty; cannot settle")
+    B = omega_limit_of_set(tr, W)
+    certificate = not np.any(np.isin(C, W))
+    d = space.dist_coords_to_subset(space.points[B], W)
+    if np.any(d > space.resolution + 1e-9):
+        raise ValueError("settled set escapes the resolution thickening of its reachable set")
+    return B, certificate, W
+
+
+def seed_sweep_reference(g, tr, space, epsilon, radii, seed_stride, scr, orbit, R,
+                         eta_samples, t_cap_steps=200):
+    """``enumerate_pairs`` as a plain loop: every seed at every radius, its
+    ball from ``thicken([seed], r)`` and its settled set from
+    ``settle_reference``."""
+    import hashlib
+
+    from scrl.pairs import PairCatalog
+    from scrl.stablesets import (StablePair, avoidance_profile, complementary,
+                                 find_eta0_and_bstar, grid_image_orbit,
+                                 nested_neighborhoods, omega_limits_all)
+
+    radii = sorted(float(r) for r in radii)
+    seeds = np.setdiff1d(np.arange(space.n), scr.members)[::seed_stride]
+    tails, nonconv = omega_limits_all(space, orbit)
+    grid_orbit = grid_image_orbit(tr, t_cap_steps)
+    catalog = PairCatalog()
+    seen, seen_B, found = set(), set(), []
+    for radius in radii:
+        for seed in seeds:
+            try:
+                B, certificate, W = settle_reference(g, tr, space, space.thicken([seed], radius),
+                                                     epsilon)
+            except ValueError:
+                continue
+            if not certificate:
+                continue
+            b_key = hashlib.sha1(B.astype(np.int64).tobytes()).hexdigest()
+            if b_key in seen_B:
+                continue
+            seen_B.add(b_key)
+            B_bullet = complementary(space, tr, B, tails, nonconv)
+            closed = space.thicken(np.union1d(B, B_bullet), space.pitch)
+            key = hashlib.sha1(closed.astype(np.int64).tobytes()).hexdigest()
+            if key in seen:
+                continue
+            nn = nested_neighborhoods(space, tr, B, R, eta_samples, grid_orbit)
+            if nn["failures"]:
+                continue
+            seen.add(key)
+            found.append((B, B_bullet, nn["T_table"],
+                          {"center": int(seed), "radius": radius,
+                           "epsilon": epsilon, "T": tr.T}))
+            catalog.dedupe_keys.append(key)
+            catalog.closures.append(closed)
+    profiles = avoidance_profile(space, orbit, [B for B, *_ in found])
+    for (B, B_bullet, T_table, provenance), prof in zip(found, profiles):
+        star = find_eta0_and_bstar(space, B, B_bullet, T_table, R, prof)
+        eta0, B_star = (None, np.empty(0, dtype=np.int64)) if star is None else star
+        catalog.pairs.append(StablePair(B=B, B_bullet=B_bullet, R=R, eta0=eta0,
+                                        T_table=T_table, B_star=B_star,
+                                        provenance=provenance))
+    return catalog

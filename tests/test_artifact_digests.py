@@ -1,4 +1,4 @@
-"""Byte-identity pins: the SHA-256 of every artifact of five small runs.
+"""Byte-identity pins: the SHA-256 of every artifact of six small runs.
 
 A change that alters any of these bytes must update the digests here and
 say why in CHANGES.md; a change that only restructures the code must
@@ -15,6 +15,7 @@ RUNS = {
     "roof12": ["analyze", "--system", "roof", "--grid", "12"],
     "roof16": ["analyze", "--system", "roof", "--grid", "16"],
     "square12": ["analyze", "--system", "square", "--grid", "12"],
+    "square16": ["analyze", "--system", "square", "--grid", "16"],
     "circle64": ["analyze", "--system", "circle", "--grid", "64"],
     "compare64": ["compare", "--system", "circle", "--grid", "64",
                   "--epsilon", "0.05", "--epsilon", "0.1"],
@@ -58,6 +59,28 @@ DIGESTS = {
         "pairs.json": "84fd219682905c4995d37337cc0e9c1f6c83132c2ecf1d4a37eb8c9591d94d5e",
         "scr.json": "8e156229ac27bde5860f0ce21ba405df178aac708198a4e8d12656e113391806",
         "verify_report.json": "0399d32ef1bfb7bc3b752c96470b59f6982cd4d8163141faaeddbbee8f3864fb",
+    },
+    "square16": {
+        "cr.json": "ab83befd61acf79c4b1612974d821fbb49e3baf89b6499bb7e057fc6baa54426",
+        "lyapunov_combined.csv": "4cfae63ddf80ed806535701644180c81d71fae9c1d7045635527d8c9141745b5",
+        "lyapunov_pair_0.csv": "bb9c1c3f3560ce808f7cfb5cec3de9cc2294e7608085cdc24bc348cd677d77d0",
+        "lyapunov_pair_1.csv": "3868eff28e97b087134aa6233829c652f79e2ebd3b07f0115333e12e7d97b579",
+        "lyapunov_pair_2.csv": "c71e8d1df94c4dfe70689bf3d0351f9b92859c9fafd90cecac1869ffbf58bba1",
+        "lyapunov_pair_3.csv": "279ef8a9c16154564effbe7cc738754d6ae2136665a020bcbdf6d738caa687c4",
+        "lyapunov_pair_4.csv": "67c1b86ed054dfc87f564910b7c4b195ab492bf14336b62544c87cb96c59e059",
+        "lyapunov_pair_5.csv": "845e3ffa5a72f9c15e7819857201d594550424bec96f65fbace602dd117b357a",
+        "lyapunov_pair_6.csv": "f67994587fe9c23a6c4b0a13f4c8ff4f6956b4303c6bdac94eb4c743c7d6360d",
+        "lyapunov_pair_7.csv": "173f2a681bfa0e7463e02946509c28decbfe1fd00aab566f79bf5a3dc8ea6501",
+        "lyapunov_pair_8.csv": "778759ead69aa1106cc3ae074d4f890a11b107f4e7e838dee77b932325a85f69",
+        "lyapunov_pair_9.csv": "084568ccca7105f0596ead283b18c93f0cc35da98fee1e731bc792e14b8cfb3a",
+        "lyapunov_pair_10.csv": "793870ede0e02e42ceeb218082116f5c00b2304c0f5876fc0828f38b502aff7c",
+        "lyapunov_pair_11.csv": "bf0be706d81681d8a4e522850d04fb775d5dff827aa75c3b5e1f9730789cbc3e",
+        "lyapunov_pair_12.csv": "ad4bf067122ea5ab4ef9215690c3444156f3d1f934a04b73b26a1a22d78112dd",
+        "lyapunov_pair_13.csv": "f6c740ec6909f2a56f088f682ebe73c03bd3f5599d4d31a5138475b5b4ddedf9",
+        "metadata.json": "52680a897b2ad36159eda1b467f3917d956f572471f4c862d58d405f7c22bd38",
+        "pairs.json": "59e384fa6c9f902fb9eabcc81154f15cfec0dbfb65f0f9fd8028646b5896efce",
+        "scr.json": "e2ef697eadf7817afe19c9116d08fe7a1accdefb53aadea3c58ed9c5ee4ed293",
+        "verify_report.json": "4356da7d3d636404c37cc9775190dee57e10cc55db65cb2b8122d474ff6f72e6",
     },
     "circle64": {
         "cr.json": "c9adf42de30835277b58b82e3af85d11574782bae25304d3037868dfb7a7fb7b",

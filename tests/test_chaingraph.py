@@ -719,3 +719,40 @@ def test_seed_ball_reach_matches_first_jump_plus_distance_rows(grid16_searches):
         starts = np.flatnonzero(np.isfinite(seed))
         total = (seed[starts, None] + dist[eps][starts]).min(axis=0, initial=np.inf)
         assert np.array_equal(W, np.flatnonzero(total <= eps if closed else total < eps))
+
+
+def _singleton_union(g, Y, eps, closed):
+    return np.unique(np.concatenate(
+        [omega_budget(g, [y], eps, closed=closed) for y in np.unique(Y)]))
+
+
+def test_seed_ball_reach_is_the_union_of_point_reaches(grid16_searches):
+    """W(C) = union of W({c}) over c in C: the identity that lets the seed
+    sweep drop a seed after a failed certificate."""
+    g, _, calls = grid16_searches
+    for Y, eps, _, _ in calls[::8]:
+        for closed in (False, True):
+            assert np.array_equal(omega_budget(g, Y, eps, closed=closed),
+                                  _singleton_union(g, Y, eps, closed))
+
+
+def test_reach_union_with_zero_weights_and_attained_budgets():
+    rng = np.random.default_rng(19)
+    ties = 0
+    for _ in range(30):
+        n, edges = random_digraph(rng, max_nodes=40)
+        edges = [(u, v, 0.0 if rng.random() < 0.3 else w) for u, v, w in edges]
+        g = graph_from_edges(n, edges)
+        C = np.unique(rng.integers(0, n, int(rng.integers(1, 6))))
+        # reach costs as omega_budget sums them: least reach to u, then one jump
+        adj = g.csr().tocoo()
+        reach = dijkstra(adj, directed=True, indices=C, min_only=True)
+        total = np.full(n, np.inf)
+        np.minimum.at(total, adj.col, reach[adj.row] + adj.data)
+        costs = np.unique(total[np.isfinite(total)])
+        for eps in costs[costs > 0][::3]:
+            strict, closed = (omega_budget(g, C, eps, closed=c) for c in (False, True))
+            ties += not np.array_equal(strict, closed)
+            assert np.array_equal(strict, _singleton_union(g, C, eps, False))
+            assert np.array_equal(closed, _singleton_union(g, C, eps, True))
+    assert ties > 0

@@ -3,12 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
-from scrl.chaingraph import build_chain_graph, compute_scr
+import scrl.pairs
+import scrl.stablesets
+from scrl.chaingraph import build_chain_graph, compute_scr, omega_budget
+from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
 from scrl.orbits import build_orbit_data
-from scrl.pairs import PairCatalog, default_radii, enumerate_pairs, select_cover
-from scrl.space import build_grid
+from scrl.pairs import PairCatalog, default_radii, enumerate_pairs, seed_balls, select_cover
+from scrl.space import GridSpace, build_grid
 from scrl.stablesets import build_strongly_stable, default_eta_samples, find_eta0_and_bstar
+
+from oracles import seed_sweep_reference, settle_reference
 
 
 def build_all(system, domain, n, epsilon, prune=None, m_max=4):
@@ -200,3 +205,152 @@ def test_settled_sets_are_image_invariant(system, domain, n):
             assert np.all(np.isin(tr.image[B], B))
             settled += 1
     assert settled > 0
+
+
+# -- the seed sweep against the per-seed loop ----------------------------------
+
+
+def _bundle_with_scr(system, n):
+    bundle = build_bundle(RunConfig(system=system, grid_n=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scr = stage_scr(bundle, [bundle.cfg.epsilon])[0]
+    return bundle, scr
+
+
+@pytest.mark.parametrize("system,n", [("roof", 12), ("roof", 16), ("square", 12),
+                                      ("square", 16), ("circle", 64)])
+def test_seed_sweep_matches_per_seed_loop(system, n):
+    bundle, scr = _bundle_with_scr(system, n)
+    cfg = bundle.cfg
+    got = stage_pairs(bundle, scr)
+    ref = seed_sweep_reference(
+        bundle.graph, bundle.tr, bundle.space, cfg.epsilon, bundle.radii, bundle.seed_stride,
+        scr, bundle.ensure_orbit(), bundle.scale,
+        default_eta_samples(cfg.eta_count, cfg.eta_lo, cfg.eta_hi), t_cap_steps=cfg.horizon_steps)
+    ref = select_cover(ref, scr, bundle.space)
+    assert len(got.pairs) == len(ref.pairs) > 0
+    for a, b in zip(got.pairs, ref.pairs):
+        assert np.array_equal(a.B, b.B) and np.array_equal(a.B_bullet, b.B_bullet)
+        assert a.T_table == b.T_table and a.provenance == b.provenance
+        assert a.eta0 == b.eta0 and np.array_equal(a.B_star, b.B_star)
+    assert got.dedupe_keys == ref.dedupe_keys
+    assert len(got.closures) == len(ref.closures)
+    assert all(np.array_equal(a, b) for a, b in zip(got.closures, ref.closures))
+    assert got.selected == ref.selected
+    assert np.array_equal(got.residual, ref.residual)
+
+
+def _attained_radii(s):
+    """Two attained seed distances near the default radii, each with one ulp
+    either side, and the radii whose ball cutoff r + 1e-12 lands on them."""
+    d = next(s.dist_rows_to_subsets([s.points], [[0]]))[0]
+    out = []
+    for r in default_radii(s.resolution)[:2]:
+        v = float(d[d >= r].min())
+        for c in (v, v - 1e-12):
+            out += [np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("domain,n", [("roof", 16), ("unit-square", 16), ("circle", 64)])
+@pytest.mark.parametrize("radii", ["default", "attained"])
+def test_seed_balls_match_thicken(domain, n, radii, monkeypatch):
+    s = build_grid(domain, n)
+    radii = default_radii(s.resolution) if radii == "default" else _attained_radii(s)
+    seeds = np.arange(s.n)
+    for per in (None, 7):                       # one block; blocks of 7 and a remainder
+        if per:
+            monkeypatch.setattr(scrl.pairs, "TABLE_BLOCK", per * s.n)
+        balls = seed_balls(s, seeds, radii)
+        assert len(balls) == len(radii)
+        for r, row in zip(radii, balls):
+            assert len(row) == s.n
+            for seed, ball in zip(seeds, row):
+                want = s.thicken([seed], r)
+                assert ball.dtype == want.dtype and np.array_equal(ball, want)
+
+
+@pytest.mark.parametrize("system,n", [("square", 16), ("roof", 20)])
+def test_no_seed_is_searched_after_a_failed_certificate(system, n, monkeypatch):
+    """The sweep tries seed i at radius k iff no smaller radius gave it a
+    failed certificate, in radius-major order, with ball thicken([seed], r).
+    A seed whose settled set escaped (roof 20 has such seeds) is tried again."""
+    bundle, scr = _bundle_with_scr(system, n)
+    s = bundle.space
+    calls = []
+
+    def spy(g, tr, space, C, epsilon):
+        try:
+            out = build_strongly_stable(g, tr, space, C, epsilon)
+        except ValueError:
+            calls.append((np.asarray(C), None))
+            raise
+        calls.append((np.asarray(C), out[1]))
+        return out
+
+    searches = []
+    monkeypatch.setattr(scrl.pairs, "build_strongly_stable", spy)
+    monkeypatch.setattr(scrl.stablesets, "omega_budget",
+                        lambda g, Y, *a, **k: searches.append(Y) or omega_budget(g, Y, *a, **k))
+    stage_pairs(bundle, scr)
+    seeds = np.setdiff1d(np.arange(s.n), scr.members)[::bundle.seed_stride]
+    failed, raised, retried, it = set(), set(), 0, iter(calls)
+    for radius in sorted(bundle.radii):
+        for seed in seeds:
+            if seed in failed:
+                continue
+            C, certificate = next(it)
+            assert np.array_equal(C, s.thicken([seed], radius))
+            retried += seed in raised
+            if certificate is None:
+                raised.add(seed)
+            elif not certificate:
+                failed.add(seed)
+    assert next(it, None) is None
+    assert len(searches) == len(calls)
+    assert failed and len(calls) < len(seeds) * len(bundle.radii)
+    assert retried > 0 or system != "roof"
+
+
+@pytest.mark.parametrize("system,n", [("roof", 12), ("square", 16), ("circle", 64)])
+def test_escape_query_covers_only_settled_points_outside_reach(system, n, monkeypatch):
+    bundle, scr = _bundle_with_scr(system, n)
+    s, g, tr, eps = bundle.space, bundle.graph, bundle.tr, bundle.cfg.epsilon
+    queries = []
+    original = GridSpace.dist_coords_to_subset
+
+    def spy(self, pts, ids):
+        queries.append((np.array(pts), np.asarray(ids)))
+        return original(self, pts, ids)
+
+    seeds = np.setdiff1d(np.arange(s.n), scr.members)
+    outside = 0
+    for radius in sorted(bundle.radii):
+        for seed in seeds:
+            C = s.thicken([seed], radius)
+            try:
+                want = settle_reference(g, tr, s, C, eps)
+            except ValueError:
+                want = None
+            queries.clear()
+            monkeypatch.setattr(GridSpace, "dist_coords_to_subset", spy)
+            try:
+                got = build_strongly_stable(g, tr, s, C, eps)
+            except ValueError:
+                got = None
+            monkeypatch.undo()
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            B, certificate, W = got
+            assert np.array_equal(B, want[0]) and certificate == want[1]
+            assert np.array_equal(W, want[2])
+            off = np.setdiff1d(B, W)
+            if off.size:
+                outside += 1
+                (pts, ids), = queries
+                assert np.array_equal(pts, s.points[off]) and np.array_equal(ids, W)
+            else:
+                assert queries == []
+    assert outside > 0 or system != "roof"      # roof 12 settles 2 seed balls off W

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrl.cli import RunConfig, default_prune_radius
+import scrl.space
+from scrl.cli import RunConfig, default_prune_radius, main
 from scrl.flows import build_transition, make_flow
 from scrl.orbits import build_orbit_data
-from scrl.space import ROOF, ROOF_RIDGE, _euclid, build_grid, circle_gap, roof_height
+from scrl.space import (ROOF, ROOF_RIDGE, TABLE_BLOCK, GridSpace, _euclid, build_grid,
+                        circle_gap, roof_height)
 
 from oracles import direct_distances, grid_distances, max_projection_gap, through_seam
 
@@ -576,3 +578,63 @@ def test_thicken_at_attained_radii(n):
             for radius in (D, r, np.nextafter(r, -1.0), np.nextafter(r, 2.0)):
                 got = s.thicken(ids, radius)
                 assert np.array_equal(got, np.nonzero(want <= radius + 1e-12)[0]), radius
+
+
+# -- blocked direct pass --------------------------------------------------------
+
+
+def _count_direct_tables(monkeypatch, domain):
+    """Count the direct-pass tables: ``circle_gap`` on the circle, ``_euclid``
+    elsewhere (the roof seam pass uses ``entry_costs``, not these)."""
+    name = "circle_gap" if domain == "circle" else "_euclid"
+    original, count = getattr(scrl.space, name), [0]
+
+    def spy(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(scrl.space, name, spy)
+    return count
+
+
+@pytest.mark.parametrize("domain,n", [("roof", 12), ("unit-square", 12), ("circle", 64)])
+def test_direct_pass_blocks_match_one_table(domain, n, monkeypatch):
+    s = build_grid(domain, n)
+    rng = np.random.default_rng(48)
+    pts = s.points + rng.uniform(-0.4, 0.4, s.points.shape) * s.pitch
+    if domain != "circle":
+        pts = pts[pts[:, 1] < roof_height(pts[:, 0])] if domain == "roof" else np.clip(pts, 0, 1)
+    id_sets = [np.arange(s.n), rng.choice(s.n, 37, replace=False), [5], []]
+    rows = [pts, pts[:7]]
+    whole = list(s.dist_rows_to_subsets(rows, id_sets, 3 * s.pitch))
+    count = _count_direct_tables(monkeypatch, domain)
+    monkeypatch.setattr(scrl.space, "TABLE_BLOCK", 5 * pts.shape[0] + 3)
+    blocked = list(s.dist_rows_to_subsets(rows, id_sets, 3 * s.pitch))
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+    steps = [5, (5 * pts.shape[0] + 3) // 7]
+    assert count[0] == sum(-(-len(ids) // step) for step in steps for ids in id_sets)
+
+
+def test_roof16_direct_tables_stay_in_one_block(tmp_path, monkeypatch):
+    """Every direct pass of a roof 16 ``analyze`` is one table per set,
+    the largest (the sampled resolution's 1764 x 198) included."""
+    assert 1764 * 198 <= TABLE_BLOCK
+    count = _count_direct_tables(monkeypatch, "roof")
+    original = GridSpace.dist_rows_to_subsets
+    largest = [0]
+
+    def spy(self, rows, id_sets, cutoff=np.inf):
+        id_sets = [list(ids) for ids in id_sets]
+        gen = original(self, rows, id_sets, cutoff)
+        while True:
+            before = count[0]
+            d = next(gen, None)
+            if d is None:
+                return
+            assert count[0] - before == sum(1 for ids in id_sets if ids)
+            largest[0] = max(largest[0], d.shape[1] * max(map(len, id_sets)))
+            yield d
+
+    monkeypatch.setattr(GridSpace, "dist_rows_to_subsets", spy)
+    assert main(["analyze", "--system", "roof", "--grid", "16", "--out", str(tmp_path)]) == 0
+    assert largest[0] == 1764 * 198

@@ -14,11 +14,14 @@ just that one.
 Return costs search a smaller graph: an edge (x, y, w) is kept iff
 w + LB <= limit + 1e-9, where LB is a landmark lower bound on the return
 distance D[y, x] (with no limit, the limit is +inf and every edge is
-kept).  Every edge of a cycle within the limit satisfies
-w + D[y, x] <= limit, so it is kept, and the shortest paths that close
-those cycles are all still there: the costs within the limit are exact,
-bit for bit.  Reachability and classical chain recurrence keep the full
-graph.
+kept).  The bounds are raised in rounds, each searching new landmarks on
+the edges the earlier rounds kept.  Every edge of a cycle within the
+limit satisfies w + D[y, x] <= limit on every round's graph, so no round
+drops it, and the shortest paths that close those cycles are all still
+there; a bound found on a graph still bounds the distances of the
+smaller graph searched in the end.  The costs within the limit are
+exact, bit for bit.  Reachability and classical chain recurrence keep
+the full graph.
 
 Each Dijkstra source of the return costs then runs only as deep as a
 cycle it closes could beat one its target already has.  cap(u), the
@@ -219,10 +222,15 @@ def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
 # Dijkstra sources per all_pairs call of min_return_cost_all: it holds
 # (_SOURCE_CHUNK, n) distances at a time rather than an n x n matrix.
 _SOURCE_CHUNK = 64
-# Landmarks of the cycle-edge lower bounds, how far their searches reach
-# (a multiple of the cost limit), and the edges per block of the bound.
-_LANDMARKS = 16
+# Landmarks per round of the cycle-edge lower bounds, how far their
+# searches reach (a multiple of the cost limit), each round's shift of the
+# landmark ids as a fraction of their spacing (van der Corput order, so
+# at most 8 rounds), the least share of its edges a round must drop for
+# another to follow, and the edges per block of the bound.
+_LANDMARKS = 8
 _LANDMARK_REACH = 2.0
+_ROUND_OFFSETS = (0, 1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8, 3 / 8, 7 / 8)
+_ROUND_GAIN = 1 / 16
 _BOUND_BLOCK = 1 << 16
 
 
@@ -297,34 +305,54 @@ def cycle_edges(g: ChainGraph, limit: float) -> tuple[np.ndarray, np.ndarray]:
     Landmark distances bound D[y, x] from below (Goldberg & Harrelson's
     ALT bounds): for every landmark L the triangle inequality gives
     D[y, x] >= D[L, x] - D[L, y] and D[y, x] >= D[y, L] - D[x, L].  The
-    landmarks are _LANDMARKS evenly spaced ids, searched forward and
-    backward on the edges within the limit up to lam = _LANDMARK_REACH *
-    limit, at most the largest float; their distances are clipped to
-    lam, which keeps each difference a lower bound and finite (an
-    unreached node counts as lam away), so no inf - inf turns a bound
-    into NaN.  An edge is kept iff w + LB <= limit + 1e-9, the slack
-    absorbing the rounding of the distances.
+    bounds are raised in rounds.  Round r takes _LANDMARKS evenly spaced
+    ids, shifted by _ROUND_OFFSETS[r] of their spacing, and searches them
+    forward and backward up to lam = _LANDMARK_REACH * limit (at most the
+    largest float) on the edges the earlier rounds kept; the first round
+    searches every edge within the limit.  Distances are clipped to lam,
+    which keeps each difference a lower bound and finite (an unreached
+    node counts as lam away), so no inf - inf turns a bound into NaN.
+    Each kept edge's LB becomes the largest of its old bound and the new
+    differences, and the edge stays iff w + LB <= limit + 1e-9, the slack
+    absorbing the rounding of the distances.  Rounds stop after the first
+    one that drops less than _ROUND_GAIN of the edges it started with.
+
+    Every edge of a cycle within the limit has w + D[y, x] <= limit in
+    every round's graph, so no round drops it and each round's graph
+    holds all those cycles; and a bound found on a graph bounds the
+    distances of each of its subgraphs, so the final LB <= D[y, x] on the
+    kept edges.
     """
     lam = min(_LANDMARK_REACH * float(limit), np.finfo(float).max)
-    within = np.flatnonzero(g.edge_w <= limit)
-    if within.size == 0:
-        return within, np.empty(0)
-    adj = g.csr(limit)
-    marks = np.unique(np.arange(_LANDMARKS) * g.n // _LANDMARKS)
-    fwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj), lam)   # D[L, x]
-    bwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj.T.tocsr()), lam)  # D[x, L]
-    kept, bounds = [], []
-    for lo in range(0, within.size, _BOUND_BLOCK):
-        e = within[lo:lo + _BOUND_BLOCK]
-        x, y = g.edge_u[e], g.edge_v[e]
-        bound = np.zeros(e.size)          # a bound of 0 or less keeps the edge anyway
-        for f, b in zip(fwd, bwd):        # one landmark row at a time, no (k, E) array
-            np.maximum(bound, f[x] - f[y], out=bound)
-            np.maximum(bound, b[y] - b[x], out=bound)
-        keep = g.edge_w[e] + bound <= limit + 1e-9
-        kept.append(e[keep])
-        bounds.append(bound[keep])
-    return _join(kept), _join(bounds)
+    kept = np.flatnonzero(g.edge_w <= limit)
+    if kept.size == 0:
+        return kept, np.zeros(0)
+    bounds = None          # round 1's blocks start from 0: no full-length zero array
+    for r, offset in enumerate(_ROUND_OFFSETS):
+        start = kept.size
+        if r == 0:
+            adj = g.csr(limit)
+        else:
+            adj = _adjacency(g.n, g.edge_u[kept], g.edge_v[kept], g.edge_w[kept])
+        marks = np.unique((np.arange(_LANDMARKS) + offset) * g.n // _LANDMARKS).astype(np.int64)
+        fwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj), lam)   # D[L, x]
+        bwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj.T.tocsr()), lam)  # D[x, L]
+        del adj
+        kept_parts, bound_parts = [], []
+        for lo in range(0, start, _BOUND_BLOCK):
+            e = kept[lo:lo + _BOUND_BLOCK]
+            x, y = g.edge_u[e], g.edge_v[e]
+            bound = np.zeros(e.size) if bounds is None else bounds[lo:lo + _BOUND_BLOCK].copy()
+            for f, b in zip(fwd, bwd):    # one landmark row at a time, no (k, E) array
+                np.maximum(bound, f[x] - f[y], out=bound)
+                np.maximum(bound, b[y] - b[x], out=bound)
+            keep = g.edge_w[e] + bound <= limit + 1e-9
+            kept_parts.append(e[keep])
+            bound_parts.append(bound[keep])
+        kept, bounds = _join(kept_parts), _join(bound_parts)
+        if kept.size == 0 or start - kept.size < _ROUND_GAIN * start:
+            break
+    return kept, bounds
 
 
 def compute_scr(g: ChainGraph, epsilon: float, cost_limit: float | None = None) -> ScrResult:

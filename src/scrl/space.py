@@ -324,6 +324,10 @@ class GridSpace:
         the floor, and the lowest of the equally near ids wins, so a tie
         across the wrap between n - 1 and 0 goes to 0.
 
+        Elsewhere the query points go in blocks of TABLE_BLOCK // n rows
+        (at least one), so no distance table holds more than TABLE_BLOCK
+        entries; each row's id depends on that row alone.
+
         For the roof, the best through-seam target factorizes exactly:
         min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
         equals min over i of entry(p, i) + to_grid_min[i].  Only the window
@@ -340,8 +344,9 @@ class GridSpace:
             tied = gap == gap.min(axis=1, keepdims=True)
             return np.where(tied, ids, self.n).min(axis=1)
         out = np.empty(pts.shape[0], dtype=np.int64)
-        for lo in range(0, pts.shape[0], 1024):
-            block = pts[lo:lo + 1024]
+        step = max(1, TABLE_BLOCK // self.n)
+        for lo in range(0, pts.shape[0], step):
+            block = pts[lo:lo + step]
             d = _euclid(block, self.points)
             best = d.argmin(axis=1)
             if self.domain == ROOF:
@@ -350,7 +355,7 @@ class GridSpace:
                 pick = start + via.argmin(axis=1)
                 better = via.min(axis=1) < best_val[rows]
                 best[rows[better]] = self.seam.to_grid_argmin[pick[better]]
-            out[lo:lo + 1024] = best
+            out[lo:lo + step] = best
         return out
 
     def thicken(self, ids, radius: float) -> np.ndarray:

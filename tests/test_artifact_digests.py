@@ -1,4 +1,4 @@
-"""Byte-identity pins: the SHA-256 of every artifact of six small runs.
+"""Byte-identity pins: the SHA-256 of every artifact of seven runs.
 
 A change that alters any of these bytes must update the digests here and
 say why in CHANGES.md; a change that only restructures the code must
@@ -19,6 +19,8 @@ RUNS = {
     "circle64": ["analyze", "--system", "circle", "--grid", "64"],
     "compare64": ["compare", "--system", "circle", "--grid", "64",
                   "--epsilon", "0.05", "--epsilon", "0.1"],
+    "compare1792": ["compare", "--system", "circle", "--grid", "1792",
+                    "--epsilon", "0.02", "--epsilon", "0.05", "--epsilon", "0.1"],
 }
 
 DIGESTS = {
@@ -96,6 +98,12 @@ DIGESTS = {
         "cr.json": "e741a36655e3867a88a8f4c1ea167ad9d896550a8373695d113928944c441b3f",
         "metadata.json": "3a73be892a172b356354adf6709249dd532a8b1dc41a872e468ef735fda72fb7",
         "scr.json": "855622a321459fac1c0c89dd7843782e59cff0815315c6836f3b102b1af9f099",
+    },
+    "compare1792": {
+        "compare.json": "045a2a4db9b17d9a6a39b090f43639a920696b2e5052daec3720d87296255110",
+        "cr.json": "43cc88feab15b49291e1b1a92f92871e7f133f07648a573ded5ebe831e78f31f",
+        "metadata.json": "96f873027bb6099913f0f0cfabd4739d801a2bd0452bdd744afb8485526226cb",
+        "scr.json": "e95b0baf8a6e152b4c862823d3500d00800cf440c96a5301a753ac596b1f16f6",
     },
 }
 

@@ -384,9 +384,10 @@ def test_return_costs_never_hold_more_than_64_rows(monkeypatch):
     monkeypatch.setattr(ChainGraph, "all_pairs", spy)
     g = _grid_graph("circle", "circle", 600)
     first = min_return_cost_all(g, 0.2)
-    # 16 landmarks forward and backward, then the chunks of the 599 sources
-    # that have a useful in-edge
-    assert rows == [16, 16, *[64] * 9, 23]
+    # one round of 8 landmarks forward and backward (it drops no edge, as
+    # every edge is far below the limit), then the chunks of the 599
+    # sources that have a useful in-edge
+    assert rows == [8, 8, *[64] * 9, 23]
     assert max(rows[2:]) <= 64
     # a second budget at the same limit reads the cached costs
     assert np.array_equal(min_return_cost_all(g, 0.2), first)
@@ -486,6 +487,10 @@ def _pruning_case(name):
         # is not useful; under a limit the keep rule drops it
         g = _edges_graph(2, [0, 0], [0, 1], [0.5, 0.25])
         return g, [0.5, 1.0]
+    if name == "nothing-within-the-limit":
+        # every edge weighs more than the limit: no landmark is searched
+        g = _edges_graph(4, [0, 1, 2, 3], [1, 2, 3, 0], [0.5, 0.5, 0.5, 0.5])
+        return g, [0.25]
     if name == "reach-overflows":
         # 2 * limit is inf, so unclipped rows meet inf - inf
         n = 40
@@ -498,7 +503,8 @@ def _pruning_case(name):
 PRUNING_CASES = ["dyadic-exact-limit", "decimal-exact-limit", "disconnected",
                  "fewer-nodes-than-landmarks", "zero-weights-and-self-loops",
                  "several-chunks", "reach-overflows", "cheap-loops-and-2-cycles",
-                 "useful-at-cap-slack", "only-self-loop-useful", "head-cannot-reach-tail"]
+                 "useful-at-cap-slack", "only-self-loop-useful", "head-cannot-reach-tail",
+                 "nothing-within-the-limit"]
 
 
 def _case_graphs(name):
@@ -520,50 +526,87 @@ def test_pruned_return_costs_match_dense_reduction(case):
     assert finite > 0
 
 
-def _dense_distances(g, limit, reach=None):
-    """n x n distances over the edges within ``limit``, searched up to
-    ``reach`` (the limit by default)."""
-    keep = g.edge_w <= limit
+def _dense_distances(g, limit, reach=None, edges=None):
+    """n x n distances over ``edges`` (by default those within ``limit``),
+    searched up to ``reach`` (the limit by default)."""
+    keep = g.edge_w <= limit if edges is None else edges
     adj = sp.csr_matrix((np.maximum(g.edge_w[keep], 1e-300),
                          (g.edge_u[keep], g.edge_v[keep])), shape=(g.n, g.n))
     return dijkstra(adj, directed=True, limit=limit if reach is None else reach)
 
 
+def _spy_searches(monkeypatch):
+    """Record the (sources, limit, adjacency) of every all_pairs call."""
+    from scrl.chaingraph import ChainGraph
+    calls = []
+    original = ChainGraph.all_pairs
+
+    def spy(self, limit=None, sources=None, adjacency=None):
+        calls.append((np.asarray(sources).tolist(), limit, adjacency))
+        return original(self, limit, sources=sources, adjacency=adjacency)
+
+    monkeypatch.setattr(ChainGraph, "all_pairs", spy)
+    return calls
+
+
+def _round_grids():
+    return [(_grid_graph("circle", "circle", 300), 0.1),
+            (_grid_graph("unit-square", "square", 18), 0.1),
+            (_grid_graph("roof", "roof", 20), 0.3)]
+
+
 @pytest.mark.parametrize("case", [*PRUNING_CASES, "grids"])
-def test_cycle_edges_keep_every_edge_within_the_limit(case):
-    if case == "grids":
-        pairs = [(_grid_graph("circle", "circle", 300), 0.1),
-                 (_grid_graph("unit-square", "square", 18), 0.1),
-                 (_grid_graph("roof", "roof", 20), 0.3)]
-    else:
-        pairs = _case_graphs(case)
+def test_cycle_edges_keep_every_edge_within_the_limit(case, monkeypatch):
+    """Every edge of a cycle within the limit is in every round's graph
+    and among the kept edges, and the return costs are the dense ones."""
+    calls = _spy_searches(monkeypatch)
+    pairs = _round_grids() if case == "grids" else _case_graphs(case)
     for g, limit in pairs:
         dist = _dense_distances(g, limit)
         needed = np.flatnonzero(g.edge_w + dist[g.edge_v, g.edge_u] <= limit)
+        calls.clear()
         kept = cycle_edges(g, limit)[0]
+        for _, _, adj in calls[::2]:         # each round's forward graph
+            assert np.all(adj.toarray()[g.edge_u[needed], g.edge_v[needed]] > 0)
         assert np.all(np.diff(kept) > 0)
         assert np.all(g.edge_w[kept] <= limit)
         assert np.all(np.isin(needed, kept)), (g.n, limit)
+        assert np.array_equal(min_return_cost_all(g, limit), _dense_return_costs(g, limit))
         if case == "grids":                  # and the landmarks do prune
             assert kept.size < 0.8 * np.count_nonzero(g.edge_w <= limit)
 
 
-def _landmark_bounds_reference(g, limit, landmarks=16):
-    """The documented landmark bound of every edge, with dense
-    (landmarks, edges) arrays; a bound is never below 0."""
+ROUND_OFFSETS = (0, 1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8, 3 / 8, 7 / 8)
+
+
+def _round_landmarks(n, offset, landmarks=8):
+    """The landmark ids of one round: evenly spaced, shifted by ``offset``
+    of their spacing."""
+    return np.unique(np.floor((np.arange(landmarks) + offset) * n / landmarks).astype(int))
+
+
+def _landmark_rounds_reference(g, limit, landmarks=8):
+    """The documented rounds rule with dense n x n distances and dense
+    (landmarks, edges) arrays: the edge ids each round starts with, the
+    edges kept at the end, and every edge's bound (never below 0)."""
     lam = min(2 * limit, np.finfo(float).max)
-    marks = np.unique(np.arange(landmarks) * g.n // landmarks)
-    dist = np.minimum(_dense_distances(g, limit, lam), lam)   # clipped to lam
     x, y = g.edge_u, g.edge_v
-    fwd = dist[marks][:, x] - dist[marks][:, y]        # D[L, x] - D[L, y]
-    bwd = dist[y][:, marks] - dist[x][:, marks]        # D[y, L] - D[x, L]
-    return np.maximum(np.maximum(fwd.max(axis=0), bwd.max(axis=1)), 0.0)
-
-
-def _keep_rule_reference(g, limit, landmarks=16):
-    """The documented keep rule with dense (landmarks, edges) arrays."""
-    bound = _landmark_bounds_reference(g, limit, landmarks)
-    return np.flatnonzero((g.edge_w <= limit) & (g.edge_w + bound <= limit + 1e-9))
+    kept = np.flatnonzero(g.edge_w <= limit)
+    bound = np.zeros(g.n_edges)
+    rounds = []
+    for offset in ROUND_OFFSETS:
+        if kept.size == 0:
+            break
+        rounds.append(kept)
+        marks = _round_landmarks(g.n, offset, landmarks)
+        dist = np.minimum(_dense_distances(g, limit, lam, edges=kept), lam)   # clipped to lam
+        fwd = dist[marks][:, x] - dist[marks][:, y]        # D[L, x] - D[L, y]
+        bwd = dist[y][:, marks] - dist[x][:, marks]        # D[y, L] - D[x, L]
+        bound = np.maximum(bound, np.maximum(fwd.max(axis=0), bwd.max(axis=1)))
+        kept = kept[g.edge_w[kept] + bound[kept] <= limit + 1e-9]
+        if rounds[-1].size - kept.size < rounds[-1].size / 16:
+            break
+    return rounds, kept, bound
 
 
 def test_cycle_edges_follow_the_keep_rule():
@@ -580,15 +623,68 @@ def test_cycle_edges_follow_the_keep_rule():
         pairs += _case_graphs(case)
     for g, limit in pairs:
         kept, bound = cycle_edges(g, limit)
-        assert np.array_equal(kept, _keep_rule_reference(g, limit))
-        assert np.allclose(bound, _landmark_bounds_reference(g, limit)[kept], rtol=0, atol=1e-12)
+        _, want, want_bound = _landmark_rounds_reference(g, limit)
+        assert np.array_equal(kept, want)
+        assert np.allclose(bound, want_bound[kept], rtol=0, atol=1e-12)
+
+
+def _ring_per_round():
+    """64 nodes in 8 rings of 8, ring s through the ids 8k + s, and a zero
+    self-loop at every node: each round's landmarks fill one ring, bound
+    its edges exactly and drop the ring (a cycle of 1 > limit 0.5).  The
+    first round drops 8 of 128 edges, exactly 1/16, so a second follows;
+    every round drops 8 edges and the rounds end at the cap."""
+    ids = np.arange(64)
+    u = np.r_[ids, ids]
+    v = np.r_[(ids + 8) % 64, ids]
+    return _edges_graph(64, u, v, np.r_[np.full(64, 0.125), np.zeros(64)]), 0.5
+
+
+def test_each_round_searches_the_edges_the_last_one_kept(monkeypatch):
+    calls = _spy_searches(monkeypatch)
+    pairs = [_ring_per_round(), *_round_grids()]
+    for case in PRUNING_CASES:
+        pairs += _case_graphs(case)
+    several = stopped = 0
+    for g, limit in pairs:
+        calls.clear()
+        kept = cycle_edges(g, limit)[0]
+        starts, want, _ = _landmark_rounds_reference(g, limit)
+        assert np.array_equal(kept, want)
+        assert len(calls) == 2 * len(starts) <= 16
+        lam = min(2 * limit, np.finfo(float).max)
+        for r, start in enumerate(starts):
+            (fsources, flimit, fwd), (bsources, blimit, bwd) = calls[2 * r:2 * r + 2]
+            marks = _round_landmarks(g.n, ROUND_OFFSETS[r]).tolist()
+            assert fsources == bsources == marks and flimit == blimit == lam
+            # round r searches exactly the edges kept after round r - 1,
+            # forward and reversed
+            fwd, bwd = fwd.tocoo(), bwd.tocoo()
+            assert np.array_equal(fwd.row, g.edge_u[start])
+            assert np.array_equal(fwd.col, g.edge_v[start])
+            assert np.array_equal(fwd.data, np.maximum(g.edge_w[start], 1e-300))
+            assert sorted(zip(bwd.col, bwd.row)) == sorted(zip(fwd.row, fwd.col))
+        sizes = [start.size for start in starts] + [kept.size]
+        for begin, end in zip(sizes[:-2], sizes[1:-1]):
+            assert begin - end >= begin / 16          # all but the last drop at least 1/16
+        if len(starts):
+            begin, end = sizes[-2:]
+            assert begin - end < begin / 16 or len(starts) == 8 or end == 0
+            stopped += begin - end < begin / 16
+        several += len(starts) > 1
+    assert several > 0 and stopped > 0
+    g, limit = pairs[0]
+    starts, kept, _ = _landmark_rounds_reference(g, limit)
+    assert [start.size for start in starts] == [128 - 8 * r for r in range(8)]
+    assert np.array_equal(g.edge_u[kept], g.edge_v[kept]) and kept.size == 64
+    assert np.array_equal(min_return_cost_all(g, limit), np.zeros(64))
 
 
 def _depth_rule_reference(g, limit, chunk=64):
     """(sources, reach) of each return-cost search under the documented
     depth rule, edge by edge in plain Python; no limit is limit +inf."""
     want = np.inf if limit is None else limit
-    kept, bound = _keep_rule_reference(g, want), _landmark_bounds_reference(g, want)
+    _, kept, bound = _landmark_rounds_reference(g, want)
     edges = [(int(g.edge_u[e]), int(g.edge_v[e]), g.edge_w[e], bound[e]) for e in kept]
     weight = {(u, v): w for u, v, w, _ in edges}
     cap = [want] * g.n
@@ -608,7 +704,7 @@ def _depth_rule_reference(g, limit, chunk=64):
                                   "zero-weights-and-self-loops", "several-chunks",
                                   "cheap-loops-and-2-cycles", "useful-at-cap-slack",
                                   "only-self-loop-useful", "head-cannot-reach-tail",
-                                  "grids"])
+                                  "nothing-within-the-limit", "grids"])
 def test_return_cost_searches_follow_the_depth_rule(case, monkeypatch):
     from scrl.chaingraph import ChainGraph
     calls = []
@@ -629,9 +725,11 @@ def test_return_cost_searches_follow_the_depth_rule(case, monkeypatch):
     for g, limit in {(id(g), limit): (g, limit) for g, limit in pairs}.values():
         calls.clear()                     # once per limit: a repeat reads the cache
         min_return_cost_all(g, limit)
-        landmarks = 2 if np.any(g.edge_w <= (np.inf if limit is None else limit)) else 0
+        rounds = _landmark_rounds_reference(g, np.inf if limit is None else limit)[0]
+        landmarks = calls[:2 * len(rounds)]          # forward and backward per round
+        assert all(len(sources) <= 8 for sources, _ in landmarks)
         want = _depth_rule_reference(g, limit)
-        assert calls[landmarks:] == want, (g.n, limit)
+        assert calls[2 * len(rounds):] == want, (g.n, limit)
         shallow += sum(reach < (np.inf if limit is None else limit) for _, reach in want)
         skipped += g.n - sum(len(sources) for sources, _ in want)
     assert shallow > 0 or skipped > 0      # the rule does cut searches

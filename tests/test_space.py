@@ -129,6 +129,32 @@ def test_nearest_matches_metric(roof12):
     assert np.array_equal(got, full.argmin(axis=1))
 
 
+@pytest.mark.parametrize("domain,n", [("roof", 12), ("unit-square", 10)])
+def test_nearest_blocks_hold_at_most_table_block_entries(domain, n, monkeypatch):
+    s = build_grid(domain, n)
+    rng = np.random.default_rng(n)
+    xs = rng.uniform(0, 1, 300)
+    ys = rng.uniform(0, 1, 300) * (roof_height(xs) if domain == "roof" else 1.0)
+    pts = np.concatenate([np.column_stack([xs, ys]), s.points])
+    want = s.nearest(pts)                         # one block at this size
+    assert np.array_equal(want, s.dist_coords_to_grid(pts).argmin(axis=1))
+    tables = []
+
+    def spy(a, b):
+        if b.shape[0] == s.n:
+            tables.append(a.shape[0])
+        return _euclid(a, b)
+
+    monkeypatch.setattr(scrl.space, "TABLE_BLOCK", 7 * s.n + 3)
+    monkeypatch.setattr(scrl.space, "_euclid", spy)
+    assert np.array_equal(s.nearest(pts), want)
+    assert tables == [7] * (pts.shape[0] // 7) + [pts.shape[0] % 7]
+    monkeypatch.setattr(scrl.space, "TABLE_BLOCK", s.n - 1)     # still one row a block
+    tables.clear()
+    assert np.array_equal(s.nearest(pts[:5]), want[:5])
+    assert tables == [1] * 5
+
+
 def test_nearest_tie_breaks_low():
     s = build_grid("circle", 8)
     # exactly between grid points 0 and 1

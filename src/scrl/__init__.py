@@ -4,10 +4,9 @@ __version__ = "0.1.0"
 
 from .chaingraph import (ChainGraph, ScrResult, build_chain_graph, compute_cr,
                          compute_scr, min_return_cost_all, omega_budget)
-from .flows import FlowModel, GridTransition, build_transition, flow_map, make_flow
+from .flows import FlowModel, GridTransition, build_transition, make_flow
 from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
-                       discounted_integral, level_function, sup_along_orbit,
-                       verify_lyapunov)
+                       discounted_integral, sup_along_orbit, verify_lyapunov)
 from .orbits import OrbitData, build_orbit_data
 from .pairs import PairCatalog, enumerate_pairs, select_cover
 from .space import GridSpace, PointId, build_grid
@@ -18,9 +17,9 @@ from .stablesets import (StablePair, build_strongly_stable, complementary,
 __all__ = [
     "ChainGraph", "ScrResult", "build_chain_graph", "compute_cr", "compute_scr",
     "min_return_cost_all", "omega_budget",
-    "FlowModel", "GridTransition", "build_transition", "flow_map", "make_flow",
+    "FlowModel", "GridTransition", "build_transition", "make_flow",
     "CombinedLyapunov", "LyapunovField", "combine_pairs", "discounted_integral",
-    "level_function", "sup_along_orbit", "verify_lyapunov",
+    "sup_along_orbit", "verify_lyapunov",
     "OrbitData", "build_orbit_data",
     "PairCatalog", "enumerate_pairs", "select_cover",
     "GridSpace", "PointId", "build_grid",

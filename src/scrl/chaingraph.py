@@ -81,6 +81,7 @@ class ChainGraph:
             self._csr = (limit, _adjacency(self.n, u, v, w))
         return self._csr[1]
 
+    # Kept as a method because the perfbench tracer and the test spies wrap it by name.
     def all_pairs(self, limit: float, sources, adjacency: sp.csr_matrix) -> np.ndarray:
         """Shortest path costs D[s, v] from each of ``sources`` on
         ``adjacency`` (this graph's ``csr``, a subgraph or a transpose);
@@ -427,9 +428,3 @@ def export_graph_csv(g: ChainGraph, path) -> None:
         for u, v, m, w in zip(g.edge_u, g.edge_v, g.edge_m, g.edge_w):
             writer.writerow([int(u), int(v), int(m), repr(float(w))])
 
-
-def import_graph_csv(path, n: int, **kwargs) -> ChainGraph:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        edges = [(int(r["u"]), int(r["v"]), int(r["m"]), float(r["w"])) for r in reader]
-    return graph_from_edges(n, edges, **kwargs)

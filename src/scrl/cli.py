@@ -67,7 +67,7 @@ class RunConfig:
     @property
     def budgets(self) -> list:
         """The budgets scr and cr run at, ascending; epsilon is the smallest."""
-        return sorted(self.epsilons) or [self.epsilon]
+        return sorted(set(self.epsilons)) or [self.epsilon]
 
     @property
     def grid(self) -> int:

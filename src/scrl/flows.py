@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import CIRCLE, ROOF, UNIT_SQUARE, GridSpace, circle_gap, roof_height
+from .space import CIRCLE, ROOF, UNIT_SQUARE, GridSpace, roof_height
 
 CIRCLE_MARKERS = {"B": 0.0, "C": 0.375, "D": 0.625, "A": 0.875, "E": 0.9375}
 
@@ -125,25 +125,6 @@ def make_flow(system: str, params: dict | None = None) -> FlowModel:
     raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS[:-1]}")
 
 
-def flow_map(flow: FlowModel, x, t: float):
-    """phi_t(x) for a single point; validates domain membership.  ``x`` is
-    not modified."""
-    x = np.array(x, dtype=float).reshape(1, -1)
-    if flow.domain == CIRCLE:
-        x = x % 1.0
-    elif flow.domain == UNIT_SQUARE:
-        if not ((0 <= x[0, 0] <= 1) and (0 <= x[0, 1] <= 1)):
-            raise ValueError(f"point {tuple(x[0])} outside the unit square")
-    elif flow.domain == ROOF:
-        tau = float(roof_height(x[0, 0]))
-        if not (0 <= x[0, 0] <= 1) or x[0, 1] < 0 or x[0, 1] > tau + 1e-12:
-            raise ValueError(f"point {tuple(x[0])} outside the roof domain")
-        if x[0, 1] >= tau:           # identified with the floor
-            x[0, 1] = 0.0
-    out = flow.evaluate(x, t)[0]
-    return float(out[0]) if out.size == 1 else tuple(float(v) for v in out)
-
-
 # -- circle ------------------------------------------------------------
 
 
@@ -154,18 +135,6 @@ def _validate_markers(m: dict) -> None:
     gaps = np.diff(order)
     if not np.all(gaps > 0):
         raise ValueError("circle markers must be ordered B < C < D < A < E clockwise")
-
-
-def circle_fixed_distance(theta, markers: dict):
-    """Distance from circle positions to the fixed set (arc AE..B, C, D)."""
-    theta = np.asarray(theta, dtype=float) % 1.0
-    b, c, d, a = markers["B"], markers["C"], markers["D"], markers["A"]
-    in_arc = (theta >= a) | (theta <= b)   # closed arc from A through E to B
-    dist = np.minimum.reduce([
-        circle_gap(theta, a), circle_gap(theta, b),
-        circle_gap(theta, c), circle_gap(theta, d),
-    ])
-    return np.where(in_arc, 0.0, dist)
 
 
 def _wander_phase(u: np.ndarray, length: float, t: float) -> np.ndarray:

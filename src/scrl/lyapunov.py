@@ -3,8 +3,8 @@
 For one stable pair the construction is a three-stage pipeline evaluated
 on the shared orbit lattice:
 
-* the level function ``l`` measures how deep a point sits in the nested
-  neighborhoods of B, saturating at 1 once past the avoider level;
+* the level function ``l(x) = min(d(x, B) / (R * eta0), 1)`` is 0
+  exactly on B and saturates at 1 once past the avoider level;
 * ``k`` is the supremum of ``l`` along the forward orbit, computed as a
   suffix maximum over the sampled orbit, which makes monotonicity along
   the lattice structural rather than numerical;
@@ -52,20 +52,10 @@ class CombinedLyapunov:
     H_values: np.ndarray = field(repr=False)
     n_pairs: int
 
-    @property
-    def tail_bound(self) -> float:
-        return 1.5 * 3.0 ** (-self.n_pairs)
-
 
 def effective_eta0(pair: StablePair) -> float:
     """Pairs without an avoider level fall back to the full scale."""
     return pair.eta0 if pair.eta0 is not None else 1.0
-
-
-def level_function(pair: StablePair, space: GridSpace) -> np.ndarray:
-    """l(x) = min(d(x, B) / (R * eta0), 1): 0 exactly on B, 1 past the avoider level."""
-    d = space.dist_coords_to_subset(space.points, pair.B)
-    return np.minimum(d / (pair.R * effective_eta0(pair)), 1.0)
 
 
 def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,

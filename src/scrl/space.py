@@ -235,27 +235,6 @@ class GridSpace:
 
     # -- distances ----------------------------------------------------
 
-    def coord_distance(self, a, b) -> float:
-        """Metric distance between two coordinate tuples (not ids)."""
-        a = np.asarray(a, dtype=float).reshape(1, -1)
-        b = np.asarray(b, dtype=float).reshape(1, -1)
-        if self.domain == CIRCLE:
-            return float(circle_gap(a[0, 0], b[0, 0]))
-        direct = float(_euclid(a, b)[0, 0])
-        if self.domain == UNIT_SQUARE:
-            return direct
-        ea = self.seam.entry_costs(a)[0]
-        eb = self.seam.entry_costs(b)[0]
-        # commutative pair sum first, so d(a, b) == d(b, a) bit for bit
-        through = float(((ea[:, None] + eb[None, :]) + self.seam.closure).min())
-        return min(direct, through)
-
-    def distance(self, p: PointId, q: PointId) -> float:
-        """Metric distance between two grid points."""
-        self._check_id(p)
-        self._check_id(q)
-        return self.coord_distance(self.points[p], self.points[q])
-
     def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
         """Dense (k, n) matrix of distances from query coords to all grid points.
 
@@ -363,10 +342,6 @@ class GridSpace:
         cutoff = radius + 1e-12
         d = next(self.dist_rows_to_subsets([self.points], [ids], cutoff))[0]
         return np.nonzero(d <= cutoff)[0]
-
-    def _check_id(self, p: PointId) -> None:
-        if not 0 <= p < self.n:
-            raise IndexError(f"point id {p} out of range [0, {self.n})")
 
 
 def build_grid(domain: str, n: int) -> GridSpace:

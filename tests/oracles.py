@@ -152,18 +152,19 @@ def _full_min_plus(a, b, rows=16):
                            for lo in range(0, a.shape[0], rows)])
 
 
+def _seam_entry(seam, pts):
+    """(k, m) cost from each point to each seam sample: the nearer of the
+    sample's top and bottom copies."""
+    return np.minimum(direct_distances(pts, seam.top), direct_distances(pts, seam.bot))
+
+
 def through_seam(space, pts):
     """(k, n) roof distances that cross the seam, over full tables: every
     seam sample enters every minimum, with entry costs the nearer of the
     sample's top and bottom copies and seam-to-grid costs closed over
     every sample."""
-    seam = space.seam
-
-    def entry(q):
-        return np.minimum(direct_distances(q, seam.top), direct_distances(q, seam.bot))
-
-    to_grid = _full_min_plus(seam.closure, entry(space.points).T)
-    return _full_min_plus(entry(np.atleast_2d(pts)), to_grid)
+    to_grid = _full_min_plus(space.seam.closure, _seam_entry(space.seam, space.points).T)
+    return _full_min_plus(_seam_entry(space.seam, np.atleast_2d(pts)), to_grid)
 
 
 def grid_distances(space, pts):
@@ -177,6 +178,20 @@ def grid_distances(space, pts):
     if space.domain == "roof":
         np.minimum(d, through_seam(space, pts), out=d)
     return d
+
+
+def pair_distance(space, a, b):
+    """Distance between two coordinate tuples, symmetric bit for bit: on the
+    roof the two entry costs are summed before the seam closure is added."""
+    a, b = (np.asarray(p, dtype=float).reshape(1, -1) for p in (a, b))
+    if space.domain == "circle":
+        gap = abs(a[0, 0] % 1.0 - b[0, 0] % 1.0)
+        return float(min(gap, 1.0 - gap))
+    direct = float(direct_distances(a, b)[0, 0])
+    if space.domain != "roof":
+        return direct
+    ea, eb = _seam_entry(space.seam, a)[0], _seam_entry(space.seam, b)[0]
+    return min(direct, float(((ea[:, None] + eb[None, :]) + space.seam.closure).min()))
 
 
 def random_digraph(rng, max_nodes=200):

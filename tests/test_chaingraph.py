@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from scipy.sparse.csgraph import dijkstra
 from hypothesis import given, settings, strategies as st
 
 from scrl.chaingraph import (build_chain_graph, compute_cr, compute_scr, cycle_edges,
-                             export_graph_csv, graph_from_edges, import_graph_csv,
-                             min_return_cost_all, omega_budget)
+                             export_graph_csv, graph_from_edges, min_return_cost_all,
+                             omega_budget)
 from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
 from scrl.space import build_grid
@@ -234,7 +235,10 @@ def test_export_import_round_trip(tmp_path, identity_circle8):
     _, _, _, g = identity_circle8
     path = tmp_path / "graph.csv"
     export_graph_csv(g, path)
-    g2 = import_graph_csv(path, g.n, resolution=g.resolution)
+    with open(path, newline="") as fh:
+        edges = [(int(r["u"]), int(r["v"]), int(r["m"]), float(r["w"]))
+                 for r in csv.DictReader(fh)]
+    g2 = graph_from_edges(g.n, edges, resolution=g.resolution)
     assert np.array_equal(g.edge_u, g2.edge_u)
     assert np.array_equal(g.edge_v, g2.edge_v)
     assert np.array_equal(g.edge_m, g2.edge_m)

@@ -44,6 +44,16 @@ def test_scr_epsilon_sweep_nested(tmp_path):
     assert set(small["members"]) <= set(big["members"])
 
 
+def test_repeated_epsilon_runs_once(tmp_path):
+    out = tmp_path / "twice"
+    code = run(["compare", "--system", "circle", "--grid", "64",
+                "--epsilon", "0.05", "--epsilon", "0.05", "--out", str(out)])
+    assert code == 0
+    for name in ("scr.json", "cr.json"):
+        results = json.loads((out / name).read_text())["results"]
+        assert [r["epsilon"] for r in results] == [0.05], name
+
+
 def test_compare_reports_inclusion(tmp_path):
     out = tmp_path / "cmp"
     code = run(["compare", "--system", "circle", "--grid", "64",

@@ -5,10 +5,17 @@ from scipy.integrate import solve_ivp
 
 from scrl import flows
 from scrl.flows import (CIRCLE_MARKERS, ROOF_DRIFT_CAP, ROOF_DRIFT_RATE,
-                        ROOF_STRIP_HALF_WIDTH, build_transition, circle_fixed_distance,
-                        flow_map, load_sampled_transition, make_flow)
+                        ROOF_STRIP_HALF_WIDTH, build_transition, load_sampled_transition,
+                        make_flow)
 from scrl.orbits import build_orbit_data
 from scrl.space import build_grid, circle_gap, roof_height
+
+from oracles import grid_distances
+
+
+def phi(flow, x, t):
+    """phi_t(x) for the single point ``x``, as its row of ``flow.evaluate``."""
+    return flow.evaluate(np.array([x], float), t)[0]
 
 
 @pytest.fixture(scope="module")
@@ -32,43 +39,51 @@ def roof_flow():
 def test_circle_markers_fixed(circle_flow):
     for t in (0.1, 1.0, 17.0):
         for theta in (CIRCLE_MARKERS["C"], CIRCLE_MARKERS["D"]):
-            assert flow_map(circle_flow, [theta], t) == theta
+            assert phi(circle_flow, [theta], t)[0] == theta
 
 
 def test_circle_arc_AE_through_B_fixed(circle_flow):
     # the whole closed arc from A through E to B is fixed
     for theta in (0.875, 0.9, 0.9375, 0.97, 0.0):
-        assert flow_map(circle_flow, [theta], 5.0) == theta
+        assert phi(circle_flow, [theta], 5.0)[0] == theta
 
 
 def test_circle_flows_clockwise(circle_flow):
     for theta in (0.05, 0.2, 0.45, 0.7):
-        out = flow_map(circle_flow, [theta], 0.5)
+        out = phi(circle_flow, [theta], 0.5)[0]
         assert out > theta
 
 
 def test_square_fixed_segments(square_flow):
-    assert flow_map(square_flow, (0.3, 1.0), 7.0) == (0.3, 1.0)
-    assert flow_map(square_flow, (0.8, 0.0), 7.0) == (0.8, 0.0)
+    assert phi(square_flow, (0.3, 1.0), 7.0).tolist() == [0.3, 1.0]
+    assert phi(square_flow, (0.8, 0.0), 7.0).tolist() == [0.8, 0.0]
 
 
 def test_square_interior_drains_south(square_flow):
-    ys = [flow_map(square_flow, (0.3, 0.5), t)[1] for t in (0.0, 1.0, 2.0, 5.0, 20.0)]
+    ys = [phi(square_flow, (0.3, 0.5), t)[1] for t in (0.0, 1.0, 2.0, 5.0, 20.0)]
     assert all(a > b for a, b in zip(ys, ys[1:]))
     assert ys[-1] < 1e-6
-    assert all(flow_map(square_flow, (0.3, 0.5), t)[0] == 0.3 for t in (1.0, 9.0))
+    assert all(phi(square_flow, (0.3, 0.5), t)[0] == 0.3 for t in (1.0, 9.0))
 
 
 # -- chosen speed profiles against an independent integrator ------------
 
 
+def circle_fixed_distance(theta, markers):
+    """Distance from a circle position to the fixed set (arc A..E..B, C, D)."""
+    theta = theta % 1.0
+    if theta >= markers["A"] or theta <= markers["B"]:    # closed arc from A through E to B
+        return 0.0
+    return min(float(circle_gap(theta, markers[k])) for k in "ABCD")
+
+
 def test_circle_profile_matches_ode(circle_flow):
     def rhs(t, y):
-        return [float(circle_fixed_distance(y[0], CIRCLE_MARKERS))]
+        return [circle_fixed_distance(y[0], CIRCLE_MARKERS)]
 
     for theta0 in (0.05, 0.3, 0.5, 0.8):
         sol = solve_ivp(rhs, (0, 2.0), [theta0], rtol=1e-10, atol=1e-12)
-        assert flow_map(circle_flow, [theta0], 2.0) == pytest.approx(
+        assert phi(circle_flow, [theta0], 2.0)[0] == pytest.approx(
             sol.y[0, -1] % 1.0, abs=1e-7)
 
 
@@ -78,7 +93,7 @@ def test_square_profile_matches_ode(square_flow):
 
     for y0 in (0.2, 0.5, 0.9):
         sol = solve_ivp(rhs, (0, 3.0), [y0], rtol=1e-10, atol=1e-12)
-        assert flow_map(square_flow, (0.5, y0), 3.0)[1] == pytest.approx(
+        assert phi(square_flow, (0.5, y0), 3.0)[1] == pytest.approx(
             sol.y[0, -1], abs=1e-7)
 
 
@@ -89,8 +104,8 @@ def test_square_profile_matches_ode(square_flow):
 @given(st.floats(0.001, 0.999), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_circle_semigroup(theta, s, t):
     f = make_flow("circle")
-    a = flow_map(f, [theta], s + t)
-    b = flow_map(f, [flow_map(f, [theta], t)], s)
+    a = phi(f, [theta], s + t)[0]
+    b = phi(f, phi(f, [theta], t), s)[0]
     assert circle_gap(a, b) <= 1e-9
 
 
@@ -98,9 +113,9 @@ def test_circle_semigroup(theta, s, t):
 @given(st.floats(0.0, 1.0), st.floats(0.001, 0.999), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_square_semigroup(x, y, s, t):
     f = make_flow("square")
-    ax, ay = flow_map(f, (x, y), s + t)
-    bx, by = flow_map(f, (x, y), t)
-    cx, cy = flow_map(f, (bx, by), s)
+    ax, ay = phi(f, (x, y), s + t)
+    bx, by = phi(f, (x, y), t)
+    cx, cy = phi(f, (bx, by), s)
     assert abs(ax - cx) + abs(ay - cy) <= 1e-9
 
 
@@ -124,8 +139,8 @@ def test_semigroup_bulk_thousand(system):
 
 def test_circle_marker_override():
     f = make_flow("circle", {"C": 0.4})
-    assert flow_map(f, [0.4], 3.0) == 0.4           # moved fixed point
-    assert flow_map(f, [0.375], 1.0) > 0.375        # old position now drifts
+    assert phi(f, [0.4], 3.0)[0] == 0.4             # moved fixed point
+    assert phi(f, [0.375], 1.0)[0] > 0.375          # old position now drifts
     with pytest.raises(ValueError, match="ordered"):
         make_flow("circle", {"C": 0.9})
 
@@ -146,33 +161,34 @@ def test_roof_semigroup_bulk(roof_flow):
 
 def test_negative_time_rejected(circle_flow, roof_flow):
     with pytest.raises(ValueError):
-        flow_map(circle_flow, [0.2], -0.5)
+        phi(circle_flow, [0.2], -0.5)
     with pytest.raises(ValueError):
         roof_flow.evaluate(np.array([[0.5, 0.1]]), -1.0)
 
 
 def test_outside_domain_rejected(square_flow, roof_flow):
     with pytest.raises(ValueError):
-        flow_map(square_flow, (1.5, 0.5), 1.0)
+        phi(square_flow, (1.5, 0.5), 1.0)
     with pytest.raises(ValueError):
-        flow_map(roof_flow, (0.5, 0.9), 1.0)   # above the ridge height
+        phi(roof_flow, (0.5, 0.9), 1.0)        # above the ridge height
 
 
 # -- roof specifics -------------------------------------------------------
 
 
-def test_flow_map_leaves_its_input_alone(roof_flow):
-    p = np.array([0.2, roof_height(0.2)])        # on the roof: identified with the floor
+def test_evaluate_leaves_its_input_alone(roof_flow):
+    p = np.array([[0.2, roof_height(0.2)]])      # on the roof: identified with the floor
     before = p.copy()
-    flow_map(roof_flow, p, 0.5)
+    out = roof_flow.evaluate(p, 0.5)
     assert p.tobytes() == before.tobytes()
+    assert out.tobytes() == roof_flow.evaluate(np.array([[0.2, 0.0]]), 0.5).tobytes()
 
 
 def test_roof_strip_periodicity(roof_flow):
     for x in (0.42, 0.5, 0.58):
         tau = float(roof_height(x))
         for y in (0.0, 0.1):
-            out = flow_map(roof_flow, (x, y), tau)
+            out = phi(roof_flow, (x, y), tau)
             assert out[0] == pytest.approx(x)
             gap = abs(out[1] - y)
             assert min(gap, tau - gap) <= 1e-9
@@ -422,9 +438,7 @@ def test_transition_projection_error_bounded():
         f = make_flow(system)
         tr = build_transition(f, s, 1.0, 2)
         for m in range(2):
-            d = np.array([
-                s.coord_distance(tr.exact_images[m, u], s.points[tr.images[m, u]])
-                for u in range(s.n)])
+            d = grid_distances(s, tr.exact_images[m])[np.arange(s.n), tr.images[m]]
             assert d.max() <= s.resolution + 1e-9
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,13 +8,14 @@ from scrl import lyapunov
 from scrl.chaingraph import ScrResult, build_chain_graph
 from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
-from scrl.lyapunov import (combine_pairs, combined_at_shift, discounted_integral,
-                           level_function, sup_along_orbit, verify_lyapunov)
+from scrl.lyapunov import combine_pairs, combined_at_shift, sup_along_orbit, verify_lyapunov
 from scrl.orbits import build_orbit_data
 from scrl.space import QUERY_BLOCK, build_grid, circle_gap
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
                              find_eta0_and_bstar, grid_image_orbit,
                              nested_neighborhoods, omega_limits_all)
+
+from oracles import grid_distances
 
 S_MAX = 20.0
 
@@ -46,15 +48,25 @@ def matched_pair(circle_system):
                       T_table=nn["T_table"], B_star=B_star)
 
 
-@pytest.fixture(scope="module")
-def square_selected_pair():
-    """The first selected pair of square 20, whose cell centers are not dyadic."""
-    bundle = build_bundle(RunConfig(system="square", grid_n=20))
+def _analyzed_pairs(system, n):
+    """Space, orbit table and pair catalog of an analyze run."""
+    bundle = build_bundle(RunConfig(system=system, grid_n=n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         scr = stage_scr(bundle, [bundle.cfg.epsilon])[0]
     catalog = stage_pairs(bundle, scr)
-    return catalog.pairs[catalog.selected[0]], bundle.space
+    return bundle.space, bundle.ensure_orbit(), catalog
+
+
+@pytest.fixture(scope="module")
+def square20_catalog():
+    """Square 20, whose cell centers are not dyadic."""
+    return _analyzed_pairs("square", 20)
+
+
+@pytest.fixture(scope="module")
+def roof16_catalog():
+    return _analyzed_pairs("roof", 16)
 
 
 @pytest.fixture(scope="module")
@@ -66,23 +78,44 @@ def matched_field(matched_pair, circle_system):
 # -- level function ----------------------------------------------------------
 
 
-def test_level_zero_on_core_one_on_avoiders(matched_pair, circle_system,
-                                            square_selected_pair):
-    for pair, s in ((matched_pair, circle_system[0]), square_selected_pair):
-        l = level_function(pair, s)
+def test_level_zero_on_core_one_on_avoiders(matched_pair, matched_field, square20_catalog):
+    s, orbit, catalog = square20_catalog
+    square_pair = catalog.pairs[catalog.selected[0]]
+    square_field = sup_along_orbit([square_pair], s, orbit, s_max=S_MAX)[0]
+    for pair, fld in ((matched_pair, matched_field), (square_pair, square_field)):
+        l = fld.l_values
         assert np.all(l[pair.B] == 0)
         assert np.all(l[pair.B_star] == 1)
         assert np.all((0 <= l) & (l <= 1))
 
 
-def test_level_linear_in_distance(matched_pair, circle_system):
+def test_level_linear_in_distance(matched_pair, matched_field, circle_system):
     s = circle_system[0]
-    l = level_function(matched_pair, s)
+    l = matched_field.l_values
     scale = matched_pair.R * matched_pair.eta0
     d = s.dist_coords_to_subset(s.points, matched_pair.B)
     mid = np.nonzero(np.isclose(d, scale / 2))[0]
     assert mid.size > 0
     assert np.allclose(l[mid], 0.5)
+
+
+@pytest.mark.parametrize("system", ["circle", "square", "roof"])
+def test_level_values_match_grid_distance_oracle(system, request):
+    # l = min(d(x, B) / (R * eta0), 1), with eta0 = 1 when no avoider level exists
+    if system == "circle":
+        s, _, _, orbit = request.getfixturevalue("circle_system")
+        pair = request.getfixturevalue("matched_pair")
+        pairs = [pair, dataclasses.replace(pair, eta0=None)]
+    else:
+        s, orbit, catalog = request.getfixturevalue(
+            {"square": "square20_catalog", "roof": "roof16_catalog"}[system])
+        pairs = catalog.pairs
+    assert pairs
+    D = grid_distances(s, s.points)
+    for pair, fld in zip(pairs, sup_along_orbit(pairs, s, orbit, s_max=S_MAX)):
+        eta0 = 1.0 if pair.eta0 is None else pair.eta0
+        want = np.minimum(D[:, pair.B].min(axis=1) / (pair.R * eta0), 1.0)
+        assert fld.l_values.tobytes() == want.tobytes()
 
 
 # -- orbit supremum ------------------------------------------------------------
@@ -213,11 +246,10 @@ def test_truncation_soundness(matched_pair, circle_system):
 def test_combine_trivial_cases(matched_field):
     n = matched_field.h_values.size
     zero = combine_pairs([], n)
-    assert zero.n_pairs == 0 and zero.tail_bound == pytest.approx(1.5)
+    assert zero.n_pairs == 0
     assert np.array_equal(zero.H_values, np.zeros(n))
     one = combine_pairs([matched_field], n)
     assert np.array_equal(one.H_values, matched_field.h_values)
-    assert one.tail_bound == pytest.approx(0.5)
 
 
 def test_combine_same_field_twice(matched_field):
@@ -341,16 +373,11 @@ def test_batched_sup_along_orbit_matches_single_pairs_circle(matched_pair, circl
     assert sup_along_orbit([], s, orbit, s_max=S_MAX) == []
 
 
-def test_sup_along_orbit_cutoff_keeps_roof16_fields(monkeypatch):
+def test_sup_along_orbit_cutoff_keeps_roof16_fields(roof16_catalog, monkeypatch):
     # the selected pairs of roof 16 analyze, on its orbit table
-    bundle = build_bundle(RunConfig(system="roof", grid_n=16))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        scr = stage_scr(bundle, [bundle.cfg.epsilon])[0]
-    catalog = stage_pairs(bundle, scr)
+    s, orbit, catalog = roof16_catalog
     pairs = [catalog.pairs[i] for i in catalog.selected]
     assert pairs
-    s, orbit = bundle.space, bundle.ensure_orbit()
     evaluated = []                              # seam entries each window evaluates
     window = s.seam.window
 

@@ -13,7 +13,8 @@ from scrl.orbits import build_orbit_data
 from scrl.space import (ROOF, ROOF_RIDGE, TABLE_BLOCK, GridSpace, _euclid, build_grid,
                         circle_gap, roof_height)
 
-from oracles import direct_distances, grid_distances, max_projection_gap, through_seam
+from oracles import (direct_distances, grid_distances, max_projection_gap, pair_distance,
+                     through_seam)
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +30,9 @@ def test_circle_grid_basics():
     for i in range(8):
         for j in range(8):
             expected = min(abs(i - j), 8 - abs(i - j)) / 8
-            assert s.distance(i, j) == pytest.approx(expected)
-    assert s.distance(0, 4) == pytest.approx(0.5)
-    assert s.distance(0, 7) == pytest.approx(0.125)
+            assert pair_distance(s, s.points[i], s.points[j]) == pytest.approx(expected)
+    assert pair_distance(s, s.points[0], s.points[4]) == pytest.approx(0.5)
+    assert pair_distance(s, s.points[0], s.points[7]) == pytest.approx(0.125)
 
 
 def test_square_grid_resolution_brute_force():
@@ -50,8 +51,8 @@ def test_square_grid_resolution_brute_force():
 
 def test_square_metric_is_euclidean():
     s = build_grid("unit-square", 8)
-    assert s.coord_distance((0, 0), (1, 1)) == pytest.approx(np.sqrt(2))
-    assert s.distance(0, s.n - 1) == pytest.approx(np.sqrt(2) * (7 / 8))
+    assert pair_distance(s, (0, 0), (1, 1)) == pytest.approx(np.sqrt(2))
+    assert pair_distance(s, s.points[0], s.points[-1]) == pytest.approx(np.sqrt(2) * (7 / 8))
     # single distances and grid queries are the direct formula, bit for bit
     s = build_grid("unit-square", 24)
     rng = np.random.default_rng(24)
@@ -60,7 +61,7 @@ def test_square_metric_is_euclidean():
     assert full.tobytes() == direct_distances(queries, s.points).tobytes()
     for q, row in zip(queries, full):
         for j in range(0, s.n, 11):
-            assert s.coord_distance(q, s.points[j]) == row[j]
+            assert pair_distance(s, q, s.points[j]) == row[j]
 
 
 def test_rejects_too_coarse():
@@ -88,14 +89,14 @@ def test_roof_identification_has_zero_distance(roof12):
     for x in (0.1, 0.3, 0.5, 0.9):
         top = (x, float(roof_height(x)))
         bottom = (x, 0.0)
-        assert roof12.coord_distance(top, bottom) <= 2 / 256
+        assert pair_distance(roof12, top, bottom) <= 2 / 256
 
 
 @pytest.mark.parametrize("domain,n", [("circle", 16), ("unit-square", 8), ("roof", 12)])
 def test_metric_axioms_exhaustive(domain, n):
     s = build_grid(domain, n)
     assert s.n <= 200
-    D = np.array([[s.distance(p, q) for q in range(s.n)] for p in range(s.n)])
+    D = np.array([[pair_distance(s, p, q) for q in s.points] for p in s.points])
     assert np.array_equal(D, D.T)
     assert np.all(np.diag(D) == 0)
     off = ~np.eye(s.n, dtype=bool)
@@ -218,7 +219,8 @@ def test_thicken_is_metric_ball():
 def test_roof_triangle_inequality_random(triple):
     s = _ROOF20
     p, q, r = (t % s.n for t in triple)
-    assert s.distance(p, q) <= s.distance(p, r) + s.distance(r, q) + 1e-12
+    p, q, r = s.points[[p, q, r]]
+    assert pair_distance(s, p, q) <= pair_distance(s, p, r) + pair_distance(s, r, q) + 1e-12
 
 
 _ROOF20 = build_grid("roof", 12)

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` is loaded from its file, without running the
 benchmark, so a renamed or deleted function fails here and not only
-under ``pytest perfbench``.
+under ``pytest perfbench``.  The names ``scrl`` exports must resolve too.
 """
 
 import importlib
@@ -28,3 +28,11 @@ def test_every_traced_name_resolves():
             assert hasattr(obj, attr), f"{mod_name}.{qual} does not resolve"
             obj = getattr(obj, attr)
         assert callable(obj), f"{mod_name}.{qual} is not callable"
+
+
+def test_every_exported_name_resolves():
+    import scrl
+
+    assert scrl.__all__
+    for name in scrl.__all__:
+        assert hasattr(scrl, name), f"scrl.{name} is in __all__ but does not resolve"

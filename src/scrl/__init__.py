@@ -9,7 +9,7 @@ from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
                        discounted_integral, sup_along_orbit, verify_lyapunov)
 from .orbits import OrbitData, build_orbit_data
 from .pairs import PairCatalog, enumerate_pairs, select_cover
-from .space import GridSpace, PointId, build_grid
+from .space import GridSpace, build_grid
 from .stablesets import (StablePair, build_strongly_stable, complementary,
                          find_eta0_and_bstar, nested_neighborhoods,
                          omega_limit_of_set, omega_limits_all)
@@ -22,7 +22,7 @@ __all__ = [
     "sup_along_orbit", "verify_lyapunov",
     "OrbitData", "build_orbit_data",
     "PairCatalog", "enumerate_pairs", "select_cover",
-    "GridSpace", "PointId", "build_grid",
+    "GridSpace", "build_grid",
     "StablePair", "build_strongly_stable", "complementary", "find_eta0_and_bstar",
     "nested_neighborhoods", "omega_limit_of_set", "omega_limits_all",
     "__version__",

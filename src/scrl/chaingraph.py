@@ -45,14 +45,16 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .flows import FlowModel, GridTransition
-from .space import GridSpace
+from .space import TABLE_BLOCK, GridSpace
 
 
 @dataclass(eq=False)
 class ChainGraph:
     """Immutable edge set with one edge per (u, v), sorted by (u, v): its
-    least weight and the lowest multiplier m achieving it.  Adjacency and
-    return-cost results are cached lazily."""
+    least weight and the lowest multiplier m achieving it.  An edge takes
+    17 bytes: int32 ids, m in the smallest unsigned type that holds m_max
+    and a float64 weight.  Return costs are cached per limit, and one
+    adjacency, the budget search graph of ``omega_budget``."""
 
     n: int
     T: float
@@ -72,7 +74,8 @@ class ChainGraph:
 
     def csr(self, limit: float = np.inf) -> sp.csr_matrix:
         """Adjacency of the edges with weight at most ``limit``, entries in
-        edge order; the most recent one is cached."""
+        edge order.  The most recent one is cached, for the repeated
+        searches of ``omega_budget`` at one budget; no other stage calls it."""
         if self._csr is None or self._csr[0] != limit:
             u, v, w = self.edge_u, self.edge_v, self.edge_w
             if np.isfinite(limit):
@@ -146,26 +149,24 @@ class ScrResult:
         return np.nonzero(~recurrent)[0]
 
 
-# Source rows per block of build_chain_graph: it holds (_ROW_BLOCK, n)
-# distances per multiplier at a time.
-_ROW_BLOCK = 512
-
-
 def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
                       prune_radius: float) -> ChainGraph:
     """Assemble the cheapest jump edge per (u, v) with weight at most
     ``prune_radius``, over all multipliers m = 1..m_max.
 
     Built-in systems use the exact continuous images; sampled flows only
-    know grid images, so their weights carry a + resolution padding.
+    know grid images, so their weights carry a + resolution padding.  The
+    source rows go in blocks of TABLE_BLOCK // n (at least one), so no
+    distance table holds more than TABLE_BLOCK entries.
     """
     if prune_radius < 3 * space.resolution:
         raise ValueError(
             f"prune_radius {prune_radius} < 3 * resolution {3 * space.resolution}; "
             "near-zero-cost continuation edges would be lost")
     us, vs, ms, ws = [], [], [], []
-    for lo in range(0, space.n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, space.n)
+    step = max(1, TABLE_BLOCK // space.n)
+    for lo in range(0, space.n, step):
+        hi = min(lo + step, space.n)
         wmin = best = None
         for m in range(1, tr.m_max + 1):
             if tr.exact_images is not None:
@@ -181,9 +182,9 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
             best[better] = m
             np.minimum(wmin, d, out=wmin)
         uu, vv = np.nonzero(wmin <= prune_radius)      # distinct, in (u, v) order
-        us.append(uu + lo)
-        vs.append(vv)
-        ms.append(best[uu, vv].astype(np.int64))
+        us.append((uu + lo).astype(np.int32))
+        vs.append(vv.astype(np.int32))
+        ms.append(best[uu, vv])
         ws.append(wmin[uu, vv])
     # concatenate one array at a time, so the pieces of only one are held twice
     u, v, m, w = (_join(parts) for parts in (us, vs, ms, ws))
@@ -209,15 +210,18 @@ def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
     arr = np.array(rows, dtype=float) if rows else np.empty((0, 4))
     if np.any(arr[:, 3] < 0):
         raise ValueError("edge weights must be nonnegative")
+    if np.any(arr[:, 2] < 1):           # would wrap in the unsigned edge_m
+        raise ValueError("edge multipliers must be at least 1")
     u, v, m = (arr[:, k].astype(np.int64) for k in range(3))
     w = arr[:, 3]
     key = u * n + v
     order = np.lexsort((m, w, key))
     first = order[np.flatnonzero(np.diff(key[order], prepend=-1))]
+    m_max = int(m.max()) if rows else 1
     return ChainGraph(
-        n=n, T=T, m_max=int(m.max()) if rows else 1,
-        prune_radius=prune_radius, resolution=resolution,
-        edge_u=u[first], edge_v=v[first], edge_m=m[first], edge_w=w[first])
+        n=n, T=T, m_max=m_max, prune_radius=prune_radius, resolution=resolution,
+        edge_u=u[first].astype(np.int32), edge_v=v[first].astype(np.int32),
+        edge_m=m[first].astype(np.min_scalar_type(m_max)), edge_w=w[first])
 
 
 # Dijkstra sources per all_pairs call of min_return_cost_all: it holds
@@ -264,7 +268,7 @@ def min_return_cost_all(g: ChainGraph, limit: float | None = None) -> np.ndarray
     want = np.inf if limit is None else float(limit)
     if want not in g._costs:
         e, lb = cycle_edges(g, want)
-        u, v, w = g.edge_u[e], g.edge_v[e], g.edge_w[e]
+        u, v, w = g.edge_u[e].astype(np.intp), g.edge_v[e].astype(np.intp), g.edge_w[e]
         adj = _adjacency(g.n, u, v, w)
         cap = np.full(g.n, want)
         loop = u == v
@@ -329,12 +333,9 @@ def cycle_edges(g: ChainGraph, limit: float) -> tuple[np.ndarray, np.ndarray]:
     if kept.size == 0:
         return kept, np.zeros(0)
     bounds = None          # round 1's blocks start from 0: no full-length zero array
-    for r, offset in enumerate(_ROUND_OFFSETS):
+    for offset in _ROUND_OFFSETS:
         start = kept.size
-        if r == 0:
-            adj = g.csr(limit)
-        else:
-            adj = _adjacency(g.n, g.edge_u[kept], g.edge_v[kept], g.edge_w[kept])
+        adj = _adjacency(g.n, g.edge_u[kept], g.edge_v[kept], g.edge_w[kept])
         marks = np.unique((np.arange(_LANDMARKS) + offset) * g.n // _LANDMARKS).astype(np.int64)
         fwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj), lam)   # D[L, x]
         bwd = np.minimum(g.all_pairs(lam, sources=marks, adjacency=adj.T.tocsr()), lam)  # D[x, L]
@@ -342,7 +343,7 @@ def cycle_edges(g: ChainGraph, limit: float) -> tuple[np.ndarray, np.ndarray]:
         kept_parts, bound_parts = [], []
         for lo in range(0, start, _BOUND_BLOCK):
             e = kept[lo:lo + _BOUND_BLOCK]
-            x, y = g.edge_u[e], g.edge_v[e]
+            x, y = g.edge_u[e].astype(np.intp), g.edge_v[e].astype(np.intp)
             bound = np.zeros(e.size) if bounds is None else bounds[lo:lo + _BOUND_BLOCK].copy()
             for f, b in zip(fwd, bwd):    # one landmark row at a time, no (k, E) array
                 np.maximum(bound, f[x] - f[y], out=bound)

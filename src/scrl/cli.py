@@ -536,9 +536,9 @@ def check_config_types(values: dict) -> None:
 def config_from_args(args) -> RunConfig:
     """The config file's values, overridden by the flags given explicitly.
 
-    The ``--epsilon`` flags, when given, are the budgets of the run and
-    the smallest is ``epsilon``.  A file key that is not a ``RunConfig``
-    field is a config error.
+    The ``--epsilon`` flags, when given, are the budgets of the run, each
+    listed once, and the smallest is ``epsilon``.  A file key that is not
+    a ``RunConfig`` field is a config error.
     """
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     try:
@@ -555,7 +555,7 @@ def config_from_args(args) -> RunConfig:
     check_config_types(merged)
     merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
     if args.epsilon:
-        merged.update(epsilon=min(args.epsilon), epsilons=sorted(args.epsilon))
+        merged.update(epsilon=min(args.epsilon), epsilons=sorted(set(args.epsilon)))
     return RunConfig(**merged)
 
 

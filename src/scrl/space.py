@@ -33,8 +33,6 @@ ROOF_RIDGE = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 QUERY_BLOCK = 4096      # query points per stacked distance call
 TABLE_BLOCK = 128 * QUERY_BLOCK     # entries per dense direct-distance table (4 MiB)
 
-PointId = int
-
 
 def roof_height(x):
     """Height of the roof profile above x, minimal at x = 1/2."""

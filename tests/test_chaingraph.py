@@ -54,6 +54,8 @@ def test_no_cycle_is_unreachable():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 1, -0.1)])
+    with pytest.raises(ValueError, match="multipliers"):
+        graph_from_edges(2, [(0, 1, 0, 0.1)])
 
 
 def test_oracle_equivalence_random_graphs():
@@ -292,7 +294,8 @@ def test_graph_from_edges_keeps_cheapest_edge_per_pair():
 
 def _per_m_reference(space, tr, prune):
     """One full-table distance matrix per multiplier, then per (u, v) the
-    least weight and the lowest m achieving it, in (u, v) order."""
+    least weight and the lowest m achieving it, in (u, v) order, stored as
+    the graph stores them: int32 ids and m in the smallest type of m_max."""
     us, vs, ms, ws = [], [], [], []
     for m in range(1, tr.m_max + 1):
         if tr.exact_images is not None:
@@ -309,14 +312,17 @@ def _per_m_reference(space, tr, prune):
     u, v, m, w = u[order], v[order], m[order], w[order]
     first = np.ones(u.size, dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    return u[first], v[first], m[first], w[first]
+    return (u[first].astype(np.int32), v[first].astype(np.int32),
+            m[first].astype(np.min_scalar_type(tr.m_max)), w[first])
 
 
 @pytest.mark.parametrize("domain,system,n,sampled", [
-    ("circle", "circle", 1100, False),        # three 512-row blocks
-    ("unit-square", "square", 24, False),     # 576 points, two blocks
+    ("circle", "circle", 1100, False),        # three 476-row blocks
+    ("unit-square", "square", 24, False),     # 576 points, one block
+    ("unit-square", "square", 32, False),     # 1,024 points, two 512-row blocks
     ("roof", "roof", 14, False),
-    ("roof", "roof", 26, False),              # past one block
+    ("roof", "roof", 26, False),              # 518 points, one block
+    ("roof", "roof", 32, False),              # 784 points, two blocks
     ("circle", "circle", 600, True),
     ("unit-square", "square", 12, True),
 ])
@@ -334,6 +340,60 @@ def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled):
     for got, want in zip((g.edge_u, g.edge_v, g.edge_m, g.edge_w), ref):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m_max,m_type", [(3, np.uint8), (300, np.uint16)])
+def test_graph_storage_dtypes_survive_the_csv_round_trip(tmp_path, m_max, m_type):
+    s = build_grid("circle", 16)
+    f = make_flow("circle")
+    g = build_chain_graph(s, build_transition(f, s, 0.01, m_max), f, 3 * s.resolution)
+    path = tmp_path / "graph.csv"
+    export_graph_csv(g, path)
+    with open(path, newline="") as fh:
+        rows = [(int(r["u"]), int(r["v"]), int(r["m"]), float(r["w"]))
+                for r in csv.DictReader(fh)]
+    g2 = graph_from_edges(g.n, rows, resolution=g.resolution)
+    for h in (g, g2):           # g2's m_max is its largest m, so uint16 means m > 255 came back
+        assert [a.dtype for a in (h.edge_u, h.edge_v, h.edge_m, h.edge_w)] == \
+            [np.int32, np.int32, m_type, np.float64]
+    for a, b in zip((g.edge_u, g.edge_v, g.edge_m, g.edge_w),
+                    (g2.edge_u, g2.edge_v, g2.edge_m, g2.edge_w)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("domain,system,n", [
+    ("circle", "circle", 1100), ("unit-square", "square", 32), ("roof", "roof", 32)])
+def test_build_tables_hold_at_most_table_block(domain, system, n, monkeypatch):
+    from scrl.space import TABLE_BLOCK, GridSpace
+    s = build_grid(domain, n)
+    f = make_flow(system)
+    tr = build_transition(f, s, 1.0, 3)
+    rows = []
+    real = GridSpace.dist_coords_to_grid
+
+    def spy(self, pts, cutoff=np.inf):
+        rows.append(len(pts))
+        return real(self, pts, cutoff)
+
+    monkeypatch.setattr(GridSpace, "dist_coords_to_grid", spy)
+    build_chain_graph(s, tr, f, 10 * s.resolution)
+    assert s.n <= TABLE_BLOCK and sum(rows) == 3 * s.n and len(rows) > 3
+    assert max(rows) * s.n <= TABLE_BLOCK
+
+
+def test_return_costs_leave_the_budget_adjacency_cached():
+    g = _grid_graph("unit-square", "square", 12)
+    assert g._csr is None
+    _quiet_scr(g, 0.1, cost_limit=0.1 + 10 * g.resolution)
+    assert g._csr is None
+    Y = [0, 5]
+    first = omega_budget(g, Y, 0.05)
+    adj = g._csr[1]
+    assert g.csr(0.05) is adj
+    _quiet_scr(g, 0.1)
+    _quiet_scr(g, 0.1, cost_limit=0.1 + 20 * g.resolution)
+    assert np.array_equal(omega_budget(g, Y, 0.05), first)
+    assert g._csr[0] == 0.05 and g._csr[1] is adj
 
 
 def _dense_return_costs(g, limit):

@@ -52,6 +52,14 @@ def test_repeated_epsilon_runs_once(tmp_path):
     for name in ("scr.json", "cr.json"):
         results = json.loads((out / name).read_text())["results"]
         assert [r["epsilon"] for r in results] == [0.05], name
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["config"]["epsilons"] == [0.05]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(meta["config"]))
+    again = tmp_path / "again"
+    assert run(["compare", "--config", str(cfg_file), "--out", str(again)]) == 0
+    for name in sorted(path.name for path in out.iterdir()):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_compare_reports_inclusion(tmp_path):

@@ -57,8 +57,6 @@ class ChainGraph:
     adjacency, the budget search graph of ``omega_budget``."""
 
     n: int
-    T: float
-    m_max: int
     prune_radius: float
     resolution: float
     edge_u: np.ndarray = field(repr=False)
@@ -189,8 +187,8 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
     # concatenate one array at a time, so the pieces of only one are held twice
     u, v, m, w = (_join(parts) for parts in (us, vs, ms, ws))
     return ChainGraph(
-        n=space.n, T=tr.T, m_max=tr.m_max, prune_radius=prune_radius,
-        resolution=space.resolution, edge_u=u, edge_v=v, edge_m=m, edge_w=w)
+        n=space.n, prune_radius=prune_radius, resolution=space.resolution,
+        edge_u=u, edge_v=v, edge_m=m, edge_w=w)
 
 
 def _join(parts: list) -> np.ndarray:
@@ -199,7 +197,7 @@ def _join(parts: list) -> np.ndarray:
     return out
 
 
-def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
+def graph_from_edges(n: int, edges, resolution: float = 0.0,
                      prune_radius: float = np.inf) -> ChainGraph:
     """Build a ChainGraph from explicit (u, v, w) or (u, v, m, w) tuples.
 
@@ -219,7 +217,7 @@ def graph_from_edges(n: int, edges, T: float = 1.0, resolution: float = 0.0,
     first = order[np.flatnonzero(np.diff(key[order], prepend=-1))]
     m_max = int(m.max()) if rows else 1
     return ChainGraph(
-        n=n, T=T, m_max=m_max, prune_radius=prune_radius, resolution=resolution,
+        n=n, prune_radius=prune_radius, resolution=resolution,
         edge_u=u[first].astype(np.int32), edge_v=v[first].astype(np.int32),
         edge_m=m[first].astype(np.min_scalar_type(m_max)), edge_w=w[first])
 

@@ -28,8 +28,7 @@ from .chaingraph import (ChainGraph, ScrResult, build_chain_graph, compute_cr, c
                          export_graph_csv, graph_from_edges, min_return_cost_all,
                          omega_budget)
 from .flows import FlowModel, GridTransition, build_transition, load_sampled_transition, make_flow
-from .lyapunov import (CombinedLyapunov, LyapunovField, combine_pairs,
-                       sup_along_orbit, verify_lyapunov)
+from .lyapunov import LyapunovField, combine_pairs, sup_along_orbit, verify_lyapunov
 from .orbits import FINE_DIVISOR, OrbitData, build_orbit_data
 from .pairs import PairCatalog, default_radii, default_seed_stride, enumerate_pairs, select_cover
 from .space import DOMAINS, GridSpace, _fw_closure, build_grid
@@ -219,7 +218,7 @@ def stage_pairs(bundle: RunBundle, scr) -> PairCatalog:
 
 
 def stage_lyapunov(bundle: RunBundle, catalog: PairCatalog
-                   ) -> tuple[list[LyapunovField], CombinedLyapunov]:
+                   ) -> tuple[list[LyapunovField], np.ndarray]:
     orbit = bundle.ensure_orbit()
     fields = sup_along_orbit([catalog.pairs[i] for i in catalog.selected], bundle.space,
                              orbit, s_max=bundle.cfg.s_max)
@@ -382,8 +381,7 @@ def write_field_csv(path: Path, space: GridSpace, fld: LyapunovField) -> None:
                      f"{float(fld.k_values[i])!r},{float(fld.h_values[i])!r}\n")
 
 
-def write_combined_csv(path: Path, space: GridSpace, combined: CombinedLyapunov) -> None:
-    H = combined.H_values
+def write_combined_csv(path: Path, space: GridSpace, H: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write("point_index,x,y,H\n")
         for i in range(space.n):

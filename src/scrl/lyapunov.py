@@ -10,12 +10,13 @@ on the shared orbit lattice:
   the lattice structural rather than numerical;
 * ``h`` discounts ``k`` exponentially in time.  The quadrature uses the
   exact integral of e^{-s} against a piecewise-linear interpolant of the
-  sampled values, so constant-k orbits integrate exactly, plus a tail
-  term bounded by e^{-S_max}.
+  sampled values, so constant-k orbits integrate exactly, plus the tail
+  term e^{-S_max} k(S_max).
 
-The combined function weights the summands by powers of 1/3.  Verification
-re-evaluates each summand at the flowed point by shifting along the same
-lattice, which keeps the comparison free of grid-projection noise.
+The combined function H = sum h_n / 3^n weights the summands by powers
+of 1/3.  Verification re-evaluates each summand at the flowed point by
+shifting along the same lattice, which keeps the comparison free of
+grid-projection noise.
 """
 
 from __future__ import annotations
@@ -28,34 +29,25 @@ from .orbits import OrbitData
 from .space import QUERY_BLOCK, GridSpace
 from .stablesets import StablePair
 
+# H(phi_t(x)) may exceed H(x) by this much before x counts as a
+# monotonicity violation; verify_report.json records it as "tol_num".
+TOL_NUM = 1e-6
+
 
 @dataclass(eq=False)
 class LyapunovField:
-    """l, k, h values of one pair on the grid, with truncation metadata."""
+    """One pair's summand on the grid: l and h per point, and k per orbit
+    row and point (row 0 is k on the grid), integrated up to ``s_max``."""
 
-    pair_index: int
     l_values: np.ndarray = field(repr=False)
-    k_values: np.ndarray = field(repr=False)
+    k_series: np.ndarray = field(repr=False)      # (orbit rows, n)
     h_values: np.ndarray = field(repr=False)
-    tail_slack: np.ndarray = field(repr=False)     # certified bound on sup beyond horizon
-    certified: np.ndarray = field(repr=False)      # per-point truncation certificate
-    quad_bound: np.ndarray = field(repr=False)     # advertised quadrature error bound
-    k_series: np.ndarray | None = field(repr=False, default=None)
-    eta0_effective: float = 1.0
     s_max: float = 20.0
 
-
-@dataclass(eq=False)
-class CombinedLyapunov:
-    """Weighted sum of per-pair summands, H = sum h_n / 3^n."""
-
-    H_values: np.ndarray = field(repr=False)
-    n_pairs: int
-
-
-def effective_eta0(pair: StablePair) -> float:
-    """Pairs without an avoider level fall back to the full scale."""
-    return pair.eta0 if pair.eta0 is not None else 1.0
+    @property
+    def k_values(self) -> np.ndarray:
+        """k on the grid, a view of row 0 of ``k_series``."""
+        return self.k_series[0]
 
 
 def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
@@ -69,13 +61,9 @@ def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
     takes the remaining rows.  Distances run with cutoff max(scale):
     one above it clamps every level to 1 whether it is exact or not, so
     the seam pass skips the samples that cannot bring a point within it.
-    The per-point truncation certificate looks for a certified nested
-    level eta whose neighborhood contains the whole trailing T(eta)
-    window of the orbit; past the horizon such orbits cannot raise the
-    supremum above eta / eta0.
     """
-    eta0s = [effective_eta0(pair) for pair in pairs]
-    scales = [pair.R * eta0 for pair, eta0 in zip(pairs, eta0s)]
+    # pairs without an avoider level fall back to the full scale, eta0 = 1
+    scales = [pair.R * (1.0 if pair.eta0 is None else pair.eta0) for pair in pairs]
     J = orbit.times.size
     levels = [np.empty((J, space.n)) for _ in pairs]
     per = max(1, QUERY_BLOCK // space.n)
@@ -88,38 +76,20 @@ def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
             l_series[j:j + per] = np.minimum(d_pair / scale, 1.0).reshape(-1, space.n)
 
     fields = []
-    horizon = orbit.times[-1]
-    for rank, (pair, eta0, scale, series) in enumerate(zip(pairs, eta0s, scales, levels)):
+    for series in levels:
         l_values = series[0].copy()
-        certified = np.zeros(space.n, dtype=bool)
-        bound = np.ones(space.n)           # bound on the supremum beyond the horizon
-        for eta in sorted(pair.T_table):
-            if eta > eta0 + 1e-12:
-                break      # saturated levels cannot tighten the bound below 1
-            need = pair.T_table[eta]
-            window = orbit.times >= horizon - need - 1e-9
-            inside = np.all(series[window] * scale <= pair.R * eta + 1e-12, axis=0)
-            fresh = inside & ~certified
-            certified |= fresh
-            bound[fresh] = min(1.0, eta / eta0)
         for j in range(J - 2, -1, -1):     # suffix maxima in place: l becomes k
             np.maximum(series[j], series[j + 1], out=series[j])
-        tail_slack = np.maximum(0.0, bound - series[0])
-
-        fld = LyapunovField(
-            pair_index=rank,
-            l_values=l_values, k_values=series[0].copy(),
-            h_values=np.empty(space.n), tail_slack=tail_slack, certified=certified,
-            quad_bound=np.empty(space.n), k_series=series,
-            eta0_effective=eta0, s_max=s_max)
-        fld.h_values, fld.quad_bound = discounted_integral(fld, orbit)
+        fld = LyapunovField(l_values=l_values, k_series=series,
+                            h_values=np.empty(space.n), s_max=s_max)
+        fld.h_values = discounted_integral(fld, orbit)
         fields.append(fld)
     return fields
 
 
 def discounted_integral(fld: LyapunovField, orbit: OrbitData,
-                        shift_t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate e^{-s} k(phi_s(x)) over [0, S_max] plus the tail estimate.
+                        shift_t: float = 0.0) -> np.ndarray:
+    """Integrate e^{-s} k(phi_s(x)) over [0, S_max] plus the tail e^{-S_max} k(S_max).
 
     ``shift_t`` evaluates the integral at the flowed point phi_{shift}(x)
     using the same lattice (the sampled orbit of the flowed point is the
@@ -139,9 +109,7 @@ def discounted_integral(fld: LyapunovField, orbit: OrbitData,
     slope_weight = w1 / dt
     seg = k[:-1] * w0[:, None] + (k[1:] - k[:-1]) * slope_weight[:, None]
     tail = np.exp(-fld.s_max) * k[-1]
-    h = seg.sum(axis=0) + tail
-    bound = 0.5 * dt.max() * (k[0] - np.exp(-fld.s_max) * k[-1]) + np.exp(-fld.s_max)
-    return h, bound
+    return seg.sum(axis=0) + tail
 
 
 def _weighted_sum(summands, n: int) -> np.ndarray:
@@ -152,22 +120,21 @@ def _weighted_sum(summands, n: int) -> np.ndarray:
     return out
 
 
-def combine_pairs(fields: list[LyapunovField], n: int) -> CombinedLyapunov:
+def combine_pairs(fields: list[LyapunovField], n: int) -> np.ndarray:
     """H = sum over i of h_i / 3^i, on n grid points."""
-    return CombinedLyapunov(H_values=_weighted_sum([f.h_values for f in fields], n),
-                            n_pairs=len(fields))
+    return _weighted_sum([f.h_values for f in fields], n)
 
 
 def combined_at_shift(fields: list[LyapunovField], orbit: OrbitData,
                       shift_t: float) -> np.ndarray:
     """H evaluated at phi_{shift}(x) for every grid x, on the shared lattice."""
-    shifted = (discounted_integral(f, orbit, shift_t=shift_t)[0] for f in fields)
+    shifted = (discounted_integral(f, orbit, shift_t=shift_t) for f in fields)
     return _weighted_sum(shifted, orbit.coords.shape[1])
 
 
 def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
                     space: GridSpace, orbit: OrbitData, scr, t_probe: float,
-                    margin: float, tol_num: float = 1e-6) -> dict:
+                    margin: float) -> dict:
     """Check monotonicity everywhere and strict decrease off the recurrent set.
 
     Returns a report dict; verification never raises on property failures.
@@ -175,10 +142,10 @@ def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
     if t_probe < orbit.T:
         raise ValueError(f"t_probe {t_probe} must be at least T = {orbit.T}")
     n = space.n
-    H0 = combine_pairs(fields, n).H_values
+    H0 = combine_pairs(fields, n)
     Ht = combined_at_shift(fields, orbit, t_probe)
 
-    mono_bad = np.nonzero(Ht > H0 + tol_num)[0]
+    mono_bad = np.nonzero(Ht > H0 + TOL_NUM)[0]
     universe = scr.non_recurrent(space)
 
     decrease = H0 - Ht
@@ -199,7 +166,7 @@ def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
     return {
         "t_probe": t_probe,
         "margin": margin,
-        "tol_num": tol_num,
+        "tol_num": TOL_NUM,
         "n_points": n,
         "n_pairs": len(fields),
         "monotonicity_violations": [int(i) for i in mono_bad],

@@ -105,13 +105,14 @@ def omega_limits_all(space: GridSpace, orbit: OrbitData
     The burn-in lives here: of the T-lattice rows ``orbit.t_rows`` only
     the last ``steps - steps // 2 + 1`` are read, each projected to grid
     cells by one ``space.nearest`` call.  A tail cell recurs when it is
-    visited at least twice; points whose tails are still discovering new
-    cells near the horizon are flagged (reported, not fatal).  Each
-    point's tail is sorted stably, so a run of equal cells starts at the
-    cell's first visit.
+    visited at least twice.  Each point's tail is sorted stably, so a run
+    of equal cells starts at the cell's first visit.
 
     Returns ``((owner, cell), nonconv)``: flat arrays with one entry per
-    (point, recurring cell), ascending in owner and, per owner, in cell.
+    (point, recurring cell), ascending in owner and, per owner, in cell,
+    and a mask of the points whose tails still discover new cells near
+    the horizon.  Nothing reports those points; ``complementary`` leaves
+    them out of every B_bullet.
     """
     steps = orbit.t_rows.size - 1
     probe = max(1, steps // 8)

@@ -194,6 +194,15 @@ def pair_distance(space, a, b):
     return min(direct, float(((ea[:, None] + eb[None, :]) + space.seam.closure).min()))
 
 
+def quadrature_bound(fld, orbit):
+    """Error bound of the discounted-integral quadrature of ``fld`` on the
+    lattice of ``orbit``, with S = fld.s_max and dt its widest step up to S:
+    0.5 * dt * (k(0) - e^{-S} k(S)) + e^{-S} per grid point."""
+    S, k = fld.s_max, fld.k_series
+    t = orbit.times[orbit.times <= S + 1e-9]
+    return 0.5 * np.diff(t).max() * (k[0] - np.exp(-S) * k[t.size - 1]) + np.exp(-S)
+
+
 def random_digraph(rng, max_nodes=200):
     n = int(rng.integers(4, max_nodes + 1))
     n_edges = max(1, int(n * rng.uniform(1.0, 6.0)))

@@ -20,7 +20,7 @@ from scrl.stablesets import (StablePair, avoidance_profile, complementary,
                              find_eta0_and_bstar, grid_image_orbit,
                              nested_neighborhoods, omega_limits_all)
 
-from oracles import min_return_cost_oracle, omega_oracle, random_digraph
+from oracles import min_return_cost_oracle, omega_oracle, quadrature_bound, random_digraph
 
 EPS_SWEEP = [0.02, 0.05, 0.1]
 S_MAX = 20.0
@@ -282,7 +282,7 @@ def test_criterion_8_self_consistency(system, circle_run, square_run, roof_run):
         f_half = sup_along_orbit([pair], space, half, s_max=S_MAX)[0]
         f_full = sup_along_orbit([pair], space, full, s_max=S_MAX)[0]
         change = np.abs(f_half.h_values - f_full.h_values)
-        assert np.all(change < f_full.quad_bound + 1e-15)
+        assert np.all(change < quadrature_bound(f_full, full) + 1e-15)
 
         f_short = sup_along_orbit([pair], space, long_run, s_max=S_MAX)[0]
         f_long = sup_along_orbit([pair], space, long_run, s_max=2 * S_MAX)[0]

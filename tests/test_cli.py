@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scrl.cli import COMMANDS, DOMAIN_OF, RunConfig, main, run_pipeline
 from scrl.flows import build_transition, make_flow
+from scrl.lyapunov import combine_pairs
 from scrl.space import build_grid
 
 
@@ -296,6 +297,35 @@ def test_lyapunov_and_verify_project_no_orbit_row(tmp_path, monkeypatch):
     for stage in ("lyapunov", "verify"):
         assert run([stage, *argv]) == 0
     assert len(orbits) == 2 and projected == []
+
+
+def test_lyapunov_csvs_hold_the_fields(tmp_path):
+    # every number of the Lyapunov CSVs parses back to the in-memory
+    # summands and their combination, bit for bit
+    code, res = run_pipeline(RunConfig(system="roof", grid_n=12), tmp_path, COMMANDS["analyze"])
+    assert code == 0
+    space, fields = res["bundle"].space, res["fields"]
+    assert len(fields) == 2
+    assert sorted(p.name for p in tmp_path.glob("lyapunov_*.csv")) == [
+        "lyapunov_combined.csv", "lyapunov_pair_0.csv", "lyapunov_pair_1.csv"]
+
+    def columns(name, header):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header
+        table = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in table] == list(range(space.n))
+        return [np.array([float(row[c]) for row in table]) for c in range(1, len(table[0]))]
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    for rank, fld in enumerate(fields):
+        x, y, l, k, h = columns(f"lyapunov_pair_{rank}.csv", "point_index,x,y,l,k,h")
+        assert same(x, space.points[:, 0]) and same(y, space.points[:, 1])
+        assert same(l, fld.l_values) and same(k, fld.k_values) and same(h, fld.h_values)
+    x, y, H = columns("lyapunov_combined.csv", "point_index,x,y,H")
+    assert same(x, space.points[:, 0]) and same(y, space.points[:, 1])
+    assert same(H, combine_pairs(fields, space.n))
 
 
 def test_internal_value_error_exits_two(tmp_path, monkeypatch, capsys):

@@ -147,6 +147,11 @@ class ScrResult:
         return np.nonzero(~recurrent)[0]
 
 
+# Source rows per block of the edge build: fewer rows give each block a
+# narrower x-slab of images, so fewer columns to read.
+_BUILD_ROWS = 64
+
+
 def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
                       prune_radius: float) -> ChainGraph:
     """Assemble the cheapest jump edge per (u, v) with weight at most
@@ -154,24 +159,30 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
 
     Built-in systems use the exact continuous images; sampled flows only
     know grid images, so their weights carry a + resolution padding.  The
-    source rows go in blocks of TABLE_BLOCK // n (at least one), so no
-    distance table holds more than TABLE_BLOCK entries.
+    source rows go in blocks of min(64, TABLE_BLOCK // n) (at least one).
+    Each block reads only the columns of one x-slab, the ids within the
+    prune radius of the x-range of its images for some m
+    (``GridSpace.x_slab``).  Every distance is at least its x-gap on all
+    three domains, so a column outside the slab has no edge from the
+    block; every entry read is the same double as in the full table, so
+    the edges, weights and multipliers are bit for bit those of the full
+    tables.  No table holds more than TABLE_BLOCK entries.
     """
     if prune_radius < 3 * space.resolution:
         raise ValueError(
             f"prune_radius {prune_radius} < 3 * resolution {3 * space.resolution}; "
             "near-zero-cost continuation edges would be lost")
+    sampled = tr.exact_images is None
     us, vs, ms, ws = [], [], [], []
-    step = max(1, TABLE_BLOCK // space.n)
+    step = max(1, min(_BUILD_ROWS, TABLE_BLOCK // space.n))
     for lo in range(0, space.n, step):
         hi = min(lo + step, space.n)
+        images = space.points[tr.images[:, lo:hi]] if sampled else tr.exact_images[:, lo:hi]
+        cols = space.x_slab(images[..., 0], prune_radius)
         wmin = best = None
-        for m in range(1, tr.m_max + 1):
-            if tr.exact_images is not None:
-                d = space.dist_coords_to_grid(tr.exact_images[m - 1, lo:hi], cutoff=prune_radius)
-            else:
-                img_pts = space.points[tr.images[m - 1, lo:hi]]
-                d = space.dist_coords_to_grid(img_pts, cutoff=prune_radius)
+        for m, img in enumerate(images, 1):
+            d = space.dist_coords_to_grid(img, prune_radius, cols)
+            if sampled:
                 d += space.resolution
             if wmin is None:
                 wmin, best = d, np.ones(d.shape, dtype=np.min_scalar_type(tr.m_max))
@@ -179,11 +190,11 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
             better = d < wmin                  # strict, so the lowest m keeps a tie
             best[better] = m
             np.minimum(wmin, d, out=wmin)
-        uu, vv = np.nonzero(wmin <= prune_radius)      # distinct, in (u, v) order
+        uu, jj = np.nonzero(wmin <= prune_radius)      # distinct, in (u, v) order
         us.append((uu + lo).astype(np.int32))
-        vs.append(vv.astype(np.int32))
-        ms.append(best[uu, vv])
-        ws.append(wmin[uu, vv])
+        vs.append(cols[jj].astype(np.int32))
+        ms.append(best[uu, jj])
+        ws.append(wmin[uu, jj])
     # concatenate one array at a time, so the pieces of only one are held twice
     u, v, m, w = (_join(parts) for parts in (us, vs, ms, ws))
     return ChainGraph(

@@ -295,16 +295,19 @@ def _roof_wraps(drift: tuple, y0: np.ndarray, t_max: float) -> tuple:
 
 @dataclass(eq=False)
 class GridTransition:
-    """Grid-projected images of phi_{mT} for m = 1..m_max.
+    """Grid-projected images of phi_{mT}.
 
-    ``exact_images[m-1]`` holds the continuous images for built-in
-    systems (None for sampled flows); downstream jump costs are derived
-    from these, so projection error is never hidden.
+    ``exact_images[m-1]`` holds the continuous images of phi_{mT}, m =
+    1..m_max, for built-in systems (None for sampled flows); downstream
+    jump costs are derived from these, so projection error is never
+    hidden.  ``images[0]`` is the grid image of phi_T.  Only sampled
+    flows carry ``images[m-1]`` for m >= 2, the grid images their jump
+    costs are padded from; built-in systems hold that one row.
     """
 
     T: float
     m_max: int
-    images: np.ndarray = field(repr=False)          # (m_max, n) int
+    images: np.ndarray = field(repr=False)          # (m_max, n) int sampled, else (1, n)
     exact_images: np.ndarray | None = field(repr=False, default=None)
     _cycles: tuple | None = field(repr=False, default=None)   # image-map cycles, see stablesets
 
@@ -315,15 +318,14 @@ class GridTransition:
 
 
 def build_transition(flow: FlowModel, space: GridSpace, T: float, m_max: int) -> GridTransition:
-    """Evaluate phi_{mT} exactly on every grid point and project to the grid."""
+    """Evaluate phi_{mT} exactly on every grid point for m = 1..m_max and
+    project phi_T to the grid; the jump costs read the exact images."""
     if T <= 0:
         raise ValueError(f"time step T={T} must be positive")
     if m_max < 1:
         raise ValueError(f"m_max={m_max} must be a positive integer")
     exact = flow.evaluate(space.points, T * np.arange(1, m_max + 1))
-    images = np.empty((m_max, space.n), dtype=np.int64)
-    for m in range(m_max):
-        images[m] = space.nearest(exact[m])
+    images = space.nearest(exact[0])[None]
     return GridTransition(T=T, m_max=m_max, images=images, exact_images=exact)
 
 

@@ -233,25 +233,55 @@ class GridSpace:
 
     # -- distances ----------------------------------------------------
 
-    def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float = np.inf) -> np.ndarray:
-        """Dense (k, n) matrix of distances from query coords to all grid points.
+    def dist_coords_to_grid(self, pts: np.ndarray, cutoff: float = np.inf,
+                            cols: np.ndarray | None = None) -> np.ndarray:
+        """Dense (k, n) matrix of distances from query coords to all grid
+        points, or (k, len(cols)) to the ids ``cols`` only.
 
         A distance at most ``cutoff`` is exact; one above it is at least the
-        exact one and above ``cutoff``.  On the roof, the seam pass runs only
-        over the window of samples i whose entry(p, i) + to_grid_min[i] can
-        reach the cutoff (``RoofSeam.window``): the min-plus product of that
-        window with the same rows of ``to_grid``, for each row it reaches.
+        exact one and above ``cutoff``.  Every entry is the same double
+        whatever ``cols`` is.  On the roof, the seam pass runs only over the
+        window of samples i whose entry(p, i) + to_grid_min[i] can reach the
+        cutoff (``RoofSeam.window``): the min-plus product of that window
+        with the same rows of ``to_grid``, for each row it reaches.
+
+        Every distance is at least the x-gap |x_p - x_q| (wrapped on the
+        circle), so ``x_slab`` finds every column a row can reach within
+        a radius: arc length on the circle is the wrapped gap, the
+        Euclidean distance is at least its x term, and on the roof the
+        gluing keeps x, so the entry cost, the seam closure and
+        ``to_grid`` are each at least their x-gap.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        grid = self.points if cols is None else self.points[cols]
         if self.domain == CIRCLE:
-            return circle_gap(pts[:, :1], self.points[None, :, 0])
-        d = _euclid(pts, self.points)
+            return circle_gap(pts[:, :1], grid[None, :, 0])
+        d = _euclid(pts, grid)
         if self.domain == ROOF:
             rows, start, entry, via = self.seam.window(pts, cutoff, self.seam.grid_env)
             near = via.min(axis=1) <= cutoff
             rows = rows[near]
-            d[rows] = np.minimum(d[rows], _min_plus(entry[near], self.seam.to_grid, start[near]))
+            to_grid = self.seam.to_grid if cols is None else self.seam.to_grid[:, cols]
+            d[rows] = np.minimum(d[rows], _min_plus(entry[near], to_grid, start[near]))
         return d
+
+    def x_slab(self, xs, radius: float) -> np.ndarray:
+        """Ascending ids whose x lies within radius + 1e-9 of [min, max] of
+        any array in ``xs``: a superset of the ids within ``radius`` of
+        those points (see ``dist_coords_to_grid``), as the distance is at
+        least the x-gap.  On the circle the arc from an array's min to its
+        max holds all its points, and ``circle_gap`` to the arc's centre
+        measures it, so a slab that wraps past 0 still comes back in id
+        order.  The slack covers the rounding of centre and half-width.
+        """
+        x = self.points[:, 0]
+        keep = np.zeros(self.n, dtype=bool)
+        for a in xs:
+            lo, hi = np.min(a), np.max(a)
+            centre = 0.5 * (lo + hi)
+            gap = circle_gap(x, centre) if self.domain == CIRCLE else np.abs(x - centre)
+            keep |= gap <= 0.5 * (hi - lo) + radius + 1e-9
+        return np.nonzero(keep)[0]
 
     def dist_coords_to_subset(self, pts: np.ndarray, ids) -> np.ndarray:
         """Distances from query coords to the nearest member of a point-id set."""

@@ -1,4 +1,5 @@
-"""Byte-identity pins: the SHA-256 of every artifact of seven runs.
+"""Byte-identity pins: the SHA-256 of every artifact of seven runs, and of
+the ``graph.csv`` of three jump graphs at their default prune radius.
 
 A change that alters any of these bytes must update the digests here and
 say why in CHANGES.md; a change that only restructures the code must
@@ -9,7 +10,8 @@ import hashlib
 
 import pytest
 
-from scrl.cli import main
+from scrl.chaingraph import export_graph_csv
+from scrl.cli import RunConfig, build_bundle, main
 
 RUNS = {
     "roof12": ["analyze", "--system", "roof", "--grid", "12"],
@@ -115,3 +117,17 @@ def test_artifact_digests(name, tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == DIGESTS[name]
+
+
+GRAPH_DIGESTS = {
+    ("circle", 1100): "01730bd3758a1f5163e3d18f6086c0408d3a679bee4c398ecff1f43091de1f91",
+    ("roof", 32): "03c9cd6b8d8a8368e064c3671ae33d37e2df1a872c884b3d7908186948add41b",
+    ("square", 32): "a0d8b857fb1d721de9d4b1e04d4fa7e66247dbc0cfadbb682233ac4e9a8b9ec8",
+}
+
+
+@pytest.mark.parametrize("system,n", sorted(GRAPH_DIGESTS))
+def test_graph_csv_digests(system, n, tmp_path):
+    path = tmp_path / "graph.csv"
+    export_graph_csv(build_bundle(RunConfig(system=system, grid_n=n)).graph, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_DIGESTS[system, n]

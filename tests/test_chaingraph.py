@@ -316,25 +316,33 @@ def _per_m_reference(space, tr, prune):
             m[first].astype(np.min_scalar_type(tr.m_max)), w[first])
 
 
-@pytest.mark.parametrize("domain,system,n,sampled", [
-    ("circle", "circle", 1100, False),        # three 476-row blocks
-    ("unit-square", "square", 24, False),     # 576 points, one block
-    ("unit-square", "square", 32, False),     # 1,024 points, two 512-row blocks
-    ("roof", "roof", 14, False),
-    ("roof", "roof", 26, False),              # 518 points, one block
-    ("roof", "roof", 32, False),              # 784 points, two blocks
-    ("circle", "circle", 600, True),
-    ("unit-square", "square", 12, True),
+# Every case spans several 64-row source blocks; m_max is 3 and the prune
+# radius 10 * resolution except in the circle-sweep case, whose slabs wrap
+# past theta = 0.
+@pytest.mark.parametrize("domain,system,n,sampled,m_max,prune", [
+    *(pytest.param(*case, 3, None, id="-".join(map(str, case))) for case in [
+        ("circle", "circle", 1100, False),
+        ("unit-square", "square", 24, False),
+        ("unit-square", "square", 32, False),
+        ("roof", "roof", 14, False),
+        ("roof", "roof", 26, False),
+        ("roof", "roof", 32, False),
+        ("circle", "circle", 600, True),
+        ("unit-square", "square", 12, True),
+        ("roof", "roof", 20, True),
+    ]),
+    pytest.param("circle", "circle", 1100, False, 4, 0.125, id="circle-sweep-1100"),
 ])
-def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled):
+def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled, m_max, prune):
     from scrl.flows import FlowModel, GridTransition
     s = build_grid(domain, n)
     f = make_flow(system)
-    tr = build_transition(f, s, 1.0, 3)
+    tr = build_transition(f, s, 1.0, m_max)
     if sampled:
-        tr = GridTransition(T=1.0, m_max=3, images=tr.images.copy(), exact_images=None)
+        images = np.array([s.nearest(e) for e in tr.exact_images])
+        tr = GridTransition(T=1.0, m_max=m_max, images=images, exact_images=None)
         f = FlowModel("custom-sampled", domain)
-    prune = 10 * s.resolution
+    prune = prune or 10 * s.resolution
     g = build_chain_graph(s, tr, f, prune)
     ref = _per_m_reference(s, tr, prune)
     for got, want in zip((g.edge_u, g.edge_v, g.edge_m, g.edge_w), ref):
@@ -368,17 +376,21 @@ def test_build_tables_hold_at_most_table_block(domain, system, n, monkeypatch):
     s = build_grid(domain, n)
     f = make_flow(system)
     tr = build_transition(f, s, 1.0, 3)
-    rows = []
+    tables = []
     real = GridSpace.dist_coords_to_grid
 
-    def spy(self, pts, cutoff=np.inf):
-        rows.append(len(pts))
-        return real(self, pts, cutoff)
+    def spy(self, pts, cutoff=np.inf, cols=None):
+        tables.append((len(pts), s.n if cols is None else len(cols)))
+        return real(self, pts, cutoff, cols)
 
     monkeypatch.setattr(GridSpace, "dist_coords_to_grid", spy)
     build_chain_graph(s, tr, f, 10 * s.resolution)
-    assert s.n <= TABLE_BLOCK and sum(rows) == 3 * s.n and len(rows) > 3
-    assert max(rows) * s.n <= TABLE_BLOCK
+    rows, cols = np.array(tables).T
+    assert s.n <= TABLE_BLOCK and rows.sum() == 3 * s.n and len(rows) > 3
+    assert rows.max() * s.n <= TABLE_BLOCK
+    assert (rows * cols).max() <= TABLE_BLOCK
+    if domain == "circle":      # the x-slabs read a small share of the m_max * n^2 entries
+        assert (rows * cols).sum() < 0.5 * 3 * s.n ** 2
 
 
 def test_return_costs_leave_the_budget_adjacency_cached():

@@ -356,12 +356,13 @@ def test_custom_flow_end_to_end(tmp_path):
     s = build_grid("circle", 64)
     f = make_flow("circle")
     tr = build_transition(f, s, 1.0, 4)
+    images = np.array([s.nearest(e) for e in tr.exact_images])
     csv_path = tmp_path / "flow.csv"
     with open(csv_path, "w") as fh:
         fh.write("point_index,m,image_index\n")
         for m in range(1, 5):
             for u in range(s.n):
-                fh.write(f"{u},{m},{tr.images[m - 1, u]}\n")
+                fh.write(f"{u},{m},{images[m - 1, u]}\n")
     out = tmp_path / "run"
     code = run(["scr", "--system", "custom", "--grid-domain", "circle",
                 "--grid", "64", "--flow-csv", str(csv_path),

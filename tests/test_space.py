@@ -608,6 +608,57 @@ def test_thicken_at_attained_radii(n):
                 assert np.array_equal(got, np.nonzero(want <= radius + 1e-12)[0]), radius
 
 
+# -- x-slabs ----------------------------------------------------------------
+
+
+def _slab_query_arrays(space, rng):
+    """Query arrays for ``x_slab``: on the circle, arrays that straddle
+    theta = 0 (one past 1); on the roof, arrays along the seam (y = 0) and
+    along its top edge; then random points and grid points."""
+    if space.domain == "circle":
+        arrays = [np.array([0.995, 0.002, 0.01]), np.array([0.97, 0.99, 1.003]),
+                  space.points[[-1, 0, 1], 0], np.array([0.0, 0.02])]
+        arrays = [a[:, None] for a in arrays]
+    else:
+        xs = rng.uniform(0.0, 0.3, 12)
+        arrays = [np.column_stack([xs, np.zeros_like(xs)]),
+                  np.column_stack([xs + 0.6, roof_height(xs + 0.6)])]
+    width = space.points.shape[1]
+    return arrays + [rng.uniform(0.4, 0.6, (5, width)), space.points[rng.choice(space.n, 4)]]
+
+
+@pytest.mark.parametrize("domain,n", [("circle", 64), ("unit-square", 12), ("roof", 12),
+                                      ("roof", 16)])
+def test_x_slab_keeps_every_id_within_the_radius(domain, n):
+    s = build_grid(domain, n)
+    arrays = _slab_query_arrays(s, np.random.default_rng(n))
+    pts = np.concatenate(arrays)
+    ref = grid_distances(s, pts)
+    values = np.unique(ref)
+    attained = values[np.linspace(0, values.size - 1, 12).astype(int)]
+    gaps = np.unique(circle_gap(pts[:, :1], s.points[None, :, 0]) if domain == "circle"
+                     else np.abs(pts[:, :1] - s.points[None, :, 0]))
+    tight = gaps[np.isin(gaps, values)]         # distances equal to their x-gap
+    attained = np.concatenate([attained, tight[np.linspace(0, tight.size - 1, 8).astype(int)]])
+    ends = np.cumsum([0] + [a.shape[0] for a in arrays])
+    groups = [(arrays[k:k + 1], slice(ends[k], ends[k + 1])) for k in range(len(arrays))]
+    groups.append((arrays, slice(None)))        # each array alone, then all of them
+    narrow = 0
+    for D in attained:
+        for radius in (D, np.nextafter(D, -1.0), np.nextafter(D, 2.0)):
+            for group, rows in groups:
+                cols = s.x_slab([a[:, 0] for a in group], radius)
+                assert np.all(np.diff(cols) > 0), radius
+                left_out = np.ones(s.n, dtype=bool)
+                left_out[cols] = False
+                assert np.all(ref[rows][:, left_out] > radius), radius
+                narrow += cols.size < s.n
+                full = s.dist_coords_to_grid(pts[rows], radius)
+                assert s.dist_coords_to_grid(pts[rows], radius, cols).tobytes() == \
+                    full[:, cols].tobytes(), radius
+    assert narrow > 0
+
+
 # -- blocked direct pass --------------------------------------------------------
 
 

@@ -97,6 +97,16 @@ class RoofSeam:
     grid point to each seam sample and ``to_grid`` seam-to-grid-point
     distances.  Every query reads them only over the hull of seam samples
     that can bring it to its bound (``window``).
+
+    ``closure`` is |x_i - x_j|.  Of the four Euclidean costs between the
+    copies of two samples, bottom to bottom is sqrt(fl(d^2)) = |d| for
+    d = x_i - x_j and the others are at least |d|, so the direct costs are
+    already |x_i - x_j|, a metric, and closing them under paths changes
+    nothing in exact arithmetic.  A Floyd-Warshall closure in floating
+    point gives the same doubles when m - 1 is a power of two (every grid
+    up to 64, and 128), as every sum of two gaps is then exact; for other
+    sample counts (roof grids above 64 whose 4n is not a power of two) its
+    rounding put entries up to one ulp of 1 below |x_i - x_j|.
     """
 
     def __init__(self, grid_points: np.ndarray, n_samples: int):
@@ -106,12 +116,7 @@ class RoofSeam:
         self.top = np.column_stack([x, self.tau])
         self.bot = np.column_stack([x, np.zeros_like(x)])
 
-        reps = [self.top, self.bot]
-        base = np.full((n_samples, n_samples), np.inf)
-        for a in reps:
-            for b in reps:
-                np.minimum(base, _euclid(a, b), out=base)
-        self.closure = _fw_closure(base)
+        self.closure = np.abs(np.subtract.outer(x, x))
 
         self.points = grid_points
         self.grid_entry = self.entry_costs(grid_points)    # (n, m)
@@ -226,10 +231,19 @@ class GridSpace:
             return 0.5
         if self.domain == UNIT_SQUARE:
             return float(np.sqrt(2.0))
-        # Quotient metric diameter, estimated once on the grid itself.
-        step = max(1, self.n // 400)
-        sub = self.points[::step]
-        return float(self.dist_coords_to_grid(sub).max())
+        # Quotient metric diameter, estimated once on the grid itself.  Each
+        # block of rows reads only the columns whose direct distance exceeds
+        # the running maximum: a quotient distance is at most the direct one,
+        # so a skipped column cannot raise the maximum.
+        sub = self.points[::max(1, self.n // 400)]
+        step = max(1, min(64, TABLE_BLOCK // self.n))
+        top = 0.0
+        for lo in range(0, sub.shape[0], step):
+            rows = sub[lo:lo + step]
+            cols = np.nonzero((_euclid(rows, self.points) > top).any(axis=0))[0]
+            if cols.size:
+                top = max(top, float(self.dist_coords_to_grid(rows, cols=cols).max()))
+        return top
 
     # -- distances ----------------------------------------------------
 
@@ -329,18 +343,8 @@ class GridSpace:
         On the circle the nearest id is floor(theta * n) or the next one
         (mod n); the ids one further out on each side absorb rounding in
         the floor, and the lowest of the equally near ids wins, so a tie
-        across the wrap between n - 1 and 0 goes to 0.
-
-        Elsewhere the query points go in blocks of TABLE_BLOCK // n rows
-        (at least one), so no distance table holds more than TABLE_BLOCK
-        entries; each row's id depends on that row alone.
-
-        For the roof, the best through-seam target factorizes exactly:
-        min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
-        equals min over i of entry(p, i) + to_grid_min[i].  Only the window
-        of samples that can beat the best direct distance is evaluated
-        (``RoofSeam.window``); it keeps the strict ``<`` and, being in
-        ascending sample order, the lowest minimising sample.
+        across the wrap between n - 1 and 0 goes to 0.  Elsewhere see
+        ``_nearest_planar``, in blocks of QUERY_BLOCK points.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.domain == CIRCLE:
@@ -351,19 +355,72 @@ class GridSpace:
             tied = gap == gap.min(axis=1, keepdims=True)
             return np.where(tied, ids, self.n).min(axis=1)
         out = np.empty(pts.shape[0], dtype=np.int64)
-        step = max(1, TABLE_BLOCK // self.n)
-        for lo in range(0, pts.shape[0], step):
-            block = pts[lo:lo + step]
-            d = _euclid(block, self.points)
-            best = d.argmin(axis=1)
-            if self.domain == ROOF:
-                best_val = d.min(axis=1)
-                rows, start, _, via = self.seam.window(block, best_val, self.seam.grid_env)
-                pick = start + via.argmin(axis=1)
-                better = via.min(axis=1) < best_val[rows]
-                best[rows[better]] = self.seam.to_grid_argmin[pick[better]]
-            out[lo:lo + step] = best
+        for lo in range(0, pts.shape[0], QUERY_BLOCK):
+            out[lo:lo + QUERY_BLOCK] = self._nearest_planar(pts[lo:lo + QUERY_BLOCK])[0]
         return out
+
+    @cached_property
+    def _cells(self):
+        """Cell index of a planar grid: cells per side, the flat (side + 4)^2
+        table of the id in cell (i, j) at [i + 2, j + 2] (clipped roof cells
+        and the two-cell border hold n), and the points with a row of inf
+        appended for id n."""
+        side = int(round(1.0 / self.pitch))
+        ij = (self.points * side).astype(np.int64) + 2      # centres are (i + 1/2) / side
+        table = np.full((side + 4, side + 4), self.n, dtype=np.int64)
+        table[ij[:, 0], ij[:, 1]] = np.arange(self.n)
+        return side, table.ravel(), np.vstack([self.points, [np.inf, np.inf]])
+
+    def _nearest_planar(self, pts: np.ndarray):
+        """Nearest grid ids of planar query points and their distances.
+
+        The direct pass is the fixed-cell search of Bentley, Stanat and
+        Williams (1977): each point reads the ids of the 5 x 5 cells around
+        its own cell, in ascending id order, with the difference formula of
+        ``_euclid``, so the first minimum is the lowest id at the same
+        double.  Every grid point outside the block lies beyond its edge on
+        a side where the lattice goes on, so a point whose minimum + 1e-9
+        (the slack covers rounding) is below its distance to each such edge
+        is settled.  The other points take full ``_euclid`` tables in blocks
+        of TABLE_BLOCK // n rows (at least one).
+
+        For the roof, the best through-seam target factorizes exactly:
+        min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
+        equals min over i of entry(p, i) + to_grid_min[i].  Only the window
+        of samples that can beat the direct distance is evaluated
+        (``RoofSeam.window``); it keeps the strict ``<`` and, being in
+        ascending sample order, the lowest minimising sample.
+        """
+        side, table, padded = self._cells
+        cell = np.clip(np.floor(pts * side), 0, side - 1).astype(np.int64)
+        w = side + 4
+        ids = table[(cell[:, 0] * w + cell[:, 1])[:, None] + (np.arange(5)[:, None] * w
+                                                              + np.arange(5)).ravel()]
+        q = padded[ids]
+        d = pts[:, :1] - q[..., 0]
+        d *= d
+        dy = pts[:, 1:] - q[..., 1]
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+        first = (np.arange(pts.shape[0]), d.argmin(axis=1))
+        best, val = ids[first], d[first]
+        edge = np.minimum(np.where(cell > 2, pts - (cell - 2) / side, np.inf),
+                          np.where(cell < side - 3, (cell + 3) / side - pts, np.inf))
+        fall = np.nonzero(~(val + 1e-9 < edge.min(axis=1)))[0]
+        step = max(1, TABLE_BLOCK // self.n)
+        for lo in range(0, fall.size, step):
+            rows = fall[lo:lo + step]
+            full = _euclid(pts[rows], self.points)
+            best[rows], val[rows] = full.argmin(axis=1), full.min(axis=1)
+        if self.domain == ROOF:
+            rows, start, _, via = self.seam.window(pts, val, self.seam.grid_env)
+            through = via.min(axis=1)
+            better = through < val[rows]
+            pick = start[better] + via[better].argmin(axis=1)
+            best[rows[better]] = self.seam.to_grid_argmin[pick]
+            val[rows[better]] = through[better]
+        return best, val
 
     def thicken(self, ids, radius: float) -> np.ndarray:
         """Sorted ids of all grid points within ``radius`` of the id set."""
@@ -411,5 +468,5 @@ def _sampled_resolution(space: GridSpace) -> float:
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     pts = pts[pts[:, 1] <= roof_height(pts[:, 0])]
-    blocks = (pts[lo:lo + QUERY_BLOCK] for lo in range(0, pts.shape[0], QUERY_BLOCK))
-    return max(float(d.max()) for d in space.dist_rows_to_subsets(blocks, [np.arange(space.n)]))
+    return max(float(space._nearest_planar(pts[lo:lo + QUERY_BLOCK])[1].max())
+               for lo in range(0, pts.shape[0], QUERY_BLOCK))

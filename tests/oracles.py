@@ -1,5 +1,7 @@
 """Brute-force references, kept independent of the fast paths under test."""
 
+import functools
+
 import numpy as np
 
 
@@ -158,12 +160,25 @@ def _seam_entry(seam, pts):
     return np.minimum(direct_distances(pts, seam.top), direct_distances(pts, seam.bot))
 
 
+@functools.lru_cache(maxsize=8)
+def seam_closure(seam):
+    """(m, m) seam-to-seam distances: Floyd-Warshall over the cheapest of
+    the four Euclidean costs between the top and bottom copies of two
+    samples."""
+    copies = (seam.top, seam.bot)
+    d = np.min([direct_distances(a, b) for a in copies for b in copies], axis=0)
+    np.fill_diagonal(d, 0.0)
+    for k in range(d.shape[0]):
+        d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
+    return d
+
+
 def through_seam(space, pts):
     """(k, n) roof distances that cross the seam, over full tables: every
     seam sample enters every minimum, with entry costs the nearer of the
     sample's top and bottom copies and seam-to-grid costs closed over
-    every sample."""
-    to_grid = _full_min_plus(space.seam.closure, _seam_entry(space.seam, space.points).T)
+    every sample (``seam_closure``)."""
+    to_grid = _full_min_plus(seam_closure(space.seam), _seam_entry(space.seam, space.points).T)
     return _full_min_plus(_seam_entry(space.seam, np.atleast_2d(pts)), to_grid)
 
 
@@ -191,7 +206,7 @@ def pair_distance(space, a, b):
     if space.domain != "roof":
         return direct
     ea, eb = _seam_entry(space.seam, a)[0], _seam_entry(space.seam, b)[0]
-    return min(direct, float(((ea[:, None] + eb[None, :]) + space.seam.closure).min()))
+    return min(direct, float(((ea[:, None] + eb[None, :]) + seam_closure(space.seam)).min()))
 
 
 def quadrature_bound(fld, orbit):

@@ -10,11 +10,11 @@ import scrl.space
 from scrl.cli import RunConfig, default_prune_radius, main
 from scrl.flows import build_transition, make_flow
 from scrl.orbits import build_orbit_data
-from scrl.space import (ROOF, ROOF_RIDGE, TABLE_BLOCK, GridSpace, _euclid, build_grid,
-                        circle_gap, roof_height)
+from scrl.space import (ROOF, ROOF_RIDGE, TABLE_BLOCK, GridSpace, RoofSeam, _euclid,
+                        build_grid, circle_gap, roof_height)
 
 from oracles import (direct_distances, grid_distances, max_projection_gap, pair_distance,
-                     through_seam)
+                     seam_closure, through_seam)
 
 
 @pytest.fixture(scope="module")
@@ -136,24 +136,91 @@ def test_nearest_blocks_hold_at_most_table_block_entries(domain, n, monkeypatch)
     rng = np.random.default_rng(n)
     xs = rng.uniform(0, 1, 300)
     ys = rng.uniform(0, 1, 300) * (roof_height(xs) if domain == "roof" else 1.0)
-    pts = np.concatenate([np.column_stack([xs, ys]), s.points])
-    want = s.nearest(pts)                         # one block at this size
+    far = np.column_stack([xs[:30], 2.0 + ys[:30]])    # off the domain: no cell certificate
+    pts = np.concatenate([np.column_stack([xs, ys]), s.points, far])
+    want = s.nearest(pts)
     assert np.array_equal(want, s.dist_coords_to_grid(pts).argmin(axis=1))
     tables = []
 
     def spy(a, b):
-        if b.shape[0] == s.n:
+        if b.shape[0] == s.n:                   # a fallback table over the whole grid
             tables.append(a.shape[0])
         return _euclid(a, b)
 
     monkeypatch.setattr(scrl.space, "TABLE_BLOCK", 7 * s.n + 3)
     monkeypatch.setattr(scrl.space, "_euclid", spy)
     assert np.array_equal(s.nearest(pts), want)
-    assert tables == [7] * (pts.shape[0] // 7) + [pts.shape[0] % 7]
+    assert tables == [7] * 4 + [2]              # the 30 far rows, and only they
+    assert all(rows * s.n <= 7 * s.n + 3 for rows in tables)
     monkeypatch.setattr(scrl.space, "TABLE_BLOCK", s.n - 1)     # still one row a block
     tables.clear()
-    assert np.array_equal(s.nearest(pts[:5]), want[:5])
+    assert np.array_equal(s.nearest(pts[-5:]), want[-5:])
     assert tables == [1] * 5
+
+
+def _lattice_queries(space, orbit):
+    """Planar queries where the 5 x 5 cell search is tight: half-cell
+    midpoints of grid neighbours (ties), cell corners, points on cell
+    edges, on x = 0, x = 1 and y = 0, flowed orbit points and, on the roof,
+    points just under the roof line whose own cell is clipped and points
+    up to two cells above it, whose nearest grid point can be two cells
+    away."""
+    side = round(1 / space.pitch)
+    cell = np.floor(space.points * side).astype(int)
+    at = {tuple(c): i for i, c in enumerate(cell)}
+    pairs = [(i, at[c[0] + di, c[1] + dj]) for i, c in enumerate(cell)
+             for di, dj in ((1, 0), (0, 1)) if (c[0] + di, c[1] + dj) in at]
+    a, b = np.array(pairs).T
+    edges = np.arange(side + 1) / side
+    centres = (np.arange(side) + 0.5) / side
+    line = np.linspace(0, 1, 4 * side + 1)
+    grid = lambda u, v: np.column_stack([np.repeat(u, v.size), np.tile(v, u.size)])
+    queries = [(space.points[a] + space.points[b]) / 2, grid(edges, edges),
+               grid(edges, centres), grid(centres, edges),
+               grid(np.array([0.0, 1.0]), line), grid(line, np.array([0.0])),
+               orbit.coords[1], orbit.coords[-1]]
+    if space.domain == ROOF:
+        xs = np.linspace(0, 1, 40 * side + 1)
+        under = np.column_stack([xs, np.nextafter(roof_height(xs), 0.0)])
+        c = np.floor(under * side)
+        clipped = roof_height((c[:, 0] + 0.5) / side) <= (c[:, 1] + 0.5) / side
+        assert clipped.sum() >= 10
+        queries.append(under[clipped])
+    pts = np.concatenate(queries)
+    if space.domain == ROOF:
+        xs = np.linspace(0, 1, 4 * side + 1)
+        above = [np.column_stack([xs, roof_height(xs) + k / side]) for k in (0.5, 1.0, 1.5, 2.0)]
+        pts = np.concatenate([pts[pts[:, 1] <= roof_height(pts[:, 0])], *above])
+    return pts
+
+
+@pytest.mark.parametrize("domain,n", [(d, n) for d in ("unit-square", "roof")
+                                      for n in (8, 12, 16, 33)])
+def test_lattice_nearest_matches_brute_force(domain, n, monkeypatch):
+    s = build_grid(domain, n)
+    system = "roof" if domain == ROOF else "square"
+    orbit = build_orbit_data(make_flow(system), s, 1.0, fine_horizon=2.0,
+                             horizon=4.0, t_steps=4)
+    # off the domain, where the 5 x 5 certificate cannot hold; above the
+    # roof ridge at grids of 12 and up the whole 5 x 5 block is clipped
+    forced = np.array([[0.5, 1.0], [0.45, 0.99], [0.5, 3.0]])
+    pts = np.concatenate([_lattice_queries(s, orbit), forced])
+    d = _euclid(pts, s.points)
+    if domain == ROOF:
+        np.minimum(d, through_seam(s, pts), out=d)
+    fallback = []
+
+    def spy(a, b):
+        fallback.append(a.shape[0])
+        return _euclid(a, b)
+
+    monkeypatch.setattr(scrl.space, "_euclid", spy)
+    assert np.array_equal(s.nearest(pts), d.argmin(axis=1))
+    assert sum(fallback) >= 1
+    fallback.clear()
+    one = -3 if domain == ROOF else -1          # the clipped block; far off the square
+    assert np.array_equal(s.nearest(pts[one:][:1]), d[one:][:1].argmin(axis=1))
+    assert fallback == [1]
 
 
 def test_nearest_tie_breaks_low():
@@ -259,6 +326,34 @@ def test_roof_ridge_value():
     assert roof_height(0.0) == pytest.approx(1.0)
     assert roof_height(1.0) == pytest.approx(1.0)
     assert roof_height(0.5) == pytest.approx(ROOF_RIDGE)
+
+
+@pytest.mark.parametrize("m", [257, 513, 321, 401])
+def test_seam_closure_is_the_x_gap(m):
+    """The closed form |x_i - x_j| against a Floyd-Warshall closure of the
+    four-way Euclidean seam costs: bit for bit when m - 1 is a power of
+    two, else at most one ulp of 1 (the seam's length) above it."""
+    seam = RoofSeam(build_grid("roof", 8).points, m)
+    gap = np.abs(np.subtract.outer(seam.x, seam.x))
+    assert seam.closure.tobytes() == gap.tobytes()
+    fw = seam_closure(seam)
+    if (m - 1) & (m - 2) == 0:
+        assert fw.tobytes() == gap.tobytes()
+    else:
+        assert np.any(fw != gap)
+        assert np.all(fw <= gap) and np.all(gap - fw <= np.spacing(1.0))
+
+
+@pytest.mark.parametrize("n", [12, 16, 32])
+def test_roof_diameter_and_resolution_match_full_tables(n):
+    s = build_grid("roof", n)
+    sub = s.points[::max(1, s.n // 400)]
+    assert s.diameter == float(s.dist_coords_to_grid(sub).max())
+    centres = (np.arange(3 * n) + 0.5) / (3 * n)          # the sampled resolution's lattice
+    fine = np.column_stack([np.repeat(centres, 3 * n), np.tile(centres, 3 * n)])
+    fine = fine[fine[:, 1] <= roof_height(fine[:, 0])]
+    d = next(s.dist_rows_to_subsets([fine], [np.arange(s.n)]))
+    assert s.resolution == float(d.max()) * 1.05
 
 
 def _two_table_entry_costs(seam, pts):
@@ -696,8 +791,8 @@ def test_direct_pass_blocks_match_one_table(domain, n, monkeypatch):
 
 def test_roof16_direct_tables_stay_in_one_block(tmp_path, monkeypatch):
     """Every direct pass of a roof 16 ``analyze`` is one table per set,
-    the largest (the sampled resolution's 1764 x 198) included."""
-    assert 1764 * 198 <= TABLE_BLOCK
+    the largest (``sup_along_orbit``'s 3960 orbit points x 9 ids) included."""
+    assert 3960 * 9 <= TABLE_BLOCK
     count = _count_direct_tables(monkeypatch, "roof")
     original = GridSpace.dist_rows_to_subsets
     largest = [0]
@@ -716,4 +811,4 @@ def test_roof16_direct_tables_stay_in_one_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(GridSpace, "dist_rows_to_subsets", spy)
     assert main(["analyze", "--system", "roof", "--grid", "16", "--out", str(tmp_path)]) == 0
-    assert largest[0] == 1764 * 198
+    assert largest[0] == 3960 * 9

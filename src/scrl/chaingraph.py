@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .flows import FlowModel, GridTransition
+from .flows import GridTransition
 from .space import TABLE_BLOCK, GridSpace
 
 
@@ -152,17 +152,17 @@ class ScrResult:
 _BUILD_ROWS = 64
 
 
-def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
-                      prune_radius: float) -> ChainGraph:
+def build_chain_graph(space: GridSpace, tr: GridTransition, prune_radius: float) -> ChainGraph:
     """Assemble the cheapest jump edge per (u, v) with weight at most
     ``prune_radius``, over all multipliers m = 1..m_max.
 
-    Built-in systems use the exact continuous images; sampled flows only
-    know grid images, so their weights carry a + resolution padding.  The
-    source rows go in blocks of min(64, TABLE_BLOCK // n) (at least one).
-    Each block reads only the columns of one x-slab, the ids within the
-    prune radius of the x-range of its images for some m
-    (``GridSpace.x_slab``).  Every distance is at least its x-gap on all
+    The weight of (u, v) at m is the distance from ``tr.coords[m-1, u]``
+    to v plus ``tr.pad``: the exact continuous images of built-in systems
+    with no padding, or the named grid points of sampled flows padded by
+    the resolution.  The source rows go in blocks of min(64, TABLE_BLOCK //
+    n) (at least one).  Each block reads only the columns of one x-slab,
+    the ids within the prune radius of the x-range of its images for some
+    m (``GridSpace.x_slab``).  Every distance is at least its x-gap on all
     three domains, so a column outside the slab has no edge from the
     block; every entry read is the same double as in the full table, so
     the edges, weights and multipliers are bit for bit those of the full
@@ -172,20 +172,18 @@ def build_chain_graph(space: GridSpace, tr: GridTransition, flow: FlowModel,
         raise ValueError(
             f"prune_radius {prune_radius} < 3 * resolution {3 * space.resolution}; "
             "near-zero-cost continuation edges would be lost")
-    sampled = tr.exact_images is None
     us, vs, ms, ws = [], [], [], []
     step = max(1, min(_BUILD_ROWS, TABLE_BLOCK // space.n))
     for lo in range(0, space.n, step):
-        hi = min(lo + step, space.n)
-        images = space.points[tr.images[:, lo:hi]] if sampled else tr.exact_images[:, lo:hi]
+        images = tr.coords[:, lo:lo + step]
         cols = space.x_slab(images[..., 0], prune_radius)
         wmin = best = None
         for m, img in enumerate(images, 1):
             d = space.dist_coords_to_grid(img, prune_radius, cols)
-            if sampled:
-                d += space.resolution
+            if tr.pad:
+                d += tr.pad
             if wmin is None:
-                wmin, best = d, np.ones(d.shape, dtype=np.min_scalar_type(tr.m_max))
+                wmin, best = d, np.ones(d.shape, dtype=np.min_scalar_type(len(tr.coords)))
                 continue
             better = d < wmin                  # strict, so the lowest m keeps a tie
             best[better] = m

@@ -31,7 +31,7 @@ from .flows import FlowModel, GridTransition, build_transition, load_sampled_tra
 from .lyapunov import LyapunovField, combine_pairs, sup_along_orbit, verify_lyapunov
 from .orbits import FINE_DIVISOR, OrbitData, build_orbit_data
 from .pairs import PairCatalog, default_radii, default_seed_stride, enumerate_pairs, select_cover
-from .space import DOMAINS, GridSpace, _fw_closure, build_grid
+from .space import DOMAINS, GridSpace, build_grid
 from .stablesets import default_eta_samples
 
 DEFAULT_GRID = {"circle": 256, "square": 32, "roof": 48, "identity": 64, "custom": 64}
@@ -187,7 +187,7 @@ def build_bundle(cfg: RunConfig) -> RunBundle:
         raise ConfigError(
             f"epsilon {cfg.budgets[-1]} exceeds prune radius "
             f"{prune:.4g}; chains at this budget would need pruned edges")
-    graph = build_chain_graph(space, tr, flow, prune)
+    graph = build_chain_graph(space, tr, prune)
     return RunBundle(cfg=cfg, space=space, flow=flow, tr=tr, graph=graph)
 
 
@@ -262,6 +262,10 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
     ``cfg.budgets``, but only at ``cfg.epsilon`` in a run that goes on to
     pairs: its later stages read the scr of ``cfg.epsilon``.
     """
+    if cfg.system == "custom" and set(stages) - {"scr", "cr", "compare"}:
+        raise ConfigError("a custom flow has images only at multiples of T, not the "
+                          "orbits that pairs, lyapunov and verify sample; "
+                          "custom flows support scr, cr and compare")
     bundle = build_bundle(cfg)
     if stages[0] in ("scr", "cr"):           # a run from the start of the chain
         out.mkdir(parents=True, exist_ok=True)
@@ -395,11 +399,16 @@ def write_combined_csv(path: Path, space: GridSpace, H: np.ndarray) -> None:
 
 def floyd_warshall_reference(n: int, edges) -> np.ndarray:
     """Brute-force all-pairs matrix used to diff the fast paths: the
-    Floyd-Warshall closure of the cheapest edge per (u, v)."""
+    Floyd-Warshall closure of the cheapest edge per (u, v), one
+    vectorised relaxation through each k (row and column k stay fixed
+    during it, as costs are nonnegative)."""
     dist = np.full((n, n), np.inf)
     for u, v, w in edges:
         dist[u, v] = min(dist[u, v], w)
-    return _fw_closure(dist)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    return dist
 
 
 def oracle_check(seeds: int, rng_seed: int = 0) -> dict:

@@ -295,26 +295,29 @@ def _roof_wraps(drift: tuple, y0: np.ndarray, t_max: float) -> tuple:
 
 @dataclass(eq=False)
 class GridTransition:
-    """Grid-projected images of phi_{mT}.
+    """The images of phi_{mT}, m = 1..m_max, as coordinates.
 
-    ``exact_images[m-1]`` holds the continuous images of phi_{mT}, m =
-    1..m_max, for built-in systems (None for sampled flows); downstream
-    jump costs are derived from these, so projection error is never
-    hidden.  ``images[0]`` is the grid image of phi_T.  Only sampled
-    flows carry ``images[m-1]`` for m >= 2, the grid images their jump
-    costs are padded from; built-in systems hold that one row.
+    ``coords[m-1]`` holds the images of phi_{mT} of every grid point: the
+    exact continuous images for built-in systems, and the named grid
+    points for sampled flows, which know their images only to within a
+    resolution.  The jump costs read ``coords`` and add ``pad`` (0 for
+    built-in systems, the resolution for sampled flows), so projection
+    error is never hidden.  ``image`` is the grid image of phi_T, the
+    nearest grid id of ``coords[0]`` (a grid point's own id for sampled
+    flows).  Build one with :meth:`project`.
     """
 
     T: float
-    m_max: int
-    images: np.ndarray = field(repr=False)          # (m_max, n) int sampled, else (1, n)
-    exact_images: np.ndarray | None = field(repr=False, default=None)
+    coords: np.ndarray = field(repr=False)          # (m_max, n, dim); m_max = coords.shape[0]
+    pad: float
+    image: np.ndarray = field(repr=False)           # (n,) int
     _cycles: tuple | None = field(repr=False, default=None)   # image-map cycles, see stablesets
 
-    @property
-    def image(self) -> np.ndarray:
-        """Single-step nearest-image map (m = 1)."""
-        return self.images[0]
+    @classmethod
+    def project(cls, space: GridSpace, T: float, coords: np.ndarray,
+                pad: float = 0.0) -> "GridTransition":
+        """The transition with images ``coords``, phi_T projected to the grid."""
+        return cls(T=T, coords=coords, pad=pad, image=space.nearest(coords[0]))
 
 
 def build_transition(flow: FlowModel, space: GridSpace, T: float, m_max: int) -> GridTransition:
@@ -325,14 +328,15 @@ def build_transition(flow: FlowModel, space: GridSpace, T: float, m_max: int) ->
     if m_max < 1:
         raise ValueError(f"m_max={m_max} must be a positive integer")
     exact = flow.evaluate(space.points, T * np.arange(1, m_max + 1))
-    images = space.nearest(exact[0])[None]
-    return GridTransition(T=T, m_max=m_max, images=images, exact_images=exact)
+    return GridTransition.project(space, T, exact)
 
 
 def load_sampled_transition(path, space: GridSpace, T: float, m_max: int) -> tuple[FlowModel, GridTransition]:
     """Ingest a custom flow from CSV rows ``point_index,m,image_index``.
 
     Every (point, m) pair for m = 1..m_max must be present exactly once.
+    The images become the coordinates of the named grid points, padded by
+    the resolution.
     """
     images = np.full((m_max, space.n), -1, dtype=np.int64)
     with open(path, newline="") as fh:
@@ -356,4 +360,4 @@ def load_sampled_transition(path, space: GridSpace, T: float, m_max: int) -> tup
         missing = int((images < 0).sum())
         raise ValueError(f"custom flow CSV incomplete: {missing} (point, m) pairs missing")
     flow = FlowModel("custom-sampled", space.domain)
-    return flow, GridTransition(T=T, m_max=m_max, images=images, exact_images=None)
+    return flow, GridTransition.project(space, T, space.points[images], space.resolution)

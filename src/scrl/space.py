@@ -62,30 +62,21 @@ def _min_plus(a: np.ndarray, b: np.ndarray, start=0) -> np.ndarray:
 
 
 def _euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense (k, n) Euclidean distances by the direct difference formula.
+    """Euclidean distances by the direct difference formula: (k, n) from
+    the (k, dim) points ``a`` to an (n, dim) table ``b``, or (k, c) from
+    each point to its own row of a (k, c, dim) gather ``b``.
 
     Each entry is sqrt(sum_j (a_j - b_j) ** 2), taken elementwise, so it
     is exact to a few ulps, 0 for equal points, symmetric bit for bit,
     and the same whatever the shapes of ``a`` and ``b``.
     """
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq = a[:, None, 0] - b[..., 0]
     sq *= sq
     for j in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, j], b[:, j])
+        diff = a[:, None, j] - b[..., j]
         diff *= diff
         sq += diff
     return np.sqrt(sq, out=sq)
-
-
-def _fw_closure(d: np.ndarray) -> np.ndarray:
-    """All-pairs shortest-path closure of a nonnegative cost matrix: one
-    vectorised relaxation through each k (row and column k stay fixed
-    during it, as costs are nonnegative)."""
-    d = d.copy()
-    np.fill_diagonal(d, 0.0)
-    for k in range(d.shape[0]):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return d
 
 
 class RoofSeam:
@@ -211,7 +202,6 @@ class GridSpace:
     """
 
     domain: str
-    metric_kind: str
     points: np.ndarray = field(repr=False)
     resolution: float
     pitch: float
@@ -376,13 +366,13 @@ class GridSpace:
 
         The direct pass is the fixed-cell search of Bentley, Stanat and
         Williams (1977): each point reads the ids of the 5 x 5 cells around
-        its own cell, in ascending id order, with the difference formula of
-        ``_euclid``, so the first minimum is the lowest id at the same
-        double.  Every grid point outside the block lies beyond its edge on
-        a side where the lattice goes on, so a point whose minimum + 1e-9
-        (the slack covers rounding) is below its distance to each such edge
-        is settled.  The other points take full ``_euclid`` tables in blocks
-        of TABLE_BLOCK // n rows (at least one).
+        its own cell, in ascending id order, through ``_euclid``, so the
+        first minimum is the lowest id at the same double.  Every grid
+        point outside the block lies beyond its edge on a side where the
+        lattice goes on, so a point whose minimum + 1e-9 (the slack covers
+        rounding) is below its distance to each such edge is settled.  The
+        other points take full ``_euclid`` tables in blocks of
+        TABLE_BLOCK // n rows (at least one).
 
         For the roof, the best through-seam target factorizes exactly:
         min over (seam sample i, grid g) of entry(p, i) + to_grid[i, g]
@@ -396,13 +386,7 @@ class GridSpace:
         w = side + 4
         ids = table[(cell[:, 0] * w + cell[:, 1])[:, None] + (np.arange(5)[:, None] * w
                                                               + np.arange(5)).ravel()]
-        q = padded[ids]
-        d = pts[:, :1] - q[..., 0]
-        d *= d
-        dy = pts[:, 1:] - q[..., 1]
-        dy *= dy
-        d += dy
-        np.sqrt(d, out=d)
+        d = _euclid(pts, padded[ids])
         first = (np.arange(pts.shape[0]), d.argmin(axis=1))
         best, val = ids[first], d[first]
         edge = np.minimum(np.where(cell > 2, pts - (cell - 2) / side, np.inf),
@@ -443,7 +427,7 @@ def build_grid(domain: str, n: int) -> GridSpace:
 
     if domain == CIRCLE:
         pts = (np.arange(n, dtype=float) / n).reshape(-1, 1)
-        return GridSpace(CIRCLE, "circle-arc-length", pts, 0.5 / n, 1.0 / n)
+        return GridSpace(CIRCLE, pts, 0.5 / n, 1.0 / n)
 
     centers = (np.arange(n, dtype=float) + 0.5) / n
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
@@ -451,12 +435,12 @@ def build_grid(domain: str, n: int) -> GridSpace:
 
     if domain == UNIT_SQUARE:
         res = float(np.sqrt(2.0) / (2 * n))
-        return GridSpace(UNIT_SQUARE, "euclidean-subset", pts, res, 1.0 / n)
+        return GridSpace(UNIT_SQUARE, pts, res, 1.0 / n)
 
     keep = pts[:, 1] < roof_height(pts[:, 0])
     pts = pts[keep]
     seam = RoofSeam(pts, n_samples=max(257, 4 * n + 1))
-    space = GridSpace(ROOF, "roof-intrinsic", pts, np.nan, 1.0 / n, seam=seam)
+    space = GridSpace(ROOF, pts, np.nan, 1.0 / n, seam=seam)
     space.resolution = _sampled_resolution(space) * 1.05
     return space
 

@@ -23,7 +23,7 @@ def identity_circle8():
     s = build_grid("circle", 8)
     f = make_flow("identity")
     tr = build_transition(f, s, 1.0, 1)
-    return s, f, tr, build_chain_graph(s, tr, f, 0.2)
+    return s, f, tr, build_chain_graph(s, tr, 0.2)
 
 
 def _quiet_scr(g, eps, **kw):
@@ -136,7 +136,7 @@ def test_square_transition_edge_south():
     s = build_grid("unit-square", 16)
     f = make_flow("square")
     tr = build_transition(f, s, 1.0, 1)
-    g = build_chain_graph(s, tr, f, 10 * s.resolution)
+    g = build_chain_graph(s, tr, 10 * s.resolution)
     u = int(s.nearest(np.array([[0.5, 0.5]]))[0])
     img = tr.image[u]
     assert s.points[img, 1] < s.points[u, 1]          # image lies south
@@ -148,7 +148,7 @@ def test_square_16_scr_hugs_fixed_segments():
     s = build_grid("unit-square", 16)
     f = make_flow("square")
     tr = build_transition(f, s, 1.0, 4)
-    g = build_chain_graph(s, tr, f, 10 * s.resolution)
+    g = build_chain_graph(s, tr, 10 * s.resolution)
     res = _quiet_scr(g, 0.1)
     ys = s.points[res.members, 1]
     # collar width at budget 0.1: a row returns in one jump of about
@@ -168,7 +168,7 @@ def test_omega_budget_vs_chain_enumeration():
     s = build_grid("unit-square", 8)
     f = make_flow("square")
     tr = build_transition(f, s, 1.0, 4)
-    g = build_chain_graph(s, tr, f, 10 * s.resolution)
+    g = build_chain_graph(s, tr, 10 * s.resolution)
     edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()))
     Y = [int(s.nearest(np.array([[0.4, 0.0]]))[0])]
     eps = 0.08
@@ -184,7 +184,7 @@ def test_scr_cost_limited_matches_exact():
     s = build_grid("unit-square", 12)
     f = make_flow("square")
     tr = build_transition(f, s, 1.0, 2)
-    g = build_chain_graph(s, tr, f, 10 * s.resolution)
+    g = build_chain_graph(s, tr, 10 * s.resolution)
     full = _quiet_scr(g, 0.1)
     limited = _quiet_scr(g, 0.1, cost_limit=0.1 + 10 * s.resolution)
     assert np.array_equal(full.members, limited.members)
@@ -196,8 +196,8 @@ def test_guards():
     f = make_flow("identity")
     tr = build_transition(f, s, 1.0, 1)
     with pytest.raises(ValueError):
-        build_chain_graph(s, tr, f, 2 * s.resolution)   # below 3 * resolution
-    g = build_chain_graph(s, tr, f, 0.2)
+        build_chain_graph(s, tr, 2 * s.resolution)   # below 3 * resolution
+    g = build_chain_graph(s, tr, 0.2)
     with pytest.raises(ValueError):
         compute_scr(g, 0.0)
     with pytest.raises(ValueError):
@@ -226,8 +226,8 @@ def test_band_flags_threshold_nodes():
 
 def test_determinism(identity_circle8):
     s, f, tr, _ = identity_circle8
-    g1 = build_chain_graph(s, tr, f, 0.2)
-    g2 = build_chain_graph(s, tr, f, 0.2)
+    g1 = build_chain_graph(s, tr, 0.2)
+    g2 = build_chain_graph(s, tr, 0.2)
     assert np.array_equal(g1.edge_u, g2.edge_u)
     assert np.array_equal(g1.edge_v, g2.edge_v)
     assert np.array_equal(g1.edge_w, g2.edge_w)
@@ -251,13 +251,13 @@ def test_custom_sampled_weights_carry_padding():
     s = build_grid("circle", 8)
     f = make_flow("circle")
     tr = build_transition(f, s, 1.0, 1)
-    from scrl.flows import FlowModel, GridTransition
-    sampled = GridTransition(T=1.0, m_max=1, images=tr.images.copy(), exact_images=None)
-    g_exact = build_chain_graph(s, tr, f, 0.3)
-    g_pad = build_chain_graph(s, sampled, FlowModel("custom-sampled", "circle"), 0.3)
+    from scrl.flows import GridTransition
+    sampled = GridTransition.project(s, 1.0, s.points[tr.image][None], s.resolution)
+    g_exact = build_chain_graph(s, tr, 0.3)
+    g_pad = build_chain_graph(s, sampled, 0.3)
     # padded self-image edge weight equals the resolution exactly
     for u in range(8):
-        sel = (g_pad.edge_u == u) & (g_pad.edge_v == sampled.images[0, u])
+        sel = (g_pad.edge_u == u) & (g_pad.edge_v == sampled.image[u])
         assert g_pad.edge_w[sel].min() == pytest.approx(s.resolution)
 
 
@@ -292,16 +292,19 @@ def test_graph_from_edges_keeps_cheapest_edge_per_pair():
         assert np.array_equal(got.data, ref.data)
 
 
-def _per_m_reference(space, tr, prune):
+def _per_m_reference(space, tr, prune, images=None):
     """One full-table distance matrix per multiplier, then per (u, v) the
     least weight and the lowest m achieving it, in (u, v) order, stored as
-    the graph stores them: int32 ids and m in the smallest type of m_max."""
+    the graph stores them: int32 ids and m in the smallest type of m_max.
+    A sampled flow's distances come from its (m_max, n) grid ids
+    ``images``, padded by the resolution."""
     us, vs, ms, ws = [], [], [], []
-    for m in range(1, tr.m_max + 1):
-        if tr.exact_images is not None:
-            dmat = grid_distances(space, tr.exact_images[m - 1])
+    m_max = tr.coords.shape[0]
+    for m in range(1, m_max + 1):
+        if images is None:
+            dmat = grid_distances(space, tr.coords[m - 1])
         else:
-            dmat = grid_distances(space, space.points[tr.images[m - 1]]) + space.resolution
+            dmat = grid_distances(space, space.points[images[m - 1]]) + space.resolution
         uu, vv = np.nonzero(dmat <= prune)
         us.append(uu)
         vs.append(vv)
@@ -313,7 +316,7 @@ def _per_m_reference(space, tr, prune):
     first = np.ones(u.size, dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
     return (u[first].astype(np.int32), v[first].astype(np.int32),
-            m[first].astype(np.min_scalar_type(tr.m_max)), w[first])
+            m[first].astype(np.min_scalar_type(m_max)), w[first])
 
 
 # Every case spans several 64-row source blocks; m_max is 3 and the prune
@@ -334,17 +337,17 @@ def _per_m_reference(space, tr, prune):
     pytest.param("circle", "circle", 1100, False, 4, 0.125, id="circle-sweep-1100"),
 ])
 def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled, m_max, prune):
-    from scrl.flows import FlowModel, GridTransition
+    from scrl.flows import GridTransition
     s = build_grid(domain, n)
     f = make_flow(system)
     tr = build_transition(f, s, 1.0, m_max)
+    images = None
     if sampled:
-        images = np.array([s.nearest(e) for e in tr.exact_images])
-        tr = GridTransition(T=1.0, m_max=m_max, images=images, exact_images=None)
-        f = FlowModel("custom-sampled", domain)
+        images = np.array([s.nearest(e) for e in tr.coords])
+        tr = GridTransition.project(s, 1.0, s.points[images], s.resolution)
     prune = prune or 10 * s.resolution
-    g = build_chain_graph(s, tr, f, prune)
-    ref = _per_m_reference(s, tr, prune)
+    g = build_chain_graph(s, tr, prune)
+    ref = _per_m_reference(s, tr, prune, images)
     for got, want in zip((g.edge_u, g.edge_v, g.edge_m, g.edge_w), ref):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -354,7 +357,7 @@ def test_build_chain_graph_matches_per_m_reference(domain, system, n, sampled, m
 def test_graph_storage_dtypes_survive_the_csv_round_trip(tmp_path, m_max, m_type):
     s = build_grid("circle", 16)
     f = make_flow("circle")
-    g = build_chain_graph(s, build_transition(f, s, 0.01, m_max), f, 3 * s.resolution)
+    g = build_chain_graph(s, build_transition(f, s, 0.01, m_max), 3 * s.resolution)
     path = tmp_path / "graph.csv"
     export_graph_csv(g, path)
     with open(path, newline="") as fh:
@@ -384,7 +387,7 @@ def test_build_tables_hold_at_most_table_block(domain, system, n, monkeypatch):
         return real(self, pts, cutoff, cols)
 
     monkeypatch.setattr(GridSpace, "dist_coords_to_grid", spy)
-    build_chain_graph(s, tr, f, 10 * s.resolution)
+    build_chain_graph(s, tr, 10 * s.resolution)
     rows, cols = np.array(tables).T
     assert s.n <= TABLE_BLOCK and rows.sum() == 3 * s.n and len(rows) > 3
     assert rows.max() * s.n <= TABLE_BLOCK
@@ -425,7 +428,7 @@ def _grid_graph(domain, system, n):
     s = build_grid(domain, n)
     f = make_flow(system)
     tr = build_transition(f, s, 1.0, 3)
-    return build_chain_graph(s, tr, f, 10 * s.resolution)
+    return build_chain_graph(s, tr, 10 * s.resolution)
 
 
 @pytest.mark.parametrize("limit", [None, 0.1])

@@ -356,7 +356,7 @@ def test_custom_flow_end_to_end(tmp_path):
     s = build_grid("circle", 64)
     f = make_flow("circle")
     tr = build_transition(f, s, 1.0, 4)
-    images = np.array([s.nearest(e) for e in tr.exact_images])
+    images = np.array([s.nearest(e) for e in tr.coords])
     csv_path = tmp_path / "flow.csv"
     with open(csv_path, "w") as fh:
         fh.write("point_index,m,image_index\n")
@@ -375,6 +375,19 @@ def test_custom_flow_end_to_end(tmp_path):
     fixed_arc = np.nonzero((theta >= 0.875) | (theta == 0.0))[0]
     assert all(int(i) in members for i in fixed_arc)
     assert 0 < len(members) < s.n
+
+
+@pytest.mark.parametrize("command", ["analyze", "pairs", "lyapunov", "verify"])
+def test_custom_flow_orbit_stages_are_config_errors(tmp_path, capsys, command):
+    # a custom flow has no orbits to sample: the run stops before it writes anything
+    csv_path = tmp_path / "flow.csv"
+    csv_path.write_text("point_index,m,image_index\n" + "".join(f"{u},1,{u}\n" for u in range(8)))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run([command, "--system", "custom", "--grid-domain", "circle", "--grid", "8",
+                "--flow-csv", str(csv_path), "--m-max", "1", "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+    assert "custom flows support scr, cr and compare" in capsys.readouterr().err
 
 
 def test_export_graph_flag(tmp_path):

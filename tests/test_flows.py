@@ -427,10 +427,10 @@ def test_transition_identity_is_identity():
     f = make_flow("identity")
     tr = build_transition(f, s, 1.0, 3)
     assert np.array_equal(tr.image, np.arange(16))
-    assert tr.images.shape == (1, 16)           # built-in flows project phi_T only
-    assert tr.exact_images.shape == (3, 16, 1)
+    assert tr.coords.shape == (3, 16, 1)        # m_max = 3
+    assert tr.pad == 0.0                        # exact images are not padded
     for m in range(3):
-        assert np.array_equal(s.nearest(tr.exact_images[m]), np.arange(16))
+        assert np.array_equal(s.nearest(tr.coords[m]), np.arange(16))
 
 
 def test_transition_projection_error_bounded():
@@ -440,10 +440,10 @@ def test_transition_projection_error_bounded():
         s = build_grid(domain, n)
         f = make_flow(system)
         tr = build_transition(f, s, 1.0, 2)
-        assert np.array_equal(tr.images, s.nearest(tr.exact_images[0])[None])
+        assert np.array_equal(tr.image, s.nearest(tr.coords[0]))
         for m in range(2):
-            images = s.nearest(tr.exact_images[m])
-            d = grid_distances(s, tr.exact_images[m])[np.arange(s.n), images]
+            images = s.nearest(tr.coords[m])
+            d = grid_distances(s, tr.coords[m])[np.arange(s.n), images]
             assert d.max() <= s.resolution + 1e-9
 
 
@@ -472,7 +472,7 @@ def test_sampled_flow_round_trip(tmp_path):
     s = build_grid("circle", 8)
     f = make_flow("circle")
     tr = build_transition(f, s, 1.0, 2)
-    images = np.array([s.nearest(e) for e in tr.exact_images])
+    images = np.array([s.nearest(e) for e in tr.coords])
     path = tmp_path / "flow.csv"
     with open(path, "w") as fh:
         fh.write("point_index,m,image_index\n")
@@ -481,8 +481,9 @@ def test_sampled_flow_round_trip(tmp_path):
                 fh.write(f"{u},{m},{images[m - 1, u]}\n")
     flow2, tr2 = load_sampled_transition(path, s, 1.0, 2)
     assert flow2.kind == "custom-sampled"
-    assert np.array_equal(tr2.images, images)
-    assert tr2.exact_images is None
+    assert np.array_equal(tr2.image, images[0])
+    assert tr2.coords.tobytes() == s.points[images].tobytes()
+    assert tr2.pad == s.resolution              # grid images are padded
 
 
 def test_sampled_flow_rejects_incomplete(tmp_path):

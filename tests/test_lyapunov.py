@@ -249,7 +249,7 @@ def test_verify_constant_h_identity_clean():
     s = build_grid("circle", 16)
     f = make_flow("identity")
     tr = build_transition(f, s, 1.0, 1)
-    g = build_chain_graph(s, tr, f, 0.3)
+    g = build_chain_graph(s, tr, 0.3)
     orbit = build_orbit_data(f, s, 1.0, fine_horizon=S_MAX + 4.0,
                              horizon=50.0, t_steps=50)
     from scrl.chaingraph import compute_scr

@@ -20,7 +20,7 @@ def build_all(system, domain, n, epsilon, prune=None, m_max=4):
     s = build_grid(domain, n)
     f = make_flow(system)
     tr = build_transition(f, s, 1.0, m_max)
-    g = build_chain_graph(s, tr, f, prune or max(10 * s.resolution, 1.25 * epsilon))
+    g = build_chain_graph(s, tr, prune or max(10 * s.resolution, 1.25 * epsilon))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         scr = compute_scr(g, epsilon)

@@ -15,7 +15,7 @@ def make_system(system, domain, n, m_max=2, prune=None):
     s = build_grid(domain, n)
     f = make_flow(system)
     tr = build_transition(f, s, 1.0, m_max)
-    g = build_chain_graph(s, tr, f, prune or 10 * s.resolution)
+    g = build_chain_graph(s, tr, prune or 10 * s.resolution)
     return s, f, tr, g
 
 
@@ -85,7 +85,8 @@ def test_omega_set_matches_iterated_images_on_random_maps():
             f = rng.integers(0, n, n)
             if n > 2 and rng.random() < 0.3:
                 f[: n // 2] = np.arange(n // 2)            # many fixed points
-            tr = GridTransition(T=1.0, m_max=1, images=f[None])
+            # grid ids f on a circle of n points; too few points for build_grid
+            tr = GridTransition(T=1.0, coords=f[None, :, None] / n, pad=0.0, image=f)
             U = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             S = set(U.tolist())
             for _ in range(n):                              # onto the cycles
@@ -547,7 +548,8 @@ def test_nested_prefix_maxima_match_row_loop_on_random_maps(domain, n):
         drop = rng.uniform(size=s.n) < 0.1 * (trial % 6)
         f[drop] = rng.choice(core, drop.sum())
         f[core] = core[rng.integers(0, core.size, core.size)]
-        tr = GridTransition(T=0.5 + trial, m_max=1, images=f[None])
+        tr = GridTransition.project(s, 0.5 + trial, s.points[f][None])
+        assert np.array_equal(tr.image, f)
         B = np.unique(np.concatenate([core, rng.choice(s.n, trial % 3)]))
         R = float(rng.uniform(0.2, 1.5))
         d2B = s.dist_coords_to_subset(s.points, B)

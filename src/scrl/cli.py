@@ -222,7 +222,7 @@ def stage_lyapunov(bundle: RunBundle, catalog: PairCatalog
     orbit = bundle.ensure_orbit()
     fields = sup_along_orbit([catalog.pairs[i] for i in catalog.selected], bundle.space,
                              orbit, s_max=bundle.cfg.s_max)
-    return fields, combine_pairs(fields, bundle.space.n)
+    return fields, combine_pairs((f.h_values for f in fields), bundle.space.n)
 
 
 def adaptive_margin(cfg: RunConfig, space: GridSpace, n_pairs: int) -> float:

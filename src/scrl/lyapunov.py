@@ -36,11 +36,12 @@ TOL_NUM = 1e-6
 
 @dataclass(eq=False)
 class LyapunovField:
-    """One pair's summand on the grid: l and h per point, and k per orbit
-    row and point (row 0 is k on the grid), integrated up to ``s_max``."""
+    """One pair's summand on the grid: l and h per point, and k on the
+    ``orbit.window`` fine-lattice rows (row 0 is k on the grid, later orbit
+    rows enter only through their maximum), integrated up to ``s_max``."""
 
     l_values: np.ndarray = field(repr=False)
-    k_series: np.ndarray = field(repr=False)      # (orbit rows, n)
+    k_series: np.ndarray = field(repr=False)      # (orbit.window, n)
     h_values: np.ndarray = field(repr=False)
     s_max: float = 20.0
 
@@ -61,26 +62,31 @@ def sup_along_orbit(pairs: list[StablePair], space: GridSpace, orbit: OrbitData,
     takes the remaining rows.  Distances run with cutoff max(scale):
     one above it clamps every level to 1 whether it is exact or not, so
     the seam pass skips the samples that cannot bring a point within it.
+    Levels are kept on the ``orbit.window`` rows only; the suffix maxima
+    read later rows only through their maximum, one running row per pair.
     """
     # pairs without an avoider level fall back to the full scale, eta0 = 1
     scales = [pair.R * (1.0 if pair.eta0 is None else pair.eta0) for pair in pairs]
-    J = orbit.times.size
-    levels = [np.empty((J, space.n)) for _ in pairs]
+    J, W = orbit.times.size, orbit.window
+    levels = [np.full((W + 1, space.n), -np.inf) for _ in pairs]   # row W: max of rows >= W
     per = max(1, QUERY_BLOCK // space.n)
     starts = range(0, J, per)
     blocks = (orbit.coords[j:j + per].reshape(-1, space.dim) for j in starts)
     rows = space.dist_rows_to_subsets(blocks, [pair.B for pair in pairs],
                                       cutoff=max(scales, default=np.inf))
     for j, d in zip(starts, rows):
-        for l_series, d_pair, scale in zip(levels, d, scales):
-            l_series[j:j + per] = np.minimum(d_pair / scale, 1.0).reshape(-1, space.n)
+        cut = max(0, W - j)                     # rows of this block inside the window
+        for series, d_pair, scale in zip(levels, d, scales):
+            level = np.minimum(d_pair / scale, 1.0).reshape(-1, space.n)
+            series[j:min(j + per, W)] = level[:cut]
+            np.maximum(series[W], level[cut:].max(axis=0, initial=-np.inf), out=series[W])
 
     fields = []
     for series in levels:
         l_values = series[0].copy()
-        for j in range(J - 2, -1, -1):     # suffix maxima in place: l becomes k
+        for j in range(W - 1, -1, -1):     # suffix maxima in place: l becomes k
             np.maximum(series[j], series[j + 1], out=series[j])
-        fld = LyapunovField(l_values=l_values, k_series=series,
+        fld = LyapunovField(l_values=l_values, k_series=series[:W],
                             h_values=np.empty(space.n), s_max=s_max)
         fld.h_values = discounted_integral(fld, orbit)
         fields.append(fld)
@@ -93,15 +99,15 @@ def discounted_integral(fld: LyapunovField, orbit: OrbitData,
 
     ``shift_t`` evaluates the integral at the flowed point phi_{shift}(x)
     using the same lattice (the sampled orbit of the flowed point is the
-    shifted orbit).
+    shifted orbit).  ``ValueError`` unless [shift_t, shift_t + S_max] lies
+    on the fine lattice with both ends lattice times.
     """
-    times = orbit.times
-    fine = np.nonzero(times <= fld.s_max + 1e-9)[0]
-    if abs(times[fine[-1]] - fld.s_max) > 1e-9:
-        raise ValueError("quadrature window must end exactly at S_max")
-    rows = np.array([orbit.index_at(times[j] + shift_t) for j in fine])
-    k = fld.k_series[rows]                      # (M, n)
-    t = times[fine]
+    m = orbit.index_at(fld.s_max) + 1           # quadrature rows 0..m-1
+    p = orbit.index_at(shift_t)
+    if p + m > orbit.window:
+        raise ValueError(f"window [{shift_t}, {shift_t + fld.s_max}] leaves the fine lattice")
+    k = fld.k_series[p:p + m]                   # (m, n)
+    t = orbit.times[:m]
     expt = np.exp(-t)
     w0 = expt[:-1] - expt[1:]                   # exact integral of e^-s per segment
     dt = np.diff(t)
@@ -112,24 +118,12 @@ def discounted_integral(fld: LyapunovField, orbit: OrbitData,
     return seg.sum(axis=0) + tail
 
 
-def _weighted_sum(summands, n: int) -> np.ndarray:
-    """sum over i of summands[i] / 3^i on n grid points (zeros for none)."""
+def combine_pairs(summands, n: int) -> np.ndarray:
+    """H = sum over i of summands[i] / 3^i on n grid points (zeros for none)."""
     out = np.zeros(n)
     for i, h in enumerate(summands):
         out += h * 3.0 ** (-i)
     return out
-
-
-def combine_pairs(fields: list[LyapunovField], n: int) -> np.ndarray:
-    """H = sum over i of h_i / 3^i, on n grid points."""
-    return _weighted_sum([f.h_values for f in fields], n)
-
-
-def combined_at_shift(fields: list[LyapunovField], orbit: OrbitData,
-                      shift_t: float) -> np.ndarray:
-    """H evaluated at phi_{shift}(x) for every grid x, on the shared lattice."""
-    shifted = (discounted_integral(f, orbit, shift_t=shift_t) for f in fields)
-    return _weighted_sum(shifted, orbit.coords.shape[1])
 
 
 def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
@@ -142,8 +136,8 @@ def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
     if t_probe < orbit.T:
         raise ValueError(f"t_probe {t_probe} must be at least T = {orbit.T}")
     n = space.n
-    H0 = combine_pairs(fields, n)
-    Ht = combined_at_shift(fields, orbit, t_probe)
+    H0 = combine_pairs((f.h_values for f in fields), n)
+    Ht = combine_pairs((discounted_integral(f, orbit, t_probe) for f in fields), n)
 
     mono_bad = np.nonzero(Ht > H0 + TOL_NUM)[0]
     universe = scr.non_recurrent(space)
@@ -157,9 +151,9 @@ def verify_lyapunov(fields: list[LyapunovField], pairs: list[StablePair],
         if union.size == 0 or union.size == n:
             continue
         comp = np.setdiff1d(np.arange(n), union)
-        d_in = space.dist_coords_to_subset(space.points, union)
-        d_out = space.dist_coords_to_subset(space.points, comp)
-        near_boundary |= (d_in <= 3 * space.pitch) & (d_out <= 3 * space.pitch)
+        # a distance at most the cutoff is exact, so the band is the uncut one
+        d = next(space.dist_rows_to_subsets([space.points], [union, comp], 3 * space.pitch))
+        near_boundary |= np.all(d <= 3 * space.pitch, axis=0)
 
     strict_off_boundary = [int(i) for i in strict_bad if not near_boundary[i]]
     n_universe = max(1, universe.size)

@@ -6,7 +6,8 @@ avoidance scan and per-point omega limits in :mod:`scrl.stablesets`, and
 the flowed-point evaluation in verification.  This module computes the
 table once per (flow, grid, T): a fine lattice with step
 ``T / FINE_DIVISOR`` (T/8) out to ``fine_horizon`` (the quadrature window
-plus probe slack) and a coarse lattice with step ``T/4`` out to
+plus probe slack), the first ``window`` rows and every row the
+quadrature reads, then a coarse lattice with step ``T/4`` out to
 ``horizon``.
 
 Row j is phi at ``times[j]`` of every grid point, all rows from one
@@ -37,14 +38,16 @@ FINE_DIVISOR = 8        # the fine lattice has step T / FINE_DIVISOR
 class OrbitData:
     """Sampled forward orbits of all grid points, as coordinates.
 
-    ``coords[j]`` holds phi_{times[j]} of every grid point, and
-    ``coords[t_rows[i]]`` is the sample at time i * T.
+    ``coords[j]`` holds phi_{times[j]} of every grid point, rows
+    ``0 .. window - 1`` are the fine lattice, and ``coords[t_rows[i]]`` is
+    the sample at time i * T.
     """
 
     T: float
     times: np.ndarray = field(repr=False)            # (J,)
     coords: np.ndarray = field(repr=False)           # (J, n, dim)
     t_rows: np.ndarray = field(repr=False)           # (steps+1,) lattice rows
+    window: int                                      # rows of the fine lattice
 
     def index_at(self, t: float) -> int:
         """Lattice row of an exactly representable sample time."""
@@ -61,6 +64,7 @@ def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
     fine = T / fine_divisor
     coarse = T / 4.0
     times = list(np.arange(0.0, fine_horizon + fine / 2, fine))
+    window = len(times)
     t_cur = times[-1]
     while t_cur < horizon - 1e-12:
         t_cur += coarse
@@ -74,4 +78,4 @@ def build_orbit_data(flow: FlowModel, space: GridSpace, T: float,
     coords[0] = space.points        # the roof drift formula at t = 0 can move x by an ulp
 
     t_rows = np.array([int(np.argmin(np.abs(times - i * T))) for i in range(t_steps + 1)])
-    return OrbitData(T=T, times=times, coords=coords, t_rows=t_rows)
+    return OrbitData(T=T, times=times, coords=coords, t_rows=t_rows, window=window)

@@ -4,33 +4,12 @@ import functools
 
 import numpy as np
 
-
-def floyd_warshall(n, edges):
-    """All-pairs shortest paths by triple loop over explicit edge tuples."""
-    dist = [[float("inf")] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0.0
-    for e in edges:
-        u, v, w = int(e[0]), int(e[1]), float(e[-1])
-        if w < dist[u][v]:
-            dist[u][v] = w
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == float("inf"):
-                continue
-            row = dist[i]
-            for j in range(n):
-                cand = dik + dk[j]
-                if cand < row[j]:
-                    row[j] = cand
-    return np.array(dist)
+from scrl.cli import floyd_warshall_reference
 
 
 def min_return_cost_oracle(n, edges, dist=None):
     if dist is None:
-        dist = floyd_warshall(n, edges)
+        dist = floyd_warshall_reference(n, edges)
     out = np.full(n, np.inf)
     for e in edges:
         u, v, w = int(e[0]), int(e[1]), float(e[-1])
@@ -40,7 +19,7 @@ def min_return_cost_oracle(n, edges, dist=None):
 
 def omega_oracle(n, edges, Y, eps, closed=False, dist=None):
     if dist is None:
-        dist = floyd_warshall(n, edges)
+        dist = floyd_warshall_reference(n, edges)
     Y = set(int(y) for y in Y)
     first = np.full(n, np.inf)
     for e in edges:
@@ -216,6 +195,36 @@ def quadrature_bound(fld, orbit):
     S, k = fld.s_max, fld.k_series
     t = orbit.times[orbit.times <= S + 1e-9]
     return 0.5 * np.diff(t).max() * (k[0] - np.exp(-S) * k[t.size - 1]) + np.exp(-S)
+
+
+def lyapunov_reference(pairs, space, orbit, s_max, shifts):
+    """The summands over the whole orbit table: levels of every orbit row
+    from uncut distances one row at a time, suffix maxima over all J rows,
+    and the quadrature with one ``index_at`` lookup per row.  Returns each
+    pair's (J, n) k and, for each shift, each pair's h and their H."""
+    scales = [pair.R * (1.0 if pair.eta0 is None else pair.eta0) for pair in pairs]
+    levels = np.array(list(space.dist_rows_to_subsets(orbit.coords, [p.B for p in pairs])))
+    levels = np.minimum(levels / np.array(scales)[None, :, None], 1.0)
+    ks = [np.maximum.accumulate(levels[::-1, i], axis=0)[::-1] for i in range(len(pairs))]
+    times = orbit.times
+    fine = np.nonzero(times <= s_max + 1e-9)[0]
+    t = times[fine]
+    expt = np.exp(-t)
+    w0 = expt[:-1] - expt[1:]
+    dt = np.diff(t)
+    slope_weight = (w0 - dt * expt[1:]) / dt
+    hs, Hs = {}, {}
+    for shift in shifts:
+        rows = np.array([orbit.index_at(times[j] + shift) for j in fine])
+        hs[shift] = []
+        for k in ks:
+            kr = k[rows]
+            seg = kr[:-1] * w0[:, None] + (kr[1:] - kr[:-1]) * slope_weight[:, None]
+            hs[shift].append(seg.sum(axis=0) + np.exp(-s_max) * kr[-1])
+        Hs[shift] = np.zeros(space.n)
+        for i, h in enumerate(hs[shift]):
+            Hs[shift] += h * 3.0 ** (-i)
+    return ks, hs, Hs
 
 
 def random_digraph(rng, max_nodes=200):

@@ -325,7 +325,7 @@ def test_lyapunov_csvs_hold_the_fields(tmp_path):
         assert same(l, fld.l_values) and same(k, fld.k_values) and same(h, fld.h_values)
     x, y, H = columns("lyapunov_combined.csv", "point_index,x,y,H")
     assert same(x, space.points[:, 0]) and same(y, space.points[:, 1])
-    assert same(H, combine_pairs(fields, space.n))
+    assert same(H, combine_pairs([fld.h_values for fld in fields], space.n))
 
 
 def test_internal_value_error_exits_two(tmp_path, monkeypatch, capsys):

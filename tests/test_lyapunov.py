@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,14 +9,15 @@ from scrl import lyapunov
 from scrl.chaingraph import ScrResult, build_chain_graph
 from scrl.cli import RunConfig, build_bundle, stage_pairs, stage_scr
 from scrl.flows import build_transition, make_flow
-from scrl.lyapunov import combine_pairs, combined_at_shift, sup_along_orbit, verify_lyapunov
+from scrl.lyapunov import (LyapunovField, combine_pairs, discounted_integral, sup_along_orbit,
+                           verify_lyapunov)
 from scrl.orbits import build_orbit_data
 from scrl.space import QUERY_BLOCK, build_grid, circle_gap
 from scrl.stablesets import (StablePair, avoidance_profile, complementary,
                              find_eta0_and_bstar, grid_image_orbit,
                              nested_neighborhoods, omega_limits_all)
 
-from oracles import grid_distances, quadrature_bound
+from oracles import grid_distances, lyapunov_reference, quadrature_bound
 
 S_MAX = 20.0
 
@@ -135,6 +137,7 @@ def test_k_monotone_along_flow(matched_field, circle_system):
     # one lattice step along the orbit can never raise the supremum
     orbit = circle_system[3]
     k = matched_field.k_series
+    assert k.shape == (orbit.window, orbit.coords.shape[1])
     assert np.all(k[1] <= k[0] + 1e-12)
     shift = orbit.index_at(orbit.T / 4)
     assert np.all(k[shift] <= k[0] + 1e-12)
@@ -227,18 +230,20 @@ def test_truncation_soundness(matched_pair, circle_system):
 
 
 def test_combine_trivial_cases(matched_field):
-    n = matched_field.h_values.size
-    assert np.array_equal(combine_pairs([], n), np.zeros(n))
-    assert np.array_equal(combine_pairs([matched_field], n), matched_field.h_values)
+    h = matched_field.h_values
+    assert np.array_equal(combine_pairs([], h.size), np.zeros(h.size))
+    assert np.array_equal(combine_pairs([h], h.size), h)
 
 
 def test_combine_same_field_twice(matched_field):
-    both = combine_pairs([matched_field, matched_field], matched_field.h_values.size)
+    h = matched_field.h_values
+    both = combine_pairs([h, h], h.size)
     assert np.allclose(both, (4.0 / 3.0) * matched_field.h_values, atol=1e-15)
 
 
 def test_combined_bounded(matched_field):
-    both = combine_pairs([matched_field, matched_field], matched_field.h_values.size)
+    h = matched_field.h_values
+    both = combine_pairs([h, h], h.size)
     assert np.all(both <= 1.5)
 
 
@@ -266,9 +271,8 @@ def test_verify_constant_h_identity_clean():
 def test_verify_flags_constant_h_off_recurrent(matched_field, circle_system):
     # a constant summand cannot strictly decrease anywhere
     s, f, tr, orbit = circle_system
-    from scrl.lyapunov import LyapunovField
     const = LyapunovField(
-        l_values=np.full(s.n, 0.5), k_series=np.full((orbit.times.size, s.n), 0.5),
+        l_values=np.full(s.n, 0.5), k_series=np.full((orbit.window, s.n), 0.5),
         h_values=np.full(s.n, 0.5), s_max=S_MAX)
 
     nothing = np.arange(0)
@@ -282,7 +286,7 @@ def test_verify_flags_constant_h_off_recurrent(matched_field, circle_system):
 def test_verify_monotone_via_shifts(matched_field, matched_pair, circle_system):
     s, f, tr, orbit = circle_system
     h_now = matched_field.h_values
-    h_then = combined_at_shift([matched_field], orbit, 2.0)
+    h_then = combine_pairs([discounted_integral(matched_field, orbit, 2.0)], s.n)
     assert np.all(h_then <= h_now + 1e-12)
 
 
@@ -369,19 +373,25 @@ def test_sup_along_orbit_cutoff_keeps_roof16_fields(roof16_catalog, monkeypatch)
         _assert_same_fields(got, want)
 
 
-@pytest.mark.parametrize("system,domain,n", [("roof", "roof", 12),
-                                             ("square", "unit-square", 10),
-                                             ("circle", "circle", 96)])
-def test_sup_along_orbit_stacks_whole_rows(system, domain, n, monkeypatch):
+def _two_pairs(system, domain, n, horizon):
+    """Two hand-made pairs on an n grid, on an orbit table out to ``horizon``."""
     s = build_grid(domain, n)
     orbit = build_orbit_data(make_flow(system), s, 1.0, fine_horizon=S_MAX + 4.0,
-                             horizon=60.0, t_steps=60)
+                             horizon=horizon, t_steps=int(min(horizon, 60)))
     x = s.points[:, 0]
     empty = np.empty(0, dtype=np.int64)
     pairs = [StablePair(B=np.nonzero(x < 0.3)[0], B_bullet=empty, R=1.0, eta0=0.5,
                         T_table={0.1: 4.0, 0.5: 1.0}, B_star=empty),
              StablePair(B=np.array([0, s.n // 2]), B_bullet=empty, R=0.6, eta0=None,
                         T_table={0.2: 3.0}, B_star=empty)]
+    return s, orbit, pairs
+
+
+@pytest.mark.parametrize("system,domain,n", [("roof", "roof", 12),
+                                             ("square", "unit-square", 10),
+                                             ("circle", "circle", 96)])
+def test_sup_along_orbit_stacks_whole_rows(system, domain, n, monkeypatch):
+    s, orbit, pairs = _two_pairs(system, domain, n, 60.0)
     sizes = []
     rows = s.dist_rows_to_subsets
 
@@ -406,3 +416,90 @@ def test_sup_along_orbit_stacks_whole_rows(system, domain, n, monkeypatch):
     assert sizes == [s.n] * J
     for got, want in zip(stacked, single):
         _assert_same_fields(got, want)
+
+
+# -- the fine window ----------------------------------------------------------
+
+
+def _assert_matches_whole_orbit(pairs, s, orbit):
+    """k on the window rows, h and H at shifts 0, T, 2T and 4T, byte for
+    byte those of the reference that keeps every orbit row."""
+    shifts = (0.0, orbit.T, 2 * orbit.T, 4 * orbit.T)
+    fields = sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+    ks, hs, Hs = lyapunov_reference(pairs, s, orbit, S_MAX, shifts)
+    for fld, k, h in zip(fields, ks, hs[0.0]):
+        assert fld.k_series.shape == (orbit.window, s.n)
+        assert fld.k_series.tobytes() == k[:orbit.window].tobytes()
+        assert fld.h_values.tobytes() == h.tobytes()
+    for shift in shifts:
+        shifted = [discounted_integral(fld, orbit, shift) for fld in fields]
+        for got, want in zip(shifted, hs[shift]):
+            assert got.tobytes() == want.tobytes()
+        assert combine_pairs(shifted, s.n).tobytes() == Hs[shift].tobytes()
+    assert combine_pairs([f.h_values for f in fields], s.n).tobytes() == Hs[0.0].tobytes()
+
+
+def test_fields_match_whole_orbit_reference_circle(matched_pair, circle_system):
+    s, f, tr, orbit = circle_system
+    theta = s.points[:, 0]
+    other = StablePair(B=np.nonzero(np.abs(theta - 0.375) < 0.05)[0],
+                       B_bullet=np.empty(0, dtype=np.int64), R=0.5, eta0=0.125,
+                       T_table={0.05: 2.0, 0.125: 1.0}, B_star=np.empty(0, dtype=np.int64))
+    assert orbit.times.size > orbit.window
+    _assert_matches_whole_orbit([matched_pair, other], s, orbit)
+
+
+def test_fields_match_whole_orbit_reference_square(square20_catalog):
+    s, orbit, catalog = square20_catalog
+    assert catalog.pairs and orbit.times.size > orbit.window
+    _assert_matches_whole_orbit(catalog.pairs, s, orbit)
+
+
+def test_fields_match_whole_orbit_reference_roof():
+    s, orbit, pairs = _roof12_pairs()
+    _assert_matches_whole_orbit(pairs, s, orbit)
+
+
+def test_fields_match_reference_without_rows_past_window():
+    s, orbit, pairs = _two_pairs("square", "unit-square", 10, S_MAX + 4.0)
+    assert orbit.times.size == orbit.window
+    _assert_matches_whole_orbit(pairs, s, orbit)
+
+
+def test_fields_match_reference_when_a_block_straddles_window(monkeypatch):
+    s, orbit, pairs = _roof12_pairs()
+    per = 7
+    monkeypatch.setattr(lyapunov, "QUERY_BLOCK", per * s.n)
+    # the block starting at window - window % per runs past the window
+    assert orbit.window % per and orbit.times.size > orbit.window
+    _assert_matches_whole_orbit(pairs, s, orbit)
+
+
+def test_quadrature_past_fine_lattice_raises(matched_pair, matched_field, circle_system):
+    s, f, tr, orbit = circle_system
+    past = orbit.times[orbit.window] - S_MAX      # a lattice time past the fine lattice
+    with pytest.raises(ValueError, match="fine lattice"):
+        discounted_integral(matched_field, orbit, shift_t=past)
+    with pytest.raises(ValueError, match="fine lattice"):
+        verify_lyapunov([matched_field], [matched_pair], s, orbit, None, t_probe=past,
+                        margin=1e-4)
+    coarse_s_max = float(orbit.times[orbit.window + 3])      # on the coarse lattice
+    with pytest.raises(ValueError, match="fine lattice"):
+        sup_along_orbit([matched_pair], s, orbit, s_max=coarse_s_max)
+
+
+def test_sup_along_orbit_memory_does_not_grow_with_horizon():
+    # rows past the fine window reach k only through one running maximum
+    # per pair, so a longer orbit table costs sup_along_orbit no memory
+    peaks, rows = [], []
+    for horizon in (60.0, 200.0):
+        s, orbit, pairs = _two_pairs("square", "unit-square", 16, horizon)
+        rows.append(orbit.times.size)
+        tracemalloc.start()
+        try:
+            sup_along_orbit(pairs, s, orbit, s_max=S_MAX)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_pair_extra = (rows[1] - rows[0]) * s.n * 8     # the later rows of one pair's levels
+    assert peaks[1] - peaks[0] < one_pair_extra // 8

@@ -126,7 +126,8 @@ def _table_orbit(t_cells):
     """An orbit whose T-lattice row i projects to the cells t_cells[i]."""
     steps = t_cells.shape[0] - 1
     return OrbitData(T=1.0, times=np.arange(steps + 1, dtype=float),
-                     coords=t_cells[:, :, None].astype(float), t_rows=np.arange(steps + 1))
+                     coords=t_cells[:, :, None].astype(float), t_rows=np.arange(steps + 1),
+                     window=steps + 1)
 
 
 def test_omega_point_fixed_is_self(circle64, circle64_orbit):

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,13 @@ class RunConfig:
         """grid_n, or the system's default grid."""
         return self.grid_n or DEFAULT_GRID[self.system]
 
-    def validate(self) -> None:
+    def validate(self, stages) -> None:
+        """Every check of the run's own values, made before anything is
+        built: ``stages`` are the subcommand's, and the stages that follow
+        orbits (pairs, lyapunov, verify) add the orbit's rules."""
+        for name, value in vars(self).items():
+            if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} = {value} is not finite")
         if self.system not in DEFAULT_GRID:
             raise ConfigError(f"unknown system {self.system!r}")
         for name in ("epsilon", "T", "s_max", "t_probe"):
@@ -99,20 +106,13 @@ class RunConfig:
         for name in ("neighborhood_scale", "seed_stride", "margin"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative (0 = default)")
-
-    def check_resolution(self, resolution: float) -> None:
-        """Radii the grid cannot resolve: too small to hold their edges or balls."""
-        if self.prune_radius and self.prune_radius < 3 * resolution:
-            raise ConfigError(
-                f"prune radius {self.prune_radius} < 3 * resolution {3 * resolution:.4g}; "
-                "near-zero-cost continuation edges would be lost")
-        if self.radii and min(self.radii) < 2 * resolution:
-            raise ConfigError(
-                f"radius {min(self.radii)} < 2 * resolution {2 * resolution:.4g}")
-
-    def check_orbit_times(self) -> None:
-        """Times the orbit must sample: its fine lattice has step
-        T / FINE_DIVISOR and reaches s_max + 4T."""
+        if not set(stages) & {"pairs", "lyapunov", "verify"}:
+            return
+        if self.system == "custom":
+            raise ConfigError("a custom flow has images only at multiples of T, not the "
+                              "orbits that pairs, lyapunov and verify sample; "
+                              "custom flows support scr, cr and compare")
+        # the orbit's fine lattice has step T / FINE_DIVISOR and reaches s_max + 4T
         fine = self.T / FINE_DIVISOR
         for name in ("s_max", "t_probe"):
             value = getattr(self, name)
@@ -120,6 +120,21 @@ class RunConfig:
                 raise ConfigError(f"{name} {value} is not a multiple of T/{FINE_DIVISOR} = {fine}")
         if not self.T <= self.t_probe <= 4 * self.T:
             raise ConfigError(f"t_probe {self.t_probe} outside [T, 4T] for T = {self.T}")
+
+    def check_resolution(self, resolution: float, prune: float) -> None:
+        """Radii the grid cannot resolve: too small to hold their edges or
+        balls, or a prune radius below the largest budget."""
+        if self.prune_radius and self.prune_radius < 3 * resolution:
+            raise ConfigError(
+                f"prune radius {self.prune_radius} < 3 * resolution {3 * resolution:.4g}; "
+                "near-zero-cost continuation edges would be lost")
+        if self.budgets[-1] > prune:
+            raise ConfigError(
+                f"epsilon {self.budgets[-1]} exceeds prune radius "
+                f"{prune:.4g}; chains at this budget would need pruned edges")
+        if self.radii and min(self.radii) < 2 * resolution:
+            raise ConfigError(
+                f"radius {min(self.radii)} < 2 * resolution {2 * resolution:.4g}")
 
 
 class ConfigError(Exception):
@@ -140,29 +155,23 @@ class RunBundle:
     flow: FlowModel
     tr: GridTransition
     graph: ChainGraph
-    orbit: OrbitData | None = None
 
-    @property
-    def scale(self) -> float:
-        return self.cfg.neighborhood_scale or self.space.diameter
+    @cached_property
+    def resolved(self) -> dict:
+        """The values the run filled in for its defaults, as metadata.json
+        records them; the stages read them from here."""
+        cfg, space = self.cfg, self.space
+        return {"grid_n": cfg.grid, "n_points": space.n, "resolution": space.resolution,
+                "pitch": space.pitch, "prune_radius": self.graph.prune_radius,
+                "neighborhood_scale": cfg.neighborhood_scale or space.diameter,
+                "radii": cfg.radii or default_radii(space.resolution),
+                "seed_stride": cfg.seed_stride or default_seed_stride(space.n)}
 
-    @property
-    def radii(self) -> list:
-        return self.cfg.radii or default_radii(self.space.resolution)
-
-    @property
-    def seed_stride(self) -> int:
-        return self.cfg.seed_stride or default_seed_stride(self.space.n)
-
-    def ensure_orbit(self) -> OrbitData:
-        if self.orbit is None:
-            self.cfg.check_orbit_times()
-            self.orbit = build_orbit_data(
-                self.flow, self.space, self.cfg.T,
-                fine_horizon=self.cfg.s_max + 4 * self.cfg.T,
-                horizon=self.cfg.horizon_steps * self.cfg.T,
-                t_steps=self.cfg.horizon_steps)
-        return self.orbit
+    @cached_property
+    def orbit(self) -> OrbitData:
+        cfg = self.cfg
+        return build_orbit_data(self.flow, self.space, cfg.T, fine_horizon=cfg.s_max + 4 * cfg.T,
+                                horizon=cfg.horizon_steps * cfg.T, t_steps=cfg.horizon_steps)
 
 
 def default_prune_radius(cfg: RunConfig, space: GridSpace) -> float:
@@ -171,9 +180,10 @@ def default_prune_radius(cfg: RunConfig, space: GridSpace) -> float:
 
 
 def build_bundle(cfg: RunConfig) -> RunBundle:
-    cfg.validate()
+    """The grid, flow, transition and jump graph of a validated config."""
     space = build_grid(DOMAIN_OF[cfg.system] or cfg.grid_domain or "circle", cfg.grid)
-    cfg.check_resolution(space.resolution)
+    prune = cfg.prune_radius or default_prune_radius(cfg, space)
+    cfg.check_resolution(space.resolution, prune)
     if cfg.system == "custom":
         try:
             flow, tr = load_sampled_transition(cfg.flow_csv, space, cfg.T, cfg.m_max)
@@ -182,11 +192,6 @@ def build_bundle(cfg: RunConfig) -> RunBundle:
     else:
         flow = make_flow(cfg.system)
         tr = build_transition(flow, space, cfg.T, cfg.m_max)
-    prune = cfg.prune_radius or default_prune_radius(cfg, space)
-    if cfg.budgets[-1] > prune:
-        raise ConfigError(
-            f"epsilon {cfg.budgets[-1]} exceeds prune radius "
-            f"{prune:.4g}; chains at this budget would need pruned edges")
     graph = build_chain_graph(space, tr, prune)
     return RunBundle(cfg=cfg, space=space, flow=flow, tr=tr, graph=graph)
 
@@ -211,17 +216,17 @@ def stage_cr(bundle: RunBundle, epsilons: list[float]) -> dict:
 def stage_pairs(bundle: RunBundle, scr) -> PairCatalog:
     cfg = bundle.cfg
     etas = default_eta_samples(cfg.eta_count, cfg.eta_lo, cfg.eta_hi)
+    r = bundle.resolved
     catalog = enumerate_pairs(
-        bundle.graph, bundle.tr, bundle.space, cfg.epsilon, bundle.radii, bundle.seed_stride,
-        scr, bundle.ensure_orbit(), bundle.scale, etas, t_cap_steps=cfg.horizon_steps)
+        bundle.graph, bundle.tr, bundle.space, cfg.epsilon, r["radii"], r["seed_stride"],
+        scr, bundle.orbit, r["neighborhood_scale"], etas, t_cap_steps=cfg.horizon_steps)
     return select_cover(catalog, scr, bundle.space)
 
 
 def stage_lyapunov(bundle: RunBundle, catalog: PairCatalog
                    ) -> tuple[list[LyapunovField], np.ndarray]:
-    orbit = bundle.ensure_orbit()
     fields = sup_along_orbit([catalog.pairs[i] for i in catalog.selected], bundle.space,
-                             orbit, s_max=bundle.cfg.s_max)
+                             bundle.orbit, s_max=bundle.cfg.s_max)
     return fields, combine_pairs((f.h_values for f in fields), bundle.space.n)
 
 
@@ -236,7 +241,7 @@ def stage_verify(bundle: RunBundle, catalog: PairCatalog,
     margin = adaptive_margin(bundle.cfg, bundle.space, len(fields))
     selected_pairs = [catalog.pairs[i] for i in catalog.selected]
     return verify_lyapunov(
-        fields, selected_pairs, bundle.space, bundle.ensure_orbit(), scr,
+        fields, selected_pairs, bundle.space, bundle.orbit, scr,
         t_probe=bundle.cfg.t_probe, margin=margin)
 
 
@@ -262,14 +267,13 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
     ``cfg.budgets``, but only at ``cfg.epsilon`` in a run that goes on to
     pairs: its later stages read the scr of ``cfg.epsilon``.
     """
-    if cfg.system == "custom" and set(stages) - {"scr", "cr", "compare"}:
-        raise ConfigError("a custom flow has images only at multiples of T, not the "
-                          "orbits that pairs, lyapunov and verify sample; "
-                          "custom flows support scr, cr and compare")
+    cfg.validate(stages)
     bundle = build_bundle(cfg)
     if stages[0] in ("scr", "cr"):           # a run from the start of the chain
-        out.mkdir(parents=True, exist_ok=True)
+        make_out_dir(out)
         write_metadata(out, bundle)
+    else:
+        check_same_run(out, bundle)
     res = {"bundle": bundle}
     epsilons = [cfg.epsilon] if "pairs" in stages else cfg.budgets
     passed = True
@@ -316,6 +320,39 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
     return (0 if passed else 3), res
 
 
+# Config fields that only later stages read: a continuing subcommand may
+# change them.  scr.json entries are still matched by epsilon.
+LATER_STAGE_FIELDS = ("epsilon", "epsilons", "s_max", "t_probe", "margin")
+
+
+def check_same_run(out: Path, bundle: RunBundle) -> None:
+    """A continuing subcommand reads the artifacts of the run recorded in
+    out/metadata.json, so that run must be its own: the same ``resolved``
+    record and the same config outside it, but for LATER_STAGE_FIELDS."""
+    path = out / "metadata.json"
+    if not path.is_file():
+        return                        # the missing artifacts are reported by name
+
+    def identity(meta: dict) -> dict:
+        config = {k: v for k, v in meta["config"].items() if k not in LATER_STAGE_FIELDS}
+        return {**config, **meta["resolved"]}
+
+    theirs = identity(json.loads(path.read_text()))
+    ours = identity(_plain({"config": asdict(bundle.cfg), "resolved": bundle.resolved}))
+    differ = [f"{key} {theirs.get(key)!r} (this run: {ours.get(key)!r})"
+              for key in sorted(ours.keys() | theirs.keys()) if ours.get(key) != theirs.get(key)]
+    if differ:
+        raise ConfigError(f"{out} holds the artifacts of another run, with {', '.join(differ)}; "
+                          "use the same settings or another --out")
+
+
+def make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out} cannot be made a directory: {exc.strerror}") from exc
+
+
 def _earlier(res: dict, name: str, out: Path):
     """Input ``name`` ("scr" or "catalog") from an earlier stage of this
     run, or else from its cached artifact in ``out``."""
@@ -360,16 +397,7 @@ def write_metadata(out: Path, bundle: RunBundle) -> None:
     meta = {
         "version": __version__,
         "config": asdict(bundle.cfg),
-        "resolved": {
-            "grid_n": bundle.cfg.grid,
-            "n_points": bundle.space.n,
-            "resolution": bundle.space.resolution,
-            "pitch": bundle.space.pitch,
-            "prune_radius": bundle.graph.prune_radius,
-            "neighborhood_scale": bundle.scale,
-            "radii": bundle.radii,
-            "seed_stride": bundle.seed_stride,
-        },
+        "resolved": bundle.resolved,
         "flow": bundle.flow.describe(),
     }
     write_json(out / "metadata.json", meta)
@@ -599,7 +627,7 @@ def _dispatch(args) -> int:
         report = oracle_check(args.seeds, args.rng_seed)
         print(json.dumps(_plain(report), sort_keys=True))
         if args.out:
-            out.mkdir(parents=True, exist_ok=True)
+            make_out_dir(out)
             write_json(out / "oracle_report.json", report)
         return 0 if report["mismatches"] == 0 else 3
 

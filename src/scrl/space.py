@@ -83,13 +83,14 @@ class RoofSeam:
     """Precomputed tables for the glued top/bottom edge of the roof domain.
 
     Seam sample i stands for the identified pair of points
-    (x_i, tau(x_i)) == (x_i, 0).  ``closure`` holds seam-to-seam shortest
-    quotient distances, ``grid_entry`` the (n, m) direct costs from each
-    grid point to each seam sample and ``to_grid`` seam-to-grid-point
-    distances.  Every query reads them only over the hull of seam samples
-    that can bring it to its bound (``window``).
+    (x_i, tau(x_i)) == (x_i, 0).  ``grid_entry`` holds the (n, m) direct
+    costs from each grid point to each seam sample and ``to_grid`` the
+    seam-to-grid-point distances: the min-plus product of the seam-to-seam
+    shortest quotient distances (the closure) with the entry costs.  Every
+    query reads them only over the hull of seam samples that can bring it
+    to its bound (``window``).
 
-    ``closure`` is |x_i - x_j|.  Of the four Euclidean costs between the
+    The closure is |x_i - x_j|.  Of the four Euclidean costs between the
     copies of two samples, bottom to bottom is sqrt(fl(d^2)) = |d| for
     d = x_i - x_j and the others are at least |d|, so the direct costs are
     already |x_i - x_j|, a metric, and closing them under paths changes
@@ -104,14 +105,10 @@ class RoofSeam:
         x = np.linspace(0.0, 1.0, n_samples)
         self.x = x                                         # ascending
         self.tau = roof_height(x)
-        self.top = np.column_stack([x, self.tau])
-        self.bot = np.column_stack([x, np.zeros_like(x)])
-
-        self.closure = np.abs(np.subtract.outer(x, x))
-
         self.points = grid_points
         self.grid_entry = self.entry_costs(grid_points)    # (n, m)
-        self.to_grid = _min_plus(self.closure, np.ascontiguousarray(self.grid_entry.T))  # (m, n)
+        closure = np.abs(np.subtract.outer(x, x))
+        self.to_grid = _min_plus(closure, np.ascontiguousarray(self.grid_entry.T))  # (m, n)
         self.to_grid_min = self.to_grid.min(axis=1)        # (m,)
         self.to_grid_argmin = self.to_grid.argmin(axis=1)  # (m,)
         self.grid_env = self.envelope(self.to_grid_min)
@@ -122,9 +119,10 @@ class RoofSeam:
         with ``start``, (k, width) costs to samples start[p] onward.
 
         One kernel, sqrt(dx^2 + min((y - tau_i)^2, y^2)) with dx = x - x_i.
-        It equals min(_euclid(pts, top), _euclid(pts, bot)) bit for bit:
-        the top and bottom samples share x_i, the bottom term y - 0 is
-        exact, and rounding and sqrt are monotone, so
+        It equals min(_euclid(pts, top), _euclid(pts, bot)) bit for bit,
+        for the copies top = (x_i, tau_i) and bot = (x_i, 0): they share
+        x_i, the bottom term y - 0 is exact, and rounding and sqrt are
+        monotone, so
         fl(a + min(b, c)) = min(fl(a + b), fl(a + c)).
         """
         if start is None:

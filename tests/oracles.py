@@ -133,10 +133,16 @@ def _full_min_plus(a, b, rows=16):
                            for lo in range(0, a.shape[0], rows)])
 
 
+def seam_copies(seam):
+    """The top and bottom copies (x_i, tau_i) and (x_i, 0) of the seam samples."""
+    return np.column_stack([seam.x, seam.tau]), np.column_stack([seam.x, np.zeros_like(seam.x)])
+
+
 def _seam_entry(seam, pts):
     """(k, m) cost from each point to each seam sample: the nearer of the
     sample's top and bottom copies."""
-    return np.minimum(direct_distances(pts, seam.top), direct_distances(pts, seam.bot))
+    top, bot = seam_copies(seam)
+    return np.minimum(direct_distances(pts, top), direct_distances(pts, bot))
 
 
 @functools.lru_cache(maxsize=8)
@@ -144,7 +150,7 @@ def seam_closure(seam):
     """(m, m) seam-to-seam distances: Floyd-Warshall over the cheapest of
     the four Euclidean costs between the top and bottom copies of two
     samples."""
-    copies = (seam.top, seam.bot)
+    copies = seam_copies(seam)
     d = np.min([direct_distances(a, b) for a in copies for b in copies], axis=0)
     np.fill_diagonal(d, 0.0)
     for k in range(d.shape[0]):

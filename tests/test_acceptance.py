@@ -157,7 +157,7 @@ def test_criterion_4_square_complementary(square_run):
     _, result = square_run
     bundle = result["bundle"]
     space, tr = bundle.space, bundle.tr
-    orbit = bundle.ensure_orbit()
+    orbit = bundle.orbit
     tails, flags = omega_limits_all(space, orbit)
     origin = int(space.nearest(np.array([[0.0, 0.0]]))[0])
     got = set(complementary(space, tr, [origin], tails, flags).tolist())
@@ -179,7 +179,7 @@ def test_criterion_5_circle_profile(circle_run):
     _, result = circle_run
     bundle = result["bundle"]
     space, tr = bundle.space, bundle.tr
-    orbit = bundle.ensure_orbit()
+    orbit = bundle.orbit
     theta = space.points[:, 0]
 
     B = np.nonzero((theta >= 0.875 - 1e-12) & (theta <= 0.9375 + 1e-12))[0]
@@ -251,7 +251,7 @@ def test_criterion_7_cover(circle_run, square_run, roof_run):
         doubled = [2 * res, 3 * res, 4 * res, 6 * res, 8 * res, 12 * res]
         bigger = enumerate_pairs(
             bundle.graph, bundle.tr, bundle.space, bundle.cfg.epsilon, doubled,
-            4, scr, bundle.ensure_orbit(), bundle.scale, default_eta_samples())
+            4, scr, bundle.orbit, bundle.resolved["neighborhood_scale"], default_eta_samples())
         bigger = select_cover(bigger, scr, bundle.space)
         assert bigger.residual.size <= residual.size
     _report("criterion 7 (cover soundness)",

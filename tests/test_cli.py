@@ -212,12 +212,16 @@ def test_roof_rejected_seed_is_not_a_crash(tmp_path):
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
-    assert run(["analyze", "--system", "circle", "--grid", "64",
-                "--epsilon", "-1", "--out", str(tmp_path / "x")]) == 1
-    assert run(["analyze", "--system", "custom", "--out", str(tmp_path / "y")]) == 1
+    # every config error exits 1 before the run makes its output directory
+    def refused(argv, out):
+        assert run(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+
+    refused(["analyze", "--system", "circle", "--grid", "64", "--epsilon", "-1"], tmp_path / "x")
+    refused(["analyze", "--system", "custom"], tmp_path / "y")
     # epsilon beyond the explicit prune radius is a config error
-    assert run(["analyze", "--system", "circle", "--grid", "64", "--epsilon", "0.2",
-                "--prune-radius", "0.1", "--out", str(tmp_path / "z")]) == 1
+    refused(["analyze", "--system", "circle", "--grid", "64", "--epsilon", "0.2",
+             "--prune-radius", "0.1"], tmp_path / "z")
     # values the grid cannot resolve, caught before any stage runs
     capsys.readouterr()
     for flags, message in ((["--grid", "6"], "too coarse"),
@@ -225,23 +229,39 @@ def test_config_errors_exit_one(tmp_path, capsys):
                            (["--radius", "0.01"], "radius 0.01"),
                            (["--t-probe", "4.125"], "t_probe"),
                            (["--s-max", "20.3"], "s_max"),
+                           (["--s-max", "0.3"], "s_max"),
                            # negative values that would run and weaken the gate
                            (["--scale", "-1"], "neighborhood_scale"),
                            (["--seed-stride", "-1"], "seed_stride"),
                            (["--margin", "-0.01"], "margin"),
+                           # non-finite values, which would pass the gate vacuously or crash
+                           (["--margin", "nan"], "margin = nan is not finite"),
+                           (["--prune-radius", "nan"], "prune_radius = nan"),
+                           (["--epsilon", "inf"], "epsilon = inf"),
+                           (["--T", "nan"], "T = nan"),
+                           (["--s-max", "inf"], "s_max = inf"),
+                           (["--t-probe", "nan"], "t_probe = nan"),
+                           (["--scale", "inf"], "neighborhood_scale = inf"),
+                           (["--radius", "0.1", "--radius", "nan"], "radii = [0.1, nan]"),
                            # a built-in system has its own domain
                            (["--grid-domain", "unit-square"], "custom flows only")):
-        argv = ["analyze", "--system", "circle", "--grid", "64", *flags]
-        assert run(argv + ["--out", str(tmp_path / "v")]) == 1
+        refused(["analyze", "--system", "circle", "--grid", "64", *flags], tmp_path / "v")
         assert message in capsys.readouterr().err
+    # an --out that is a file, or lies under one
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for out in (a_file, a_file / "sub"):
+        assert run(["scr", "--system", "circle", "--grid", "64", "--out", str(out)]) == 1
+        assert "--out" in capsys.readouterr().err
+    assert a_file.read_text() == ""
     bad = tmp_path / "bad.csv"
     for body in ("point_index,m,image_index\n0,1,x\n", "point_index,m,image_index\n0,1\n",
                  "point_index,m,image_index\n0,1,99\n", "u,m,v\n0,1,0\n"):
         bad.write_text(body)
-        assert run(["scr", "--system", "custom", "--grid-domain", "circle", "--grid", "8",
-                    "--flow-csv", str(bad), "--m-max", "1", "--out", str(tmp_path / "c")]) == 1
+        refused(["scr", "--system", "custom", "--grid-domain", "circle", "--grid", "8",
+                 "--flow-csv", str(bad), "--m-max", "1"], tmp_path / "c")
     assert "flow CSV" in capsys.readouterr().err
-    # config-file values of the wrong type
+    # config-file values of the wrong type, or not finite (json reads NaN and Infinity)
     cfg_file = tmp_path / "cfg.json"
     for body, message in (({"system": "circle", "grid_n": 64, "m_max": "4"}, "m_max"),
                           ({"system": "circle", "grid_n": 64.5}, "grid_n"),
@@ -254,13 +274,45 @@ def test_config_errors_exit_one(tmp_path, capsys):
                           ({"system": "circle", "eta_lo": 0.0}, "eta_lo"),
                           ({"system": "circle", "eta_hi": 1.0}, "eta_hi"),
                           ({"system": "circle", "horizon_steps": True}, "horizon_steps"),
+                          ({"system": "circle", "margin": float("nan")}, "margin = nan"),
+                          ({"system": "circle", "epsilons": [0.05, float("inf")]},
+                           "epsilons = [0.05, inf]"),
+                          ({"system": "circle", "T": float("-inf")}, "T = -inf"),
+                          ({"system": "circle", "s_max": float("nan")}, "s_max = nan"),
+                          ({"system": "circle", "radii": [float("nan")]}, "radii = [nan]"),
                           ([1, 2], "JSON object"),
                           # keys that are not RunConfig fields, misspelled or retired
                           ({"system": "circle", "grid": 64}, "unknown keys ['grid']"),
                           ({"system": "circle", "epsilon_max": 0.2}, "replaced by epsilons")):
         cfg_file.write_text(json.dumps(body))
-        assert run(["scr", "--config", str(cfg_file), "--out", str(tmp_path / "t")]) == 1
+        refused(["scr", "--config", str(cfg_file)], tmp_path / "t")
         assert message in capsys.readouterr().err
+
+
+def test_continuing_subcommand_refuses_another_runs_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["scr", "--system", "circle", "--grid", "64", "--out", str(out)]) == 0
+    meta = (out / "metadata.json").read_bytes()
+    capsys.readouterr()
+    for flags, message in ((["--system", "square", "--grid", "16"], "system 'circle'"),
+                           (["--grid", "32"], "grid_n 64 (this run: 32)"),
+                           (["--grid", "64", "--m-max", "3"], "m_max 4"),
+                           (["--grid", "64", "--radius", "0.02"], "radii"),
+                           (["--grid", "64", "--prune-radius", "0.1"], "prune_radius")):
+        for stage in ("pairs", "lyapunov", "verify"):
+            assert run([stage, *flags, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "artifacts of another run" in err and message in err
+    assert sorted(path.name for path in out.iterdir()) == ["metadata.json", "scr.json"]
+    assert (out / "metadata.json").read_bytes() == meta
+    # the resolved default, given explicitly, is the same run
+    assert run(["pairs", "--grid", "64", "--prune-radius", "0.078125",
+                "--out", str(out)]) == 0
+    # epsilon, s_max, t_probe and margin are read only by later stages
+    assert run(["verify", "--grid", "64", "--s-max", "10", "--t-probe", "2", "--margin", "0.01",
+                "--out", str(out)]) == 0
+    assert run(["pairs", "--grid", "64", "--epsilon", "0.06", "--out", str(out)]) == 1
+    assert "scr.json entry for epsilon 0.06" in capsys.readouterr().err
 
 
 def test_lyapunov_and_verify_project_no_orbit_row(tmp_path, monkeypatch):

@@ -57,7 +57,7 @@ def _analyzed_pairs(system, n):
         warnings.simplefilter("ignore")
         scr = stage_scr(bundle, [bundle.cfg.epsilon])[0]
     catalog = stage_pairs(bundle, scr)
-    return bundle.space, bundle.ensure_orbit(), catalog
+    return bundle.space, bundle.orbit, catalog
 
 
 @pytest.fixture(scope="module")

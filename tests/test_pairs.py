@@ -222,11 +222,11 @@ def _bundle_with_scr(system, n):
                                       ("square", 16), ("circle", 64)])
 def test_seed_sweep_matches_per_seed_loop(system, n):
     bundle, scr = _bundle_with_scr(system, n)
-    cfg = bundle.cfg
+    cfg, r = bundle.cfg, bundle.resolved
     got = stage_pairs(bundle, scr)
     ref = seed_sweep_reference(
-        bundle.graph, bundle.tr, bundle.space, cfg.epsilon, bundle.radii, bundle.seed_stride,
-        scr, bundle.ensure_orbit(), bundle.scale,
+        bundle.graph, bundle.tr, bundle.space, cfg.epsilon, r["radii"], r["seed_stride"],
+        scr, bundle.orbit, r["neighborhood_scale"],
         default_eta_samples(cfg.eta_count, cfg.eta_lo, cfg.eta_hi), t_cap_steps=cfg.horizon_steps)
     ref = select_cover(ref, scr, bundle.space)
     assert len(got.pairs) == len(ref.pairs) > 0
@@ -294,9 +294,9 @@ def test_no_seed_is_searched_after_a_failed_certificate(system, n, monkeypatch):
     monkeypatch.setattr(scrl.stablesets, "omega_budget",
                         lambda g, Y, *a, **k: searches.append(Y) or omega_budget(g, Y, *a, **k))
     stage_pairs(bundle, scr)
-    seeds = np.setdiff1d(np.arange(s.n), scr.members)[::bundle.seed_stride]
+    seeds = np.setdiff1d(np.arange(s.n), scr.members)[::bundle.resolved["seed_stride"]]
     failed, raised, retried, it = set(), set(), 0, iter(calls)
-    for radius in sorted(bundle.radii):
+    for radius in sorted(bundle.resolved["radii"]):
         for seed in seeds:
             if seed in failed:
                 continue
@@ -309,7 +309,7 @@ def test_no_seed_is_searched_after_a_failed_certificate(system, n, monkeypatch):
                 failed.add(seed)
     assert next(it, None) is None
     assert len(searches) == len(calls)
-    assert failed and len(calls) < len(seeds) * len(bundle.radii)
+    assert failed and len(calls) < len(seeds) * len(bundle.resolved["radii"])
     assert retried > 0 or system != "roof"
 
 
@@ -326,7 +326,7 @@ def test_escape_query_covers_only_settled_points_outside_reach(system, n, monkey
 
     seeds = np.setdiff1d(np.arange(s.n), scr.members)
     outside = 0
-    for radius in sorted(bundle.radii):
+    for radius in sorted(bundle.resolved["radii"]):
         for seed in seeds:
             C = s.thicken([seed], radius)
             try:

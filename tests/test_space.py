@@ -13,8 +13,8 @@ from scrl.orbits import build_orbit_data
 from scrl.space import (ROOF, ROOF_RIDGE, TABLE_BLOCK, GridSpace, RoofSeam, _euclid,
                         build_grid, circle_gap, roof_height)
 
-from oracles import (direct_distances, grid_distances, max_projection_gap, pair_distance,
-                     seam_closure, through_seam)
+from oracles import (_full_min_plus, direct_distances, grid_distances, max_projection_gap,
+                     pair_distance, seam_closure, seam_copies, through_seam)
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +336,8 @@ def test_seam_closure_is_the_x_gap(m):
     two, else at most one ulp of 1 (the seam's length) above it."""
     seam = RoofSeam(build_grid("roof", 8).points, m)
     gap = np.abs(np.subtract.outer(seam.x, seam.x))
-    assert seam.closure.tobytes() == gap.tobytes()
+    # the seam-to-grid table is the closed form's min-plus product
+    assert seam.to_grid.tobytes() == _full_min_plus(gap, seam.grid_entry.T).tobytes()
     fw = seam_closure(seam)
     if (m - 1) & (m - 2) == 0:
         assert fw.tobytes() == gap.tobytes()
@@ -359,7 +360,8 @@ def test_roof_diameter_and_resolution_match_full_tables(n):
 
 def _two_table_entry_costs(seam, pts):
     """Seam entry costs as the smaller of two Euclidean tables, top and bottom."""
-    return np.minimum(_euclid(pts, seam.top), _euclid(pts, seam.bot))
+    top, bot = seam_copies(seam)
+    return np.minimum(_euclid(pts, top), _euclid(pts, bot))
 
 
 def _fresh_dist_to_subset(space, pts, ids):
@@ -387,7 +389,7 @@ def _seam_probe_points(space, rng):
         np.column_stack([xs, roof_height(xs)]),                            # on the top
         np.column_stack([np.repeat(ends, 3), np.tile([0.0, 0.5, 1.0], 2)]),  # x in {0, 1}
         np.column_stack([sx, rng.uniform(0, 1, sx.size) * roof_height(sx)]),
-        seam.top[::5], seam.bot[::5],                                      # the samples
+        *(side[::5] for side in seam_copies(seam)),                        # the samples
         space.points,
     ])
 
@@ -671,7 +673,8 @@ def test_cutoff_grid_distances_at_window_edges(roof12):
         s = dataclasses.replace(roof12, seam=seam)
         xs = np.clip(seam.x[i0] + rng.uniform(-0.28, 0.28, 100), 0.0, 1.0)
         pts = np.column_stack([xs, np.zeros_like(xs)])
-        entry = np.minimum(direct_distances(pts, seam.top), direct_distances(pts, seam.bot))
+        top, bot = seam_copies(seam)
+        entry = np.minimum(direct_distances(pts, top), direct_distances(pts, bot))
         through = (entry[:, :, None] + seam.to_grid[None]).min(axis=1)
         want = np.minimum(direct_distances(pts, s.points), through)
         for row, c in enumerate(through[:, g0]):

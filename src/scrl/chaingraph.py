@@ -114,14 +114,13 @@ class ScrResult:
     cost_limit: float = np.inf                # costs above this are reported as inf
 
     def to_json(self) -> dict:
-        cost = [None if not np.isfinite(c) else float(c) for c in self.min_return_cost]
         return {
             "epsilon": self.epsilon,
             "resolution": self.resolution,
             "cost_limit": None if not np.isfinite(self.cost_limit) else self.cost_limit,
-            "min_return_cost": cost,
-            "members": [int(i) for i in self.members],
-            "warning_band": [int(i) for i in self.band],
+            "min_return_cost": [c if c < np.inf else None for c in self.min_return_cost.tolist()],
+            "members": self.members.tolist(),
+            "warning_band": self.band.tolist(),
         }
 
     @classmethod

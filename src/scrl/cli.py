@@ -9,8 +9,8 @@ the cached artifacts of the earlier ones in the output directory.
 brute-force references.  All outputs are deterministic: repeated
 runs with the same configuration produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration or missing-cache error, 2 crash,
-3 ran to completion but a verified property failed.
+Exit codes: 0 success, 1 configuration error or a missing or damaged
+cache, 2 crash, 3 ran to completion but a verified property failed.
 """
 
 from __future__ import annotations
@@ -28,16 +28,13 @@ from . import __version__
 from .chaingraph import (ChainGraph, ScrResult, build_chain_graph, compute_cr, compute_scr,
                          export_graph_csv, graph_from_edges, min_return_cost_all,
                          omega_budget)
-from .flows import FlowModel, GridTransition, build_transition, load_sampled_transition, make_flow
+from .flows import (SYSTEMS, FlowModel, GridTransition, build_transition,
+                    load_sampled_transition, make_flow)
 from .lyapunov import LyapunovField, combine_pairs, sup_along_orbit, verify_lyapunov
 from .orbits import FINE_DIVISOR, OrbitData, build_orbit_data
 from .pairs import PairCatalog, default_radii, default_seed_stride, enumerate_pairs, select_cover
 from .space import DOMAINS, GridSpace, build_grid
 from .stablesets import default_eta_samples
-
-DEFAULT_GRID = {"circle": 256, "square": 32, "roof": 48, "identity": 64, "custom": 64}
-DOMAIN_OF = {"circle": "circle", "square": "unit-square", "roof": "roof",
-             "identity": "circle", "custom": None}
 
 
 @dataclass
@@ -72,7 +69,7 @@ class RunConfig:
     @property
     def grid(self) -> int:
         """grid_n, or the system's default grid."""
-        return self.grid_n or DEFAULT_GRID[self.system]
+        return self.grid_n or SYSTEMS[self.system].grid
 
     def validate(self, stages) -> None:
         """Every check of the run's own values, made before anything is
@@ -81,8 +78,9 @@ class RunConfig:
         for name, value in vars(self).items():
             if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} = {value} is not finite")
-        if self.system not in DEFAULT_GRID:
-            raise ConfigError(f"unknown system {self.system!r}")
+        if self.system not in SYSTEMS:
+            raise ConfigError(f"unknown system {self.system!r}; expected one of "
+                              f"{', '.join(SYSTEMS)}")
         for name in ("epsilon", "T", "s_max", "t_probe"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -99,7 +97,7 @@ class RunConfig:
             raise ConfigError(f"unknown grid domain {self.grid_domain!r}")
         if self.grid_domain and self.system != "custom":
             raise ConfigError(f"grid domain applies to custom flows only; "
-                              f"{self.system} runs on {DOMAIN_OF[self.system]}")
+                              f"{self.system} runs on {SYSTEMS[self.system].domain}")
         for name in ("eta_lo", "eta_hi"):
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in (0, 1)")
@@ -141,11 +139,12 @@ class ConfigError(Exception):
     pass
 
 
-class MissingCache(Exception):
-    def __init__(self, artifact: str, prerequisite: str):
-        super().__init__(
-            f"missing {artifact}; run `scrl {prerequisite}` with the same "
-            f"--out directory first")
+class CacheError(Exception):
+    """A cached artifact that is missing, or damaged as ``damage`` says."""
+
+    def __init__(self, artifact: str, prerequisite: str, damage: str = ""):
+        what = f"damaged {artifact} ({damage})" if damage else f"missing {artifact}"
+        super().__init__(f"{what}; run `scrl {prerequisite}` with the same --out directory first")
 
 
 @dataclass(eq=False)
@@ -181,7 +180,7 @@ def default_prune_radius(cfg: RunConfig, space: GridSpace) -> float:
 
 def build_bundle(cfg: RunConfig) -> RunBundle:
     """The grid, flow, transition and jump graph of a validated config."""
-    space = build_grid(DOMAIN_OF[cfg.system] or cfg.grid_domain or "circle", cfg.grid)
+    space = build_grid(SYSTEMS[cfg.system].domain or cfg.grid_domain or "circle", cfg.grid)
     prune = cfg.prune_radius or default_prune_radius(cfg, space)
     cfg.check_resolution(space.resolution, prune)
     if cfg.system == "custom":
@@ -268,12 +267,19 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
     pairs: its later stages read the scr of ``cfg.epsilon``.
     """
     cfg.validate(stages)
+    starts = stages[0] in ("scr", "cr")      # a run from the start of the chain
+    if not starts:
+        check_same_run(out, cfg)             # what can be told before the build
     bundle = build_bundle(cfg)
-    if stages[0] in ("scr", "cr"):           # a run from the start of the chain
+    if starts:
         make_out_dir(out)
+        try:
+            check_same_run(out, cfg, bundle.resolved)
+        except (ConfigError, CacheError):    # another run's artifacts: none is read
+            remove(out, ARTIFACTS)
         write_metadata(out, bundle)
     else:
-        check_same_run(out, bundle)
+        check_same_run(out, cfg, bundle.resolved)
     res = {"bundle": bundle}
     epsilons = [cfg.epsilon] if "pairs" in stages else cfg.budgets
     passed = True
@@ -281,28 +287,33 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
         if stage == "scr":
             results = stage_scr(bundle, epsilons)
             res["scr"] = results[0]
+            remove(out, STALE[stage])
             write_json(out / "scr.json", {"results": [r.to_json() for r in results]})
             sizes = {r.epsilon: len(r.members) for r in results}
-            print("scr members per epsilon:", json.dumps(_plain(sizes), sort_keys=True))
+            print("scr members per epsilon:", json.dumps(sizes, sort_keys=True))
         elif stage == "cr":
             crs = res["cr"] = stage_cr(bundle, epsilons)
+            remove(out, STALE[stage])
             write_json(out / "cr.json", {"results": [
-                {"epsilon": e, "members": [int(i) for i in m]} for e, m in crs.items()]})
+                {"epsilon": e, "members": m.tolist()} for e, m in crs.items()]})
             print("cr members per epsilon:", json.dumps({repr(e): len(m) for e, m in crs.items()}))
         elif stage == "compare":           # after scr and cr
             inclusion = all(set(r.members.tolist()) <= set(res["cr"][r.epsilon].tolist())
                             for r in results)
+            remove(out, STALE[stage])
             write_json(out / "compare.json", {"scr_subset_of_cr": inclusion})
             print("scr subset of cr:", inclusion)
             passed &= inclusion
         elif stage == "pairs":
             catalog = res["catalog"] = stage_pairs(bundle, _earlier(res, "scr", out))
+            remove(out, STALE[stage])
             write_json(out / "pairs.json", catalog.to_json())
             print(f"pairs: {len(catalog.pairs)} unique, {len(catalog.selected)} selected, "
                   f"residual {len(catalog.residual)}")
         elif stage == "lyapunov":
             res["fields"], res["combined"] = stage_lyapunov(
                 bundle, _earlier(res, "catalog", out))
+            remove(out, STALE[stage])
             for rank, fld in enumerate(res["fields"]):
                 write_field_csv(out / f"lyapunov_pair_{rank}.csv", bundle.space, fld)
             write_combined_csv(out / "lyapunov_combined.csv", bundle.space, res["combined"])
@@ -313,6 +324,7 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
             if "fields" not in res:            # recomputed, not read back from the CSVs
                 res["fields"] = stage_lyapunov(bundle, catalog)[0]
             report = res["report"] = stage_verify(bundle, catalog, res["fields"], scr)
+            remove(out, STALE[stage])
             write_json(out / "verify_report.json", report)
             print(f"monotonicity violations: {len(report['monotonicity_violations'])}  "
                   f"strict pass fraction: {report['strict_pass_fraction']:.4f}")
@@ -324,23 +336,46 @@ def run_pipeline(cfg: RunConfig, out: Path, stages):
 # change them.  scr.json entries are still matched by epsilon.
 LATER_STAGE_FIELDS = ("epsilon", "epsilons", "s_max", "t_probe", "margin")
 
+# What each stage writes, and what is made from it: the stage removes
+# these just before it writes, so no artifact outlives its inputs.
+LYAPUNOV = ("lyapunov_pair_*.csv", "lyapunov_combined.csv")
+STALE = {
+    "scr": ("scr.json", "compare.json", "pairs.json", *LYAPUNOV, "verify_report.json"),
+    "cr": ("cr.json", "compare.json"),
+    "compare": ("compare.json",),
+    "pairs": ("pairs.json", *LYAPUNOV, "verify_report.json"),
+    "lyapunov": (*LYAPUNOV, "verify_report.json"),
+    "verify": ("verify_report.json",),
+}
+ARTIFACTS = ("cr.json", *STALE["scr"], "graph.csv")     # everything the pipeline writes
 
-def check_same_run(out: Path, bundle: RunBundle) -> None:
+
+def remove(out: Path, patterns) -> None:
+    for pattern in patterns:
+        for path in out.glob(pattern):
+            path.unlink()
+
+
+def check_same_run(out: Path, cfg: RunConfig, resolved: dict | None = None) -> None:
     """A continuing subcommand reads the artifacts of the run recorded in
-    out/metadata.json, so that run must be its own: the same ``resolved``
-    record and the same config outside it, but for LATER_STAGE_FIELDS."""
+    out/metadata.json, so that run must be its own: the same config, but
+    for LATER_STAGE_FIELDS, with the defaults filled in as ``resolved``.
+    Without ``resolved`` (before the build) only the grid and the fields
+    that no default fills in are compared."""
     path = out / "metadata.json"
     if not path.is_file():
         return                        # the missing artifacts are reported by name
-
-    def identity(meta: dict) -> dict:
-        config = {k: v for k, v in meta["config"].items() if k not in LATER_STAGE_FIELDS}
-        return {**config, **meta["resolved"]}
-
-    theirs = identity(json.loads(path.read_text()))
-    ours = identity(_plain({"config": asdict(bundle.cfg), "resolved": bundle.resolved}))
+    theirs, filled = read_cache(path, "scr", lambda meta: (
+        {**meta["config"], **meta["resolved"]}, set(meta["resolved"])))
+    if resolved is None:
+        ours = {k: v for k, v in asdict(cfg).items() if k not in filled} | {"grid_n": cfg.grid}
+        keys = ours.keys()
+    else:
+        ours = {**asdict(cfg), **resolved}
+        keys = ours.keys() | theirs.keys()
     differ = [f"{key} {theirs.get(key)!r} (this run: {ours.get(key)!r})"
-              for key in sorted(ours.keys() | theirs.keys()) if ours.get(key) != theirs.get(key)]
+              for key in sorted(keys - set(LATER_STAGE_FIELDS))
+              if ours.get(key) != theirs.get(key)]
     if differ:
         raise ConfigError(f"{out} holds the artifacts of another run, with {', '.join(differ)}; "
                           "use the same settings or another --out")
@@ -353,44 +388,39 @@ def make_out_dir(out: Path) -> None:
         raise ConfigError(f"--out {out} cannot be made a directory: {exc.strerror}") from exc
 
 
+def read_cache(path: Path, stage: str, parse):
+    """``parse`` of the JSON in ``path``, an artifact that ``stage`` wrote;
+    a file that does not parse, or lacks what ``parse`` reads, is damaged."""
+    if not path.exists():
+        raise CacheError(path.name, stage)
+    try:
+        return parse(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CacheError(path.name, stage, f"{type(exc).__name__}: {exc}") from exc
+
+
 def _earlier(res: dict, name: str, out: Path):
     """Input ``name`` ("scr" or "catalog") from an earlier stage of this
     run, or else from its cached artifact in ``out``."""
-    if name not in res:
-        artifact, stage = ("scr.json", "scr") if name == "scr" else ("pairs.json", "pairs")
-        if not (out / artifact).exists():
-            raise MissingCache(artifact, stage)
-        cache = json.loads((out / artifact).read_text())
-        if name == "catalog":
-            res[name] = PairCatalog.from_json(cache)
-        else:
-            epsilon = res["bundle"].cfg.epsilon
-            hits = [r for r in cache["results"] if abs(r["epsilon"] - epsilon) < 1e-12]
-            if not hits:
-                raise MissingCache(f"scr.json entry for epsilon {epsilon}", "scr")
-            res[name] = ScrResult.from_json(hits[0])
+    if name == "catalog" and name not in res:
+        res[name] = read_cache(out / "pairs.json", "pairs", PairCatalog.from_json)
+    elif name not in res:
+        epsilon = res["bundle"].cfg.epsilon
+        hits = read_cache(out / "scr.json", "scr", lambda cache: [
+            ScrResult.from_json(r) for r in cache["results"] if abs(r["epsilon"] - epsilon) < 1e-12])
+        if not hits:
+            raise CacheError(f"scr.json entry for epsilon {epsilon}", "scr")
+        res[name] = hits[0]
     return res[name]
 
 
 # -- serialization --------------------------------------------------------
 
 
-def _plain(obj):
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if np.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_plain(obj), sort_keys=True, indent=1) + "\n")
+    """Write an artifact built of plain Python values; a numpy or
+    non-finite value in it is an error, not rewritten."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def write_metadata(out: Path, bundle: RunBundle) -> None:
@@ -524,8 +554,7 @@ def _dyadic_trial(rng, n: int, n_edges: int) -> tuple[bool, bool, bool]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     # Every config flag defaults to None (absent), so that a --config file
     # keeps its values unless a flag is given explicitly.
-    p.add_argument("--system", choices=("circle", "square", "roof", "identity", "custom"),
-                   help="default: circle")
+    p.add_argument("--system", help=f"one of {', '.join(SYSTEMS)}; default: circle")
     p.add_argument("--grid", type=int, dest="grid_n",
                    help="grid points (circle) or cells per side (planar); 0 = default")
     p.add_argument("--grid-domain", help="domain for custom flows")
@@ -612,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (ConfigError, MissingCache) as exc:
+    except (ConfigError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:        # crash, distinct from property failure
@@ -625,7 +654,7 @@ def _dispatch(args) -> int:
     out = Path(args.out)
     if args.command == "oracle-check":
         report = oracle_check(args.seeds, args.rng_seed)
-        print(json.dumps(_plain(report), sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         if args.out:
             make_out_dir(out)
             write_json(out / "oracle_report.json", report)

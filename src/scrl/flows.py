@@ -34,6 +34,10 @@ every trajectory can be evaluated in closed form (no ODE stepping):
 
 * ``identity``: every point fixed, on the circle domain.
 
+``SYSTEMS`` names every system, ``custom`` (a flow sampled from CSV)
+included, with its flow kind, domain, default grid, the speed profile
+that ``metadata.json`` records, and its evaluator.
+
 All evaluators are pure, vectorized over points, and reject negative
 times (the theory only ever flows forward).  They also take a 1-D array
 of times, one output row per time, each bit for bit the single-time
@@ -44,7 +48,8 @@ points.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,15 +61,21 @@ ROOF_STRIP_HALF_WIDTH = 0.1
 ROOF_DRIFT_RATE = 5.0
 ROOF_DRIFT_CAP = 0.5
 
-SYSTEMS = ("circle", "square", "roof", "identity", "custom-sampled")
-
 
 @dataclass(eq=False)
 class FlowModel:
-    """A forward-time system: domain name, parameters, and an evaluator."""
+    """A forward-time system: its kind, domain, speed profile, default
+    grid and evaluator.
+
+    ``rows(pts, times)`` returns phi_{times[j]}(pts) as row j for a 1-D
+    array of times; a sampled flow has none.
+    """
 
     kind: str
-    domain: str
+    domain: str                      # "" for a custom flow, which runs on its grid's
+    grid: int                        # default grid_n
+    profile: str
+    rows: Callable | None = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
 
     def evaluate(self, pts: np.ndarray, t) -> np.ndarray:
@@ -76,65 +87,36 @@ class FlowModel:
         times = np.asarray(t, dtype=float)
         if np.any(times < 0):
             raise ValueError(f"negative flow time t={np.min(times)}; this is a semiflow")
+        if self.rows is None:
+            raise ValueError(f"flow kind {self.kind!r} has no continuous evaluator")
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "roof":
-            return _roof_flow(pts, times.reshape(-1)).reshape(times.shape + pts.shape)
-        if times.ndim:
-            out = np.empty(times.shape + pts.shape)
-            for row, s in zip(out, times):
-                row[...] = self.evaluate(pts, s)
-            return out
-        if self.kind == "identity":
-            return pts.copy()
-        if self.kind == "circle-arc":
-            return _circle_flow(pts, t, self.params)
-        if self.kind == "north-south-square":
-            return _square_flow(pts, t)
-        raise ValueError(f"flow kind {self.kind!r} has no continuous evaluator")
+        return self.rows(pts, times.reshape(-1)).reshape(times.shape + pts.shape)
 
     def describe(self) -> dict:
         """Speed-profile metadata recorded with every run."""
-        base = {"kind": self.kind, "domain": self.domain, "params": dict(self.params)}
-        profiles = {
-            "circle-arc": "angular speed = min(dist to fixed set, 1), closed-form exponentials",
-            "north-south-square": "fiber dynamics dy/dt = -y(1-y), closed-form logistic",
-            "roof": ("dy/dt = 1 with roof-to-floor wrap; horizontal drift toward the "
-                     f"periodic strip |x-1/2| <= {ROOF_STRIP_HALF_WIDTH} at speed "
-                     f"min({ROOF_DRIFT_RATE} * gap, {ROOF_DRIFT_CAP})"),
-            "identity": "every point fixed",
-            "custom-sampled": "grid-projected images ingested from CSV",
-        }
-        base["profile"] = profiles[self.kind]
-        return base
+        return {"kind": self.kind, "domain": self.domain, "params": dict(self.params),
+                "profile": self.profile}
 
 
-def make_flow(system: str, params: dict | None = None) -> FlowModel:
-    """Factory for the built-in systems."""
-    if system == "circle":
-        markers = dict(CIRCLE_MARKERS)
-        if params:
-            markers.update(params)
-        _validate_markers(markers)
-        return FlowModel("circle-arc", CIRCLE, markers)
-    if system == "square":
-        return FlowModel("north-south-square", UNIT_SQUARE)
-    if system == "roof":
-        return FlowModel("roof", ROOF)
-    if system == "identity":
-        return FlowModel("identity", CIRCLE)
-    raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS[:-1]}")
+def _each_time(phi: Callable) -> Callable:
+    """The ``rows`` evaluator of ``phi(pts, t)``, called once per time."""
+    def rows(pts: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.empty(times.shape + pts.shape)
+        for row, t in zip(out, times):
+            row[...] = phi(pts, t)
+        return out
+    return rows
+
+
+def make_flow(system: str, domain: str = "") -> FlowModel:
+    """The flow of ``system``, a key of SYSTEMS; a custom flow runs on ``domain``."""
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {list(SYSTEMS)}")
+    flow = SYSTEMS[system]
+    return flow if flow.domain else replace(flow, domain=domain)
 
 
 # -- circle ------------------------------------------------------------
-
-
-def _validate_markers(m: dict) -> None:
-    order = [m["B"], m["C"], m["D"], m["A"], m["E"]]
-    if not all(0 <= v < 1 for v in order):
-        raise ValueError("circle markers must lie in [0, 1)")
-    gaps = np.diff(order)
-    if not np.all(gaps > 0):
-        raise ValueError("circle markers must be ordered B < C < D < A < E clockwise")
 
 
 def _wander_phase(u: np.ndarray, length: float, t: float) -> np.ndarray:
@@ -159,9 +141,9 @@ def _wander_phase(u: np.ndarray, length: float, t: float) -> np.ndarray:
     return out
 
 
-def _circle_flow(pts: np.ndarray, t: float, markers: dict) -> np.ndarray:
+def _circle_flow(pts: np.ndarray, t: float) -> np.ndarray:
     theta = pts[:, 0] % 1.0
-    b, c, d, a = markers["B"], markers["C"], markers["D"], markers["A"]
+    b, c, d, a = (CIRCLE_MARKERS[k] for k in "BCDA")
     out = theta.copy()
     # wandering arcs between consecutive fixed features, clockwise
     for lo, hi in ((b, c), (c, d), (d, a)):
@@ -290,6 +272,27 @@ def _roof_wraps(drift: tuple, y0: np.ndarray, t_max: float) -> tuple:
     return np.array(starts), settle, x_end
 
 
+# -- the systems -------------------------------------------------------
+
+SYSTEMS = {
+    "circle": FlowModel(
+        "circle-arc", CIRCLE, 256,
+        "angular speed = min(dist to fixed set, 1), closed-form exponentials",
+        _each_time(_circle_flow), CIRCLE_MARKERS),
+    "square": FlowModel(
+        "north-south-square", UNIT_SQUARE, 32,
+        "fiber dynamics dy/dt = -y(1-y), closed-form logistic", _each_time(_square_flow)),
+    "roof": FlowModel(
+        "roof", ROOF, 48,
+        "dy/dt = 1 with roof-to-floor wrap; horizontal drift toward the periodic strip "
+        f"|x-1/2| <= {ROOF_STRIP_HALF_WIDTH} at speed min({ROOF_DRIFT_RATE} * gap, "
+        f"{ROOF_DRIFT_CAP})", _roof_flow),
+    "identity": FlowModel("identity", CIRCLE, 64, "every point fixed",
+                          _each_time(lambda pts, t: pts)),
+    "custom": FlowModel("custom-sampled", "", 64, "grid-projected images ingested from CSV"),
+}
+
+
 # -- grid transitions --------------------------------------------------
 
 
@@ -359,5 +362,4 @@ def load_sampled_transition(path, space: GridSpace, T: float, m_max: int) -> tup
     if np.any(images < 0):
         missing = int((images < 0).sum())
         raise ValueError(f"custom flow CSV incomplete: {missing} (point, m) pairs missing")
-    flow = FlowModel("custom-sampled", space.domain)
-    return flow, GridTransition.project(space, T, space.points[images], space.resolution)
+    return make_flow("custom", space.domain), GridTransition.project(space, T, space.points[images], space.resolution)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scrl.cli import COMMANDS, DOMAIN_OF, RunConfig, main, run_pipeline
-from scrl.flows import build_transition, make_flow
+from scrl.cli import COMMANDS, RunConfig, main, run_pipeline
+from scrl.flows import SYSTEMS, build_transition, make_flow
 from scrl.lyapunov import combine_pairs
 from scrl.space import build_grid
 
@@ -145,7 +146,7 @@ def _run_configs(draw):
     """Valid RunConfigs on small circle, square and identity grids."""
     system = draw(st.sampled_from(["circle", "square", "identity"]))
     grid_n = draw(st.integers(8, 10) if system == "square" else st.integers(8, 40))
-    res = build_grid(DOMAIN_OF[system], grid_n).resolution
+    res = build_grid(SYSTEMS[system].domain, grid_n).resolution
     unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     # no sweep, or a sweep of one to three budgets whose smallest is epsilon
     epsilons = draw(st.just([]) | st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
@@ -244,7 +245,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
                            (["--scale", "inf"], "neighborhood_scale = inf"),
                            (["--radius", "0.1", "--radius", "nan"], "radii = [0.1, nan]"),
                            # a built-in system has its own domain
-                           (["--grid-domain", "unit-square"], "custom flows only")):
+                           (["--grid-domain", "unit-square"], "custom flows only"),
+                           (["--system", "torus"], "unknown system 'torus'")):
         refused(["analyze", "--system", "circle", "--grid", "64", *flags], tmp_path / "v")
         assert message in capsys.readouterr().err
     # an --out that is a file, or lies under one
@@ -271,6 +273,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
                            "not the smallest"),
                           ({"system": "circle", "radii": [0.1, "x"]}, "radii"),
                           ({"system": 3}, "system"),
+                          ({"system": "torus"}, "unknown system 'torus'"),
                           ({"system": "circle", "eta_lo": 0.0}, "eta_lo"),
                           ({"system": "circle", "eta_hi": 1.0}, "eta_hi"),
                           ({"system": "circle", "horizon_steps": True}, "horizon_steps"),
@@ -313,6 +316,133 @@ def test_continuing_subcommand_refuses_another_runs_directory(tmp_path, capsys):
                 "--out", str(out)]) == 0
     assert run(["pairs", "--grid", "64", "--epsilon", "0.06", "--out", str(out)]) == 1
     assert "scr.json entry for epsilon 0.06" in capsys.readouterr().err
+
+
+def test_another_runs_directory_is_refused_before_the_build(tmp_path, monkeypatch, capsys):
+    # the system, the grid and the fields no default fills in are told
+    # from metadata.json alone, so nothing is built to refuse them
+    import scrl.cli
+
+    out = tmp_path / "run"
+    assert run(["scr", "--system", "circle", "--grid", "64", "--out", str(out)]) == 0
+    built, build_bundle = [], scrl.cli.build_bundle
+    monkeypatch.setattr(scrl.cli, "build_bundle", lambda cfg: built.append(cfg) or build_bundle(cfg))
+    capsys.readouterr()
+    for flags, message in ((["--system", "square", "--grid", "16"], "system 'circle'"),
+                           (["--grid", "32"], "grid_n 64 (this run: 32)"),
+                           (["--grid", "64", "--m-max", "3"], "m_max 4")):
+        for stage in ("pairs", "lyapunov", "verify"):
+            assert run([stage, *flags, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "artifacts of another run" in err and message in err
+    assert built == []
+
+
+def _names(out):
+    return sorted(path.name for path in out.iterdir())
+
+
+def test_a_run_reads_no_other_runs_artifacts(tmp_path, capsys):
+    # a run from the start of the chain over another run's directory first
+    # removes every artifact, so a later stage finds its input missing
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["analyze", "--system", "circle", "--grid", "64", "--export-graph",
+                "--out", str(first)]) == 0
+    shutil.copytree(first, second)
+    assert run(["scr", "--grid", "128", "--out", str(first)]) == 0
+    assert _names(first) == ["metadata.json", "scr.json"]
+    capsys.readouterr()
+    assert run(["verify", "--grid", "128", "--out", str(first)]) == 1
+    assert "missing pairs.json" in capsys.readouterr().err
+    assert run(["cr", "--grid", "128", "--out", str(second)]) == 0
+    assert _names(second) == ["cr.json", "metadata.json"]
+    assert run(["pairs", "--grid", "128", "--out", str(second)]) == 1
+    assert "missing scr.json" in capsys.readouterr().err
+    # a metadata.json that does not parse records no run of its own
+    (second / "metadata.json").write_text("{}")
+    (second / "pairs.json").write_text("{}")
+    assert run(["cr", "--grid", "128", "--out", str(second)]) == 0
+    assert _names(second) == ["cr.json", "metadata.json"]
+
+
+def test_each_stage_removes_what_was_made_from_its_old_artifact(tmp_path):
+    args = ["--system", "circle", "--grid", "64", "--out", str(tmp_path)]
+    assert run(["scr", *args]) == 0
+    assert run(["cr", *args]) == 0                # the same run keeps scr.json
+    assert run(["pairs", *args]) == 0
+    (tmp_path / "lyapunov_pair_9.csv").write_text("point_index,x,y,l,k,h\n")
+    (tmp_path / "verify_report.json").write_text("{}")
+    assert run(["lyapunov", *args]) == 0
+    assert _names(tmp_path) == ["cr.json", "lyapunov_combined.csv", "lyapunov_pair_0.csv",
+                                "metadata.json", "pairs.json", "scr.json"]
+    assert run(["verify", *args]) == 0
+    assert run(["pairs", *args]) == 0
+    assert _names(tmp_path) == ["cr.json", "metadata.json", "pairs.json", "scr.json"]
+    assert run(["scr", *args]) == 0
+    assert _names(tmp_path) == ["cr.json", "metadata.json", "scr.json"]
+
+
+def test_damaged_cache_exits_one_naming_it(tmp_path, capsys):
+    args = ["--system", "circle", "--grid", "64", "--out", str(tmp_path)]
+    assert run(["analyze", *args]) == 0
+    kept = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    for name, body, stage in (("metadata.json", "{}", "pairs"),
+                              ("metadata.json", "not json", "verify"),
+                              ("metadata.json", '{"config": [], "resolved": {}}', "lyapunov"),
+                              ("scr.json", "not json", "pairs"),
+                              ("scr.json", '{"results": [{"epsilon": 0.05}]}', "verify"),
+                              ("pairs.json", "[", "lyapunov"),
+                              ("pairs.json", '{"pairs": []}', "verify")):
+        (tmp_path / name).write_text(body)
+        assert run([stage, *args]) == 1, (name, body)
+        assert f"damaged {name}" in capsys.readouterr().err
+        (tmp_path / name).write_bytes(kept[name])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == kept
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_every_system_runs_and_records_its_flow(system, tmp_path):
+    argv = ["scr", "--system", system, "--grid", "8", "--out", str(tmp_path / "run")]
+    if system == "custom":
+        csv_path = tmp_path / "flow.csv"
+        csv_path.write_text("point_index,m,image_index\n" + "".join(f"{u},1,{u}\n" for u in range(8)))
+        argv += ["--grid-domain", "circle", "--flow-csv", str(csv_path), "--m-max", "1"]
+    assert run(argv) == 0
+    flow = SYSTEMS[system]
+    meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
+    assert meta["flow"] == {"kind": flow.kind, "domain": flow.domain or "circle",
+                            "params": flow.params, "profile": flow.profile}
+    assert meta["resolved"]["grid_n"] == 8
+
+
+def _is_plain(obj) -> bool:
+    if type(obj) is dict:
+        return all(type(k) is str and _is_plain(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(_is_plain(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+def test_artifacts_are_built_of_plain_values(tmp_path, monkeypatch):
+    # each producer hands write_json plain Python values, which it only serializes
+    import scrl.cli
+
+    written, write_json = [], scrl.cli.write_json
+
+    def spy(path, obj):
+        assert _is_plain(obj), path.name
+        written.append(path.name)
+        write_json(path, obj)
+
+    monkeypatch.setattr(scrl.cli, "write_json", spy)
+    assert run(["analyze", "--system", "square", "--grid", "12", "--out", str(tmp_path)]) == 0
+    assert sorted(written) == ["cr.json", "metadata.json", "pairs.json", "scr.json",
+                               "verify_report.json"]
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", {"margin": float("nan")})
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", {"n": np.int64(3)})
 
 
 def test_lyapunov_and_verify_project_no_orbit_row(tmp_path, monkeypatch):

@@ -137,14 +137,6 @@ def test_semigroup_bulk_thousand(system):
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
-def test_circle_marker_override():
-    f = make_flow("circle", {"C": 0.4})
-    assert phi(f, [0.4], 3.0)[0] == 0.4             # moved fixed point
-    assert phi(f, [0.375], 1.0)[0] > 0.375          # old position now drifts
-    with pytest.raises(ValueError, match="ordered"):
-        make_flow("circle", {"C": 0.9})
-
-
 def test_roof_semigroup_bulk(roof_flow):
     rng = np.random.default_rng(11)
     xs = rng.uniform(0, 1, 500)
